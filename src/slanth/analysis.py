@@ -32,7 +32,6 @@ from .symbol import (
     symbol_sub,
 )
 from .windowed import (
-    K,
     P,
     W,
     WSTAR,
@@ -141,7 +140,7 @@ def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow, tol: float 
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"analytic column window required, got {cols}")
     rho = symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))
-    inner = compose_chain([W, P, mult(phi), K], cols)
+    inner = compose_chain(SLANT_H_TOEPLITZ.chain(phi), cols)
     outer = compose_chain([W, P, mult(rho), WSTAR], inner.rows)
     whole = compose(outer, inner)
     value = float(np.max(np.abs(whole.data))) if whole.data.size else 0.0

@@ -15,17 +15,7 @@ import sys
 from . import verify as verify_mod
 from .analysis import norm_bound_check
 from .expr import ExprParseError, UnknownSymbolError, eval_expr, parse_expr
-from .families import (
-    HANKEL,
-    H_TOEPLITZ,
-    SLANT_HANKEL,
-    SLANT_H_ADJOINT,
-    SLANT_H_TOEPLITZ,
-    SLANT_TOEPLITZ,
-    TOEPLITZ,
-    build_family,
-    extension,
-)
+from .families import COMPOSITIONAL_KINDS, build_family, extension
 from .structure import (
     check_characterization,
     check_extension_conditions,
@@ -43,16 +33,7 @@ from .symbol import (
 )
 from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix
 
-_FAMILIES = {
-    "toeplitz": TOEPLITZ,
-    "hankel": HANKEL,
-    "slant-toeplitz": SLANT_TOEPLITZ,
-    "slant-hankel": SLANT_HANKEL,
-    "h-toeplitz": H_TOEPLITZ,
-    "slant-h-toeplitz": SLANT_H_TOEPLITZ,
-    "slant-h-adjoint": SLANT_H_ADJOINT,
-    "extension": None,  # resolved with --m
-}
+_FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
 _PREDICATES = ("slant-h", "slant-toeplitz", "slant-hankel", "characterization", "extension")
 
@@ -80,6 +61,8 @@ def _symbol_table(pairs) -> dict:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise SymbolParseError(f"--symbol expects name=<file|inline>, got {item!r}")
+        if name in table:
+            raise SymbolParseError(f"--symbol {name!r} is given more than once")
         table[name] = _load_symbol_value(value)
     return table
 
@@ -201,13 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build a section and dump it")
     add_common(build, with_tol=False)
-    build.add_argument("--family", choices=sorted(_FAMILIES))
+    build.add_argument("--family", choices=sorted([*_FAMILIES, "extension"]))
     build.add_argument("--m", type=int, help="extension depth for --family extension")
     build.add_argument("--rows", metavar="LO:HI")
     build.add_argument("--cols", metavar="LO:HI")
     build.add_argument("--expr", metavar="TEXT")
     build.add_argument("--window", metavar="LO:HI", help="input window for --expr")
-    build.add_argument("--format", choices=("matrix",), default="matrix")
     build.set_defaults(func=_cmd_build)
 
     check = sub.add_parser("check", help="run a predicate and report witnesses")
@@ -218,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--window", metavar="LO:HI")
     check.add_argument("--cols", metavar="LO:HI", help="identity domain for characterization")
     check.add_argument("--m", type=int, help="depth for the extension predicate")
-    check.add_argument("--format", choices=("report",), default="report")
     check.set_defaults(func=_cmd_check)
 
     extract = sub.add_parser("extract", help="read the symbol back from a section file")
@@ -246,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WindowError as exc:
+    except (WindowError, MemoryError) as exc:
         sys.stderr.write(f"window error: {exc}\n")
         return 3
     except (SymbolParseError, ExprParseError, UnknownSymbolError) as exc:

@@ -11,42 +11,23 @@ Atoms: W W* K K* J P U U* S(k) Cz(k) Mz(k) M(name) T(name) H(name) B(name)
 L(name) Sh(name) V(name) V*(name) A(m,name). Names refer to symbols supplied
 in the evaluation table. Evaluation propagates windows from the user-supplied
 input window through the rightmost atom leftwards, refusing any composition
-that would lose exactness; subtraction requires both operands to land on
-identical windows.
+that would lose exactness. Every operand has the input window as its columns
+and holds every nonzero row of them, so subtraction zero-embeds both operands
+on the hull of their row windows.
 """
 
 import re
 from dataclasses import dataclass
 
-from .families import (
-    HANKEL,
-    H_TOEPLITZ,
-    SLANT_HANKEL,
-    SLANT_H_ADJOINT,
-    SLANT_H_TOEPLITZ,
-    SLANT_TOEPLITZ,
-    TOEPLITZ,
-    build_compositional,
-    build_extension_natural,
-)
+from .families import COMPOSITIONAL_KINDS, build_compositional, build_extension_natural
 from .windowed import (
-    J,
-    K,
-    KSTAR,
-    P,
-    U,
-    USTAR,
-    W,
-    WSTAR,
+    Elementary,
     IndexWindow,
     WindowedMatrix,
     WindowError,
-    bilateral_shift,
     build_elementary,
     compose,
-    compose_z,
     mult,
-    mult_z,
 )
 
 __all__ = [
@@ -98,9 +79,11 @@ class Diff:
     right: object
 
 
+_FAMILY_ATOMS = {kind.atom: kind for kind in COMPOSITIONAL_KINDS}
+# elementary atoms are named like their `Elementary`, integer argument as power
 _BARE = frozenset({"W", "W*", "K", "K*", "J", "P", "U", "U*"})
 _INT_ARG = frozenset({"S", "Cz", "Mz"})
-_NAME_ARG = frozenset({"M", "T", "H", "B", "L", "Sh", "V", "V*"})
+_NAME_ARG = frozenset({"M"} | set(_FAMILY_ATOMS))
 _EXTENSION = "A"
 _ATOMS = _BARE | _INT_ARG | _NAME_ARG | {_EXTENSION}
 
@@ -262,31 +245,6 @@ def print_expr(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_ELEMENTARY_ATOMS = {
-    "W": lambda args: W,
-    "W*": lambda args: WSTAR,
-    "K": lambda args: K,
-    "K*": lambda args: KSTAR,
-    "J": lambda args: J,
-    "P": lambda args: P,
-    "U": lambda args: U,
-    "U*": lambda args: USTAR,
-    "S": lambda args: bilateral_shift(args[0]),
-    "Cz": lambda args: compose_z(args[0]),
-    "Mz": lambda args: mult_z(args[0]),
-}
-
-_FAMILY_ATOMS = {
-    "T": TOEPLITZ,
-    "H": HANKEL,
-    "B": SLANT_TOEPLITZ,
-    "L": SLANT_HANKEL,
-    "Sh": H_TOEPLITZ,
-    "V": SLANT_H_TOEPLITZ,
-    "V*": SLANT_H_ADJOINT,
-}
-
-
 def _resolve(symbols: dict, name: str):
     if name not in symbols:
         raise UnknownSymbolError(f"symbol {name!r} is not defined")
@@ -298,24 +256,18 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
     if isinstance(node, Diff):
         left = eval_expr(node.left, window, symbols)
         right = eval_expr(node.right, window, symbols)
-        if left.rows != right.rows or left.cols != right.cols:
-            raise WindowError(
-                f"subtraction windows differ: {left.rows} x {left.cols}"
-                f" vs {right.rows} x {right.cols}"
-            )
-        return WindowedMatrix(left.rows, left.cols, left.data - right.data, left.exact and right.exact)
+        rows = left.rows.hull(right.rows)
+        return WindowedMatrix(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
     if isinstance(node, Compose):
         right = eval_expr(node.right, window, symbols)
         left = eval_expr(node.left, right.rows, symbols)
         return compose(left, right)
     if isinstance(node, Scaled):
         inner = eval_expr(node.node, window, symbols)
-        return WindowedMatrix(inner.rows, inner.cols, node.factor * inner.data, inner.exact)
+        return WindowedMatrix(inner.rows, inner.cols, node.factor * inner.data)
     if isinstance(node, Atom):
         if node.name == "M":
             return build_elementary(mult(_resolve(symbols, node.args[0])), window)
-        if node.name in _ELEMENTARY_ATOMS:
-            return build_elementary(_ELEMENTARY_ATOMS[node.name](node.args), window)
         if node.name in _FAMILY_ATOMS:
             return build_compositional(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
         if node.name == _EXTENSION:
@@ -323,4 +275,5 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
             if depth < 0:
                 raise WindowError("extension depth must be >= 0")
             return build_extension_natural(depth, _resolve(symbols, name), window)
+        return build_elementary(Elementary(node.name, *node.args), window)
     raise TypeError(f"not an expression node: {node!r}")

@@ -13,9 +13,13 @@ Each family admits an O(1) per-entry formula in the symbol coefficients:
 
 The closed form is primary; `build_compositional` assembles the same
 operators from elementary sections with exact window propagation and serves
-as the independent oracle the closed forms are tested against.
+as the independent oracle the closed forms are tested against. Each family
+is one `Family` record holding both routes, its CLI name and its expression
+atom; the CLI and the expression language build their tables from
+`COMPOSITIONAL_KINDS`.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,6 @@ from .windowed import (
     P,
     W,
     WSTAR,
-    Elementary,
     IndexWindow,
     WindowedMatrix,
     WindowError,
@@ -60,19 +63,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Family:
-    """An operator family; `depth` is how far rows extend below zero."""
+    """One operator family: the single record every layer reads.
+
+    `name` is also the CLI `--family` name and `atom` the expression atom.
+    The entry at row i, column j is the symbol coefficient of degree
+    `degree(i, j)`, conjugated when `conj` is set; `degree` takes Python ints
+    or numpy index grids alike. `chain(phi)` lists the elementary maps of the
+    compositional oracle, leftmost applied last, and `depth` is how far rows
+    extend below zero.
+    """
 
     name: str
+    atom: str
+    degree: Callable
+    chain: Callable | None
+    conj: bool = False
     depth: int = 0
 
 
-TOEPLITZ = Family("toeplitz")
-HANKEL = Family("hankel")
-SLANT_TOEPLITZ = Family("slant-toeplitz")
-SLANT_HANKEL = Family("slant-hankel")
-H_TOEPLITZ = Family("h-toeplitz")
-SLANT_H_TOEPLITZ = Family("slant-h-toeplitz")
-SLANT_H_ADJOINT = Family("slant-h-adjoint")
+def _h_shuffle(step: int) -> Callable:
+    """Degree map step*i - n (j = 2n) and step*i + n + 1 (j = 2n+1)."""
+
+    def degree(i, j):
+        n, odd = divmod(j, 2)
+        return step * i - n + odd * (2 * n + 1)
+
+    return degree
+
+
+_SLANT_H = _h_shuffle(2)
+
+TOEPLITZ = Family("toeplitz", "T", lambda i, j: i - j, lambda phi: [P, mult(phi)])
+HANKEL = Family("hankel", "H", lambda i, j: i + j + 1, lambda phi: [P, mult(phi), J])
+SLANT_TOEPLITZ = Family("slant-toeplitz", "B", lambda i, j: 2 * i - j, lambda phi: [P, W, mult(phi)])
+SLANT_HANKEL = Family("slant-hankel", "L", lambda i, j: 2 * i + j + 1, lambda phi: [W, P, mult(phi), J])
+H_TOEPLITZ = Family("h-toeplitz", "Sh", _h_shuffle(1), lambda phi: [P, mult(phi), K])
+SLANT_H_TOEPLITZ = Family("slant-h-toeplitz", "V", _SLANT_H, lambda phi: [W, P, mult(phi), K])
+# the true conjugate transpose of the slant-h form
+SLANT_H_ADJOINT = Family("slant-h-adjoint", "V*", lambda i, j: _SLANT_H(j, i),
+                         lambda phi: [KSTAR, mult(conj_reflect(phi)), WSTAR], conj=True)
 
 COMPOSITIONAL_KINDS = (
     TOEPLITZ,
@@ -91,7 +120,7 @@ def extension(depth: int) -> Family:
         raise ValueError("extension depth must be >= 0")
     if depth == 0:
         return SLANT_H_TOEPLITZ
-    return Family("extension", depth)
+    return Family("extension", "A", _SLANT_H, None, depth=depth)
 
 
 def entry(kind: Family, phi: LaurentSymbol, i: int, j: int) -> complex:
@@ -100,28 +129,20 @@ def entry(kind: Family, phi: LaurentSymbol, i: int, j: int) -> complex:
         raise WindowError(f"{kind.name} has no column {j}")
     if i < -kind.depth:
         raise WindowError(f"{kind.name} has no row {i}")
-    c = phi.coeff
-    name = kind.name
-    if name == "toeplitz":
-        return c(i - j)
-    if name == "hankel":
-        return c(i + j + 1)
-    if name == "slant-toeplitz":
-        return c(2 * i - j)
-    if name == "slant-hankel":
-        return c(2 * i + j + 1)
-    if name == "h-toeplitz":
-        n, odd = divmod(j, 2)
-        return c(i + n + 1) if odd else c(i - n)
-    if name in ("slant-h-toeplitz", "extension"):
-        n, odd = divmod(j, 2)
-        return c(2 * i + n + 1) if odd else c(2 * i - n)
-    if name == "slant-h-adjoint":
-        # true conjugate transpose of the slant-h form
-        p, odd = divmod(i, 2)
-        value = c(2 * j + p + 1) if odd else c(2 * j - p)
-        return value.conjugate()
-    raise ValueError(f"unknown family kind {name!r}")
+    value = phi.coeff(kind.degree(i, j))
+    return value.conjugate() if kind.conj else value
+
+
+def _coefficients(phi: LaurentSymbol, degrees: np.ndarray) -> np.ndarray:
+    """Coefficient of phi at every degree of an integer grid."""
+    if phi.is_zero:
+        return np.zeros(degrees.shape, dtype=complex)
+    lo, hi = phi.support
+    table = np.zeros(hi - lo + 2, dtype=complex)  # the last slot is the zero off the support
+    for n, a in phi.items():
+        table[n - lo] = a
+    index = degrees - lo
+    return table[np.where((index >= 0) & (index <= hi - lo), index, -1)]
 
 
 def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
@@ -130,42 +151,23 @@ def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: Inde
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     if not rows.is_empty and rows.lo < -kind.depth:
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
-    data = np.zeros((rows.size, cols.size), dtype=complex)
-    for i in rows.indices():
-        for j in cols.indices():
-            data[i - rows.lo, j - cols.lo] = entry(kind, phi, i, j)
-    return WindowedMatrix(rows, cols, data)
+    i = np.arange(rows.lo, rows.hi + 1)[:, None]
+    j = np.arange(cols.lo, cols.hi + 1)
+    data = _coefficients(phi, kind.degree(i, j))
+    # conjugating after the gather also turns the zeros off the support into 0-0j
+    return WindowedMatrix(rows, cols, np.conj(data) if kind.conj else data)
 
 
-def compose_chain(kinds: list[Elementary], domain: IndexWindow) -> WindowedMatrix:
-    """Compose elementary sections listed leftmost-first, starting from `domain`."""
+def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
+    """Compose elementary kinds and ready sections listed leftmost-first, starting from `domain`."""
     result = None
-    for kind in reversed(kinds):
-        section = build_elementary(kind, domain)
+    for stage in reversed(stages):
+        section = stage if isinstance(stage, WindowedMatrix) else build_elementary(stage, domain)
         result = section if result is None else compose(section, result)
         domain = section.rows
     if result is None:
         raise ValueError("empty chain")
     return result
-
-
-def _chain_for(kind: Family, phi: LaurentSymbol) -> list[Elementary]:
-    name = kind.name
-    if name == "toeplitz":
-        return [P, mult(phi)]
-    if name == "hankel":
-        return [P, mult(phi), J]
-    if name == "slant-toeplitz":
-        return [P, W, mult(phi)]
-    if name == "slant-hankel":
-        return [W, P, mult(phi), J]
-    if name == "h-toeplitz":
-        return [P, mult(phi), K]
-    if name == "slant-h-toeplitz":
-        return [W, P, mult(phi), K]
-    if name == "slant-h-adjoint":
-        return [KSTAR, mult(conj_reflect(phi)), WSTAR]
-    raise ValueError(f"{name} has no compositional formula")
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
@@ -175,61 +177,31 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
     every nonzero row of the true operator restricted to `cols`; it may be
     empty, in which case the operator vanishes on those columns.
     """
-    if kind.depth > 0:
+    if kind.chain is None:
         raise ValueError("extension families have no single compositional formula")
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
-    return compose_chain(_chain_for(kind, phi), cols)
+    return compose_chain(kind.chain(phi), cols)
 
 
-def _ceil_half(x: int) -> int:
-    return -((-x) // 2)
-
-
-def natural_rows(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> IndexWindow:
-    """Hull of the nonzero rows of the closed-form section on `cols`."""
-    sup = phi.support
-    if sup is None or cols.is_empty:
+def natural_rows(depth: int, phi: LaurentSymbol, cols: IndexWindow) -> IndexWindow:
+    """Hull of the nonzero rows of the depth-`depth` extension section on `cols`."""
+    if phi.is_zero or cols.is_empty:
         return IndexWindow.empty()
-    n_min, n_max = sup
-    floor = -kind.depth
-    hull = IndexWindow.empty()
-    for j in cols.indices():
-        name = kind.name
-        if name == "toeplitz":
-            lo, hi = j + n_min, j + n_max
-        elif name == "hankel":
-            lo, hi = n_min - j - 1, n_max - j - 1
-        elif name == "slant-toeplitz":
-            lo, hi = _ceil_half(j + n_min), (j + n_max) // 2
-        elif name == "slant-hankel":
-            lo, hi = _ceil_half(n_min - j - 1), (n_max - j - 1) // 2
-        elif name == "h-toeplitz":
-            n, odd = divmod(j, 2)
-            lo, hi = (n_min - n - 1, n_max - n - 1) if odd else (n + n_min, n + n_max)
-        elif name in ("slant-h-toeplitz", "extension"):
-            n, odd = divmod(j, 2)
-            if odd:
-                lo, hi = _ceil_half(n_min - n - 1), (n_max - n - 1) // 2
-            else:
-                lo, hi = _ceil_half(n + n_min), (n + n_max) // 2
-        elif name == "slant-h-adjoint":
-            even_lo, even_hi = 2 * (2 * j - n_max), 2 * (2 * j - n_min)
-            odd_lo, odd_hi = 2 * (n_min - 2 * j) - 1, 2 * (n_max - 2 * j) - 1
-            hull = hull.hull(IndexWindow(max(even_lo, floor), even_hi))
-            hull = hull.hull(IndexWindow(max(odd_lo, floor), odd_hi))
-            continue
-        else:
-            raise ValueError(f"unknown family kind {name!r}")
-        hull = hull.hull(IndexWindow(max(lo, floor), hi))
-    return hull
+    n_min, n_max = phi.support
+    # row i of column j holds degree 2i + d0 with d0 the degree in row 0
+    d0 = _SLANT_H(0, np.arange(cols.lo, cols.hi + 1))
+    lo = np.maximum((n_min - d0 + 1) // 2, -depth)
+    hi = (n_max - d0) // 2
+    hit = lo <= hi
+    if not hit.any():
+        return IndexWindow.empty()
+    return IndexWindow(int(lo[hit].min()), int(hi[hit].max()))
 
 
 def build_extension_natural(depth: int, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
     """Extension section on its full natural row window for the given columns."""
-    kind = extension(depth)
-    rows = natural_rows(kind, phi, cols)
-    return build_family(kind, phi, rows, cols)
+    return build_family(extension(depth), phi, natural_rows(depth, phi, cols), cols)
 
 
 def oracle_deviation(primary: WindowedMatrix, oracle: WindowedMatrix) -> float:

@@ -7,9 +7,10 @@ Witness lists are deterministic: relations are scanned in a fixed order and
 ascending index order, capped at a configurable count.
 """
 
+import math
 from dataclasses import dataclass
 
-from .families import build_family, extension
+from .families import build_family, compose_chain, extension
 from .symbol import LaurentSymbol
 from .windowed import (
     U,
@@ -18,8 +19,6 @@ from .windowed import (
     WindowedMatrix,
     WindowError,
     bilateral_shift,
-    build_elementary,
-    compose,
     compose_z,
     format_entry,
     mult_z,
@@ -75,16 +74,20 @@ class CheckReport:
 
 
 def _collect(pairs, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
-    """Fold (relation, indices, lhs, rhs) instances into a report."""
+    """Fold (relation, indices, lhs, rhs) instances into a report.
+
+    A non-finite residual is a violation, and a NaN one sticks as the
+    maximum, so non-finite input can never pass.
+    """
     max_residual = 0.0
     witnesses = []
     checked = 0
     for relation, indices, lhs, rhs in pairs:
         checked += 1
         residual = abs(lhs - rhs)
-        if residual > max_residual:
+        if residual > max_residual or math.isnan(residual):
             max_residual = residual
-        if residual > tol and len(witnesses) < cap:
+        if not residual <= tol and len(witnesses) < cap:
             witnesses.append(Witness(relation, indices, lhs, rhs))
     return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), tol, checked)
 
@@ -188,16 +191,6 @@ def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
     return LaurentSymbol(coeffs)
 
 
-def _pipeline(stages, domain: IndexWindow) -> WindowedMatrix:
-    """Compose a mix of elementary kinds and ready sections, leftmost applied last."""
-    result = None
-    for stage in reversed(stages):
-        section = stage if isinstance(stage, WindowedMatrix) else build_elementary(stage, domain)
-        result = section if result is None else compose(section, result)
-        domain = section.rows
-    return result
-
-
 def _identity_pairs(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix):
     rows = lhs.rows.intersect(rhs.rows)
     cols = lhs.cols.intersect(rhs.cols)
@@ -227,13 +220,13 @@ def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e
     if m.cols.hi < needed:
         raise WindowError(f"matrix columns must reach {needed} for identity domain {cols}, got {m.cols}")
 
-    lhs_a = _pipeline([m, compose_z(2)], cols)
-    rhs_a = _pipeline([USTAR, m, compose_z(2), mult_z(2)], cols)
-    lhs_b = _pipeline([USTAR, m, mult_z(3), compose_z(4)], cols)
-    rhs_b = _pipeline([m, mult_z(3), compose_z(4), U], cols)
+    lhs_a = compose_chain([m, compose_z(2)], cols)
+    rhs_a = compose_chain([USTAR, m, compose_z(2), mult_z(2)], cols)
+    lhs_b = compose_chain([USTAR, m, mult_z(3), compose_z(4)], cols)
+    rhs_b = compose_chain([m, mult_z(3), compose_z(4), U], cols)
     e0 = IndexWindow(0, 0)
-    lhs_c = _pipeline([USTAR, m.restrict(m.rows, e0)], e0)
-    rhs_c = _pipeline([m, mult_z(3)], e0)
+    lhs_c = compose_chain([USTAR, m.restrict(m.rows, e0)], e0)
+    rhs_c = compose_chain([m, mult_z(3)], e0)
 
     def pairs():
         yield from _identity_pairs("A.Cz2=U*.A.Cz2.U2", lhs_a, rhs_a)
@@ -269,13 +262,13 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     am = build_family(extension(depth), phi, IndexWindow(-depth, a.rows.hi), a.cols)
     dom = IndexWindow(0, p_hi)
 
-    lhs_a = _pipeline([am, compose_z(2)], dom)
-    rhs_a = _pipeline([bilateral_shift(-depth), a, compose_z(2), mult_z(2 * depth)], dom)
-    lhs_b = _pipeline([USTAR, am, mult_z(3), compose_z(4)], dom)
-    rhs_b = _pipeline([a, mult_z(3), compose_z(4), U], dom)
+    lhs_a = compose_chain([am, compose_z(2)], dom)
+    rhs_a = compose_chain([bilateral_shift(-depth), a, compose_z(2), mult_z(2 * depth)], dom)
+    lhs_b = compose_chain([USTAR, am, mult_z(3), compose_z(4)], dom)
+    rhs_b = compose_chain([a, mult_z(3), compose_z(4), U], dom)
     e0 = IndexWindow(0, 0)
-    lhs_c = _pipeline([USTAR, am.restrict(am.rows, e0)], e0)
-    rhs_c = _pipeline([a, mult_z(3)], e0)
+    lhs_c = compose_chain([USTAR, am.restrict(am.rows, e0)], e0)
+    rhs_c = compose_chain([a, mult_z(3)], e0)
 
     def pairs():
         yield from _identity_pairs("Am.Cz2=S(-m).A.Cz2.U2m", lhs_a, rhs_a)

@@ -7,6 +7,7 @@ immutable and every operation here is a pure function, safe to share across
 threads without synchronization.
 """
 
+import cmath
 import re
 
 import numpy as np
@@ -32,7 +33,7 @@ __all__ = [
 
 
 class SymbolParseError(ValueError):
-    """Malformed symbol text, duplicate degree, or non-integer degree."""
+    """Malformed symbol text, duplicate or non-integer degree, or non-finite coefficient."""
 
 
 class LaurentSymbol:
@@ -46,6 +47,8 @@ class LaurentSymbol:
             if isinstance(n, bool) or not isinstance(n, int):
                 raise SymbolParseError(f"degree {n!r} is not an integer")
             a = complex(a)
+            if not cmath.isfinite(a):
+                raise SymbolParseError(f"coefficient of degree {n} is not finite")
             if a != 0:
                 coeffs[n] = a
         self._coeffs = coeffs

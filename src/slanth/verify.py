@@ -79,7 +79,7 @@ def perturbed(m: WindowedMatrix, i: int, j: int, delta=1.0) -> WindowedMatrix:
     """Copy of a section with one entry shifted by delta."""
     data = np.array(m.data)
     data[i - m.rows.lo, j - m.cols.lo] += delta
-    return WindowedMatrix(m.rows, m.cols, data, m.exact)
+    return WindowedMatrix(m.rows, m.cols, data)
 
 
 def check_oracle():

@@ -141,16 +141,11 @@ def unit_vector(n: int, window: IndexWindow) -> WindowedVector:
 
 @dataclass(frozen=True)
 class WindowedMatrix:
-    """Dense complex section addressed by absolute row/column indices.
-
-    When `exact` is set, every stored entry equals the corresponding entry of
-    the infinite operator matrix the section was cut from.
-    """
+    """Dense complex section addressed by absolute row/column indices."""
 
     rows: IndexWindow
     cols: IndexWindow
     data: np.ndarray
-    exact: bool = True
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
@@ -179,12 +174,12 @@ class WindowedMatrix:
                 f"restriction {rows} x {cols} not contained in {self.rows} x {self.cols}"
             )
         if rows.is_empty or cols.is_empty:
-            return WindowedMatrix(rows, cols, np.zeros((rows.size, cols.size)), self.exact)
+            return WindowedMatrix(rows, cols, np.zeros((rows.size, cols.size)))
         block = self.data[
             rows.lo - self.rows.lo : rows.hi + 1 - self.rows.lo,
             cols.lo - self.cols.lo : cols.hi + 1 - self.cols.lo,
         ]
-        return WindowedMatrix(rows, cols, block, self.exact)
+        return WindowedMatrix(rows, cols, block)
 
     def embed(self, rows: IndexWindow, cols: IndexWindow) -> "WindowedMatrix":
         """Zero-padded copy on windows containing this section's windows."""
@@ -198,7 +193,7 @@ class WindowedMatrix:
                 self.rows.lo - rows.lo : self.rows.hi + 1 - rows.lo,
                 self.cols.lo - cols.lo : self.cols.hi + 1 - cols.lo,
             ] = self.data
-        return WindowedMatrix(rows, cols, data, self.exact)
+        return WindowedMatrix(rows, cols, data)
 
 
 @dataclass(frozen=True)
@@ -208,6 +203,10 @@ class Elementary:
     name: str
     power: int = 0
     symbol: LaurentSymbol | None = None
+
+    def __post_init__(self):
+        if self.name == "Cz" and self.power < 1:
+            raise ValueError("composition power must be >= 1")
 
 
 W = Elementary("W")  # dyadic decimation: e_{2n} -> e_n, odd -> 0
@@ -226,8 +225,6 @@ def bilateral_shift(power: int) -> Elementary:
 
 def compose_z(k: int) -> Elementary:
     """Composition with z^k: e_n -> e_{kn}; k must be >= 1."""
-    if k < 1:
-        raise ValueError("composition power must be >= 1")
     return Elementary("Cz", k)
 
 
@@ -294,38 +291,27 @@ def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
     return WindowedMatrix(rows, domain, data)
 
 
-def compose(a: WindowedMatrix, b: WindowedMatrix, allow_truncation: bool = False) -> WindowedMatrix:
+def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     """Section of the operator product a . b.
 
     Exactness requires a's columns to cover b's rows; otherwise entries of
-    b's output would be consumed blindly. Without `allow_truncation` such a
-    composition is refused.
+    b's output would be consumed blindly, so such a composition is refused.
     """
-    if a.cols.covers(b.rows):
-        if b.rows.is_empty:
-            data = np.zeros((a.rows.size, b.cols.size), dtype=complex)
-        else:
-            lo = b.rows.lo - a.cols.lo
-            data = a.data[:, lo : lo + b.rows.size] @ b.data
-        return WindowedMatrix(a.rows, b.cols, data, a.exact and b.exact)
-    if not allow_truncation:
+    if not a.cols.covers(b.rows):
         raise WindowError(
             f"composition loses exactness: left columns {a.cols} do not cover right rows {b.rows}"
         )
-    common = a.cols.intersect(b.rows)
-    if common.is_empty:
+    if b.rows.is_empty:
         data = np.zeros((a.rows.size, b.cols.size), dtype=complex)
     else:
-        data = (
-            a.data[:, common.lo - a.cols.lo : common.hi + 1 - a.cols.lo]
-            @ b.data[common.lo - b.rows.lo : common.hi + 1 - b.rows.lo, :]
-        )
-    return WindowedMatrix(a.rows, b.cols, data, False)
+        lo = b.rows.lo - a.cols.lo
+        data = a.data[:, lo : lo + b.rows.size] @ b.data
+    return WindowedMatrix(a.rows, b.cols, data)
 
 
 def adjoint(a: WindowedMatrix) -> WindowedMatrix:
     """Conjugate transpose with rows and columns swapped."""
-    return WindowedMatrix(a.cols, a.rows, np.conj(a.data.T), a.exact)
+    return WindowedMatrix(a.cols, a.rows, np.conj(a.data.T))
 
 
 def apply(a: WindowedMatrix, v: WindowedVector) -> WindowedVector:
@@ -386,4 +372,8 @@ def load_matrix(text: str) -> WindowedMatrix:
             raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(entries)}")
         for c, cell in enumerate(entries):
             data[r, c] = parse_entry(cell)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
     return WindowedMatrix(rows, cols, data)

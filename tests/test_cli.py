@@ -98,6 +98,23 @@ class TestBuild:
         result = run_cli("build", "--expr", "J", "--window=-2:3")
         assert result.returncode == 3
 
+    def test_repeated_symbol_name_exit_code(self):
+        result = run_cli(
+            "build", "--expr", "V(p)", "--symbol", "p=0:1", "--symbol", "p=1:1", "--window", "0:4"
+        )
+        assert result.returncode == 2
+        assert "more than once" in result.stderr
+
+    def test_oversized_window_exit_code(self):
+        # a 131 TiB request: the allocation fails before any memory is touched
+        result = run_cli(
+            "build", "--family", "toeplitz", "--symbol", "p=0:1",
+            "--rows", "0:3000000", "--cols", "0:3000000",
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("window error: ")
+        assert result.stderr.count("\n") == 1
+
 
 class TestCheck:
     def test_clean_section_passes(self, section_file):
@@ -114,6 +131,19 @@ class TestCheck:
         lines = result.stdout.splitlines()
         assert lines[1].startswith("FAIL max_residual=")
         assert len(lines) >= 3 and "lhs=" in lines[2]
+
+    def test_overflowing_expression_fails_closed(self):
+        # 10 * 1e308 is inf, and inf - inf residuals are NaN
+        result = run_cli(
+            "check", "slant-h", "--expr", "10 V(phi)", "--symbol", "phi=0:1e308", "--window", "0:33"
+        )
+        assert result.returncode == 1
+        assert result.stdout.splitlines()[1] == "FAIL max_residual=nan"
+
+    def test_non_finite_matrix_file_exit_code(self, tmp_path, section_file):
+        bad_path = tmp_path / "nan.mat"
+        bad_path.write_text(section_file.read_text().replace("3.0:0.0", "nan:0.0", 1))
+        assert run_cli("check", "slant-h", "--matrix", str(bad_path)).returncode == 2
 
     def test_characterization_predicate(self, tmp_path):
         path = tmp_path / "wide.mat"

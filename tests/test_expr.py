@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_symbol
 from slanth import (
     SLANT_H_TOEPLITZ,
+    TOEPLITZ,
     IndexWindow,
     WindowError,
     build_compositional,
@@ -15,7 +15,9 @@ from slanth import (
     parse_expr,
     parse_symbol,
     print_expr,
+    symbol_sub,
 )
+from slanth.windowed import P, W, build_elementary
 from slanth.expr import Atom, Compose, Diff, ExprParseError, Scaled, UnknownSymbolError
 
 GENERIC = parse_symbol("-1:2, 0:3, 1:5, 2:7")
@@ -133,16 +135,26 @@ class TestEval:
             eval_expr(parse_expr("V(psi)"), IndexWindow(0, 4), TABLE)
 
     def test_subtraction_window_mismatch(self):
-        with pytest.raises(WindowError):
-            eval_expr(parse_expr("W - P"), IndexWindow(0, 4), {})
+        # W lands on rows 0:2 and P on rows 0:4; both are zero-embedded on the hull
+        window = IndexWindow(0, 4)
+        got = eval_expr(parse_expr("W - P"), window, {})
+        w = build_elementary(W, window).embed(IndexWindow(0, 4), window)
+        p = build_elementary(P, window)
+        assert got.rows == IndexWindow(0, 4) and got.cols == window
+        assert np.array_equal(got.data, w.data - p.data)
+
+    def test_subtraction_on_disjoint_row_windows(self):
+        a, b = parse_symbol("0:1"), parse_symbol("3:1")
+        window = IndexWindow(0, 3)
+        got = eval_expr(parse_expr("T(a) - T(b)"), window, {"a": a, "b": b})
+        want = build_compositional(TOEPLITZ, symbol_sub(a, b), window)
+        assert got.rows == want.rows == IndexWindow(0, 6) and got.cols == want.cols
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_composition_power_must_be_positive(self):
+        with pytest.raises(ValueError):
+            eval_expr(parse_expr("Cz(0)"), IndexWindow(0, 4), {})
 
     def test_analytic_guard_propagates(self):
         with pytest.raises(WindowError):
             eval_expr(parse_expr("J"), IndexWindow(-2, 3), {})
-
-    def test_random_chains_stay_exact(self, rng):
-        phi = random_symbol(rng, span=3)
-        table = {"phi": phi}
-        for text in ["T(phi)", "H(phi)", "B(phi)", "L(phi)", "Sh(phi)", "V*(phi)"]:
-            section = eval_expr(parse_expr(text), IndexWindow(0, 11), table)
-            assert section.exact

@@ -1,0 +1,57 @@
+"""Property tests for the family records: the vectorised gather in
+`build_family` against a scalar `entry` loop, and the closed form against
+the compositional oracle."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slanth import (
+    COMPOSITIONAL_KINDS,
+    IndexWindow,
+    LaurentSymbol,
+    build_compositional,
+    build_family,
+    entry,
+    extension,
+    oracle_deviation,
+)
+
+PROPERTY = settings(deadline=None, max_examples=30)
+
+# signed zeros included, so the bit comparison covers -0.0 parts too
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-3, 3))
+symbols = st.dictionaries(
+    st.integers(-8, 8), st.builds(complex, parts, parts), max_size=8
+).map(LaurentSymbol)
+windows = st.tuples(st.integers(0, 6), st.integers(-1, 14))
+all_kinds = COMPOSITIONAL_KINDS + tuple(extension(depth) for depth in (1, 2, 3))
+
+
+def scalar_section(kind, phi, rows, cols):
+    data = np.zeros((rows.size, cols.size), dtype=complex)
+    for i in rows.indices():
+        for j in cols.indices():
+            data[i - rows.lo, j - cols.lo] = entry(kind, phi, i, j)
+    return data
+
+
+@PROPERTY
+@given(symbols, windows, windows)
+def test_gather_matches_scalar_entries(phi, row_span, col_span):
+    cols = IndexWindow(col_span[0], col_span[0] + col_span[1])
+    for kind in all_kinds:
+        lo = row_span[0] - kind.depth
+        rows = IndexWindow(lo, lo + row_span[1])
+        got = build_family(kind, phi, rows, cols)
+        assert got.data.tobytes() == scalar_section(kind, phi, rows, cols).tobytes(), kind.name
+
+
+@PROPERTY
+@given(symbols, windows)
+def test_closed_form_matches_oracle(phi, col_span):
+    cols = IndexWindow(col_span[0], col_span[0] + col_span[1])
+    for kind in COMPOSITIONAL_KINDS:
+        oracle = build_compositional(kind, phi, cols)
+        primary = build_family(kind, phi, oracle.rows.hull(IndexWindow(0, 4)), cols)
+        assert oracle_deviation(primary, oracle) <= 1e-13, kind.name

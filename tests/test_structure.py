@@ -159,6 +159,26 @@ class TestCharacterization:
             check_characterization(section, IndexWindow(0, 6))
 
 
+class TestNonFinite:
+    # a NaN residual compares False against every bound, so it must be caught explicitly
+    def test_nan_entry_fails_pattern_predicate(self):
+        bad = perturbed(v_section(GENERIC), 1, 4, float("nan"))
+        report = check_slant_h_matrix(bad)
+        assert not report.passed and report.witnesses
+        assert report.witnesses[0].indices == (0, 0, 1, 4)
+        assert report.render().startswith("FAIL max_residual=nan\n")
+
+    def test_nan_entry_fails_characterization(self):
+        bad = perturbed(v_section(GENERIC), 1, 4, float("nan"))
+        report = check_characterization(bad, IndexWindow(0, 6))
+        assert not report.passed and report.witnesses
+
+    def test_infinite_entry_fails(self):
+        bad = perturbed(v_section(GENERIC), 1, 4, float("inf"))
+        report = check_slant_h_matrix(bad)
+        assert not report.passed and report.witnesses
+
+
 class TestExtensionConditions:
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_pass_for_generic_symbol(self, depth):

@@ -51,7 +51,7 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "  ", "1", "x:1", "1.5:2", "1:2:3", "0:1, 0:2", "0:abc", "0:,1:2"],
+        ["", "  ", "1", "x:1", "1.5:2", "1:2:3", "0:1, 0:2", "0:abc", "0:,1:2", "0:nan", "0:1+nani"],
     )
     def test_rejects(self, text):
         with pytest.raises(SymbolParseError):
@@ -60,6 +60,11 @@ class TestParse:
     def test_non_integer_degree_in_constructor(self):
         with pytest.raises(SymbolParseError):
             LaurentSymbol({1.5: 1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(1, float("-inf"))])
+    def test_non_finite_coefficient_in_constructor(self, value):
+        with pytest.raises(SymbolParseError):
+            LaurentSymbol({0: value})
 
 
 class TestConjReflect:
@@ -192,3 +197,8 @@ class TestFileFormat:
     def test_rejects_short_lines(self):
         with pytest.raises(SymbolParseError):
             load_symbol_file("0 1.0\n")
+
+    @pytest.mark.parametrize("line", ["0 nan 0.0", "0 1.0 inf", "0 -inf 0.0"])
+    def test_rejects_non_finite(self, line):
+        with pytest.raises(SymbolParseError):
+            load_symbol_file(f"#fmt 1\n{line}\n")

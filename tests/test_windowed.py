@@ -145,13 +145,6 @@ class TestCompose:
         with pytest.raises(WindowError):
             compose(a, b)
 
-    def test_truncating_compose_clears_exactness(self):
-        a = build_elementary(P, IndexWindow(0, 3))
-        b = build_elementary(mult_z(2), IndexWindow(0, 3))
-        prod = compose(a, b, allow_truncation=True)
-        assert not prod.exact
-        assert prod.entry(2, 0) == 1 and prod.entry(3, 1) == 1
-
     def test_associative_exactly(self):
         phi = parse_symbol("-1:2, 0:3, 1:5, 2:7")
         k = build_elementary(K, IndexWindow(0, 9))
@@ -239,6 +232,11 @@ class TestDumpFormat:
             load_matrix("rows 0 1\n")
         with pytest.raises(ValueError):
             load_matrix("rows 0 0\ncols 0 0\n1.0:0.0 2.0:0.0\n")
+
+    @pytest.mark.parametrize("cell", ["nan:0.0", "1.0:inf", "-inf:0.0"])
+    def test_non_finite_rejected(self, cell):
+        with pytest.raises(ValueError, match="line 2: entry 1 is not finite"):
+            load_matrix(f"rows 0 1\ncols 0 1\n0.0:0.0 1.0:0.0\n{cell} 2.0:0.0\n")
 
     def test_entry_bounds(self):
         sec = build_elementary(P, IndexWindow(0, 2))
