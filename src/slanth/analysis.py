@@ -8,6 +8,7 @@ carries the default symbol corpus the verification suites run over.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -16,10 +17,11 @@ from .families import (
     SLANT_H_TOEPLITZ,
     build_compositional,
     build_family,
+    _coefficients,
     compose_chain,
     entry,
 )
-from .structure import CheckReport, WITNESS_CAP, _collect
+from .structure import CheckReport, WITNESS_CAP, _collect, _group
 from .symbol import (
     ONE,
     ZERO,
@@ -266,32 +268,19 @@ def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12
     """
     if idx_max < 0:
         raise ValueError("idx_max must be >= 0")
-    c = phi.coeff
-
-    def pairs():
-        for m in range(0, (idx_max - 7) // 2 + 1):
-            for j in range(0, (idx_max - 7 - 2 * m) // 2 + 1):
-                yield (
-                    "a[2m+2j+7]=a[2m+2j+1]",
-                    (m, j),
-                    c(2 * m + 2 * j + 7),
-                    c(2 * m + 2 * j + 1),
-                )
-        for m in range(0, (idx_max - 8) // 4 + 1):
-            for j in range(0, (idx_max - 8 - 4 * m) // 2 + 1):
-                yield (
-                    "a[4m+2j+6]=a[4m+2j+8]",
-                    (m, j),
-                    c(4 * m + 2 * j + 6),
-                    c(4 * m + 2 * j + 8),
-                )
-        for j in range(0, (idx_max - 4) // 2 + 1):
-            yield "a[2j+4]=a[2j+3]", (j,), c(2 * j + 4), c(2 * j + 3)
-        for n, a in phi.items():
-            if n == 1 or n >= 3:
-                yield "a[n]=0(n=1|n>=3)", (n,), a, 0j
-
-    return _collect(pairs(), tol, cap)
+    c = partial(_coefficients, phi)
+    odd = [n for n, _ in phi.items() if n == 1 or n >= 3]
+    groups = [
+        _group("a[2m+2j+7]=a[2m+2j+1]", (idx_max - 7 - 2 * np.arange((idx_max - 7) // 2 + 1)) // 2 + 1,
+               lambda m, j: (m, j), lambda m, j: (c(2 * m + 2 * j + 7), c(2 * m + 2 * j + 1))),
+        _group("a[4m+2j+6]=a[4m+2j+8]", (idx_max - 8 - 4 * np.arange((idx_max - 8) // 4 + 1)) // 2 + 1,
+               lambda m, j: (m, j), lambda m, j: (c(4 * m + 2 * j + 6), c(4 * m + 2 * j + 8))),
+        _group("a[2j+4]=a[2j+3]", [max(0, (idx_max - 4) // 2 + 1)],
+               lambda o, j: (j,), lambda j: (c(2 * j + 4), c(2 * j + 3))),
+        ("a[n]=0(n=1|n>=3)", c(np.array(odd, dtype=int)), np.zeros(len(odd), complex), [len(odd)],
+         lambda o, t: (odd[t],)),
+    ]
+    return _collect(groups, tol, cap)
 
 
 def column_norm_floor(phi: LaurentSymbol, pair_hi: int = 31) -> float:

@@ -2,13 +2,17 @@
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
-too small to contain a single nontrivial relation instance is flagged vacuous.
-Witness lists are deterministic: relations are scanned in a fixed order and
-ascending index order, capped at a configurable count.
+too small to contain a single relation instance is flagged vacuous. Each
+relation is checked array-at-a-time: its instances form one group of lhs and
+rhs arrays in scan order (relations in a fixed order, indices ascending), and
+the witnesses are the first `cap` (default 16) violations in that order.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .families import build_family, compose_chain, extension
 from .symbol import LaurentSymbol
@@ -73,100 +77,103 @@ class CheckReport:
         return "\n".join([first] + [w.render() for w in self.witnesses]) + "\n"
 
 
-def _collect(pairs, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
-    """Fold (relation, indices, lhs, rhs) instances into a report.
+def _collect(groups, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
+    """Fold relation groups into a report.
 
-    A non-finite residual is a violation, and a NaN one sticks as the
-    maximum, so non-finite input can never pass.
+    A group is (relation, lhs, rhs, counts, at): equal-shape arrays holding
+    the relation's instances in scan order (C order), `counts[o]` of them at
+    outer step o, and `at(o, t)` giving the index tuple of instance t of step
+    o; tuples are formed for witnesses only. A non-finite residual is a
+    violation, and a NaN one sticks as the maximum, so non-finite input can
+    never pass.
     """
     max_residual = 0.0
     witnesses = []
     checked = 0
-    for relation, indices, lhs, rhs in pairs:
-        checked += 1
-        residual = abs(lhs - rhs)
-        if residual > max_residual or math.isnan(residual):
-            max_residual = residual
-        if not residual <= tol and len(witnesses) < cap:
-            witnesses.append(Witness(relation, indices, lhs, rhs))
+    for relation, lhs, rhs, counts, at in groups:
+        with np.errstate(invalid="ignore", over="ignore"):
+            # |lhs - rhs| as abs() of a Python complex computes it; np.abs of a
+            # complex array can differ from that in the last bit
+            residual = np.hypot(lhs.real - rhs.real, lhs.imag - rhs.imag)
+        if not residual.size:
+            continue
+        checked += residual.size
+        peak = float(residual.max())
+        if peak > max_residual or math.isnan(peak):
+            max_residual = peak
+        starts = (np.cumsum(counts) - counts).tolist()
+        for p in np.flatnonzero(~(residual <= tol))[: cap - len(witnesses)].tolist():
+            o = bisect_right(starts, p) - 1
+            witnesses.append(Witness(relation, at(o, p - starts[o]), complex(lhs.flat[p]), complex(rhs.flat[p])))
     return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), tol, checked)
+
+
+def _group(relation: str, counts, at, pair) -> tuple:
+    """Group of a ragged scan with `counts[o]` instances at outer step o.
+
+    `at(o, t)` is the index tuple of instance t of step o and `pair(*at(o, t))`
+    its (lhs, rhs); both take Python ints and numpy index arrays alike.
+    """
+    o, t = np.nonzero(np.arange(max(counts, default=0)) < np.reshape(counts, (-1, 1)))
+    return (relation, *pair(*at(o, t)), counts, at)
+
+
+def _grid(relation: str, lhs: np.ndarray, rhs: np.ndarray, at) -> tuple:
+    """Group of a rectangular scan: row o of the blocks is outer step o."""
+    return relation, lhs, rhs, np.full(lhs.shape[0], lhs.shape[1]), at
 
 
 def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the slant-h pattern relations inside the matrix windows.
 
     First-column anchors: a[k,0] = a[k+j,4j] and a[k,0] = a[k-j,4j-1];
-    first-row anchors: a[0,2k] = a[i,2k+4i].
+    first-row anchors: a[0,2k] = a[i,2k+4i]; column-1 anchors:
+    a[k,1] = a[k+j,4j-2]; odd-column step: a[i,2n+1] = a[i+1,2n-3] (n >= 2).
     """
     if m.rows.is_empty or m.cols.is_empty:
         raise WindowError("slant-h predicate needs nonempty windows")
     if m.rows.lo < 0 or m.cols.lo != 0:
         raise WindowError(f"slant-h predicate needs rows >= 0 and columns from 0, got {m.rows} x {m.cols}")
+    a, r0, n, c = m.data, m.rows.lo, m.rows.size, m.cols.hi
+    k = np.arange(n)
+    w = max(0, (c - 3) // 2)  # odd columns 2n+1 with n >= 2
 
-    def pairs():
-        rows, cols = m.rows, m.cols
-        for k in rows.indices():
-            for j in range(1, cols.hi // 4 + 1):
-                if k + j in rows:
-                    yield (
-                        "a[k,0]=a[k+j,4j]",
-                        (k, 0, k + j, 4 * j),
-                        m.entry(k, 0),
-                        m.entry(k + j, 4 * j),
-                    )
-        for k in rows.indices():
-            for j in range(1, k + 1):
-                if k - j in rows and 4 * j - 1 <= cols.hi:
-                    yield (
-                        "a[k,0]=a[k-j,4j-1]",
-                        (k, 0, k - j, 4 * j - 1),
-                        m.entry(k, 0),
-                        m.entry(k - j, 4 * j - 1),
-                    )
-        if 0 in rows:
-            for k in range(1, cols.hi // 2 + 1):
-                for i in rows.indices():
-                    if i >= 1 and 2 * k + 4 * i <= cols.hi:
-                        yield (
-                            "a[0,2k]=a[i,2k+4i]",
-                            (0, 2 * k, i, 2 * k + 4 * i),
-                            m.entry(0, 2 * k),
-                            m.entry(i, 2 * k + 4 * i),
-                        )
+    def pair(i, j, p, q):
+        return a[i - r0, j], a[p - r0, q]
 
-    return _collect(pairs(), tol, cap)
+    def groups():  # lazily, so one relation's arrays are alive at a time
+        yield _group("a[k,0]=a[k+j,4j]", np.minimum(c // 4, n - 1 - k),
+                     lambda o, t: (r0 + o, 0, r0 + o + t + 1, 4 * t + 4), pair)
+        yield _group("a[k,0]=a[k-j,4j-1]", np.minimum(k, (c + 1) // 4),
+                     lambda o, t: (r0 + o, 0, r0 + o - t - 1, 4 * t + 3), pair)
+        if r0 == 0:
+            yield _group("a[0,2k]=a[i,2k+4i]", np.minimum(n - 1, (c - 2 * np.arange(1, c // 2 + 1)) // 4),
+                         lambda o, t: (0, 2 * o + 2, t + 1, 2 * o + 4 * t + 6), pair)
+        if c >= 1:
+            yield _group("a[k,1]=a[k+j,4j-2]", np.minimum((c + 2) // 4, n - 1 - k),
+                         lambda o, t: (r0 + o, 1, r0 + o + t + 1, 4 * t + 2), pair)
+        yield _grid("a[i,2n+1]=a[i+1,2n-3]", a[:-1, 5 : 2 * w + 4 : 2], a[1:, 1 : 2 * w : 2],
+                    lambda o, t: (r0 + o, 2 * t + 5, r0 + o + 1, 2 * t + 1))
+
+    return _collect(groups(), tol, cap)
 
 
 def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the diagonal step a[i,j] = a[i+1,j+2] inside the windows."""
     if m.rows.is_empty or m.cols.is_empty or m.rows.lo < 0 or m.cols.lo < 0:
         raise WindowError(f"slant-toeplitz predicate needs analytic windows, got {m.rows} x {m.cols}")
-
-    def pairs():
-        for i in m.rows.indices():
-            if i + 1 not in m.rows:
-                continue
-            for j in m.cols.indices():
-                if j + 2 in m.cols:
-                    yield "a[i,j]=a[i+1,j+2]", (i, j, i + 1, j + 2), m.entry(i, j), m.entry(i + 1, j + 2)
-
-    return _collect(pairs(), tol, cap)
+    a, i, j = m.data, m.rows.lo, m.cols.lo
+    group = _grid("a[i,j]=a[i+1,j+2]", a[:-1, :-2], a[1:, 2:], lambda o, t: (i + o, j + t, i + o + 1, j + t + 2))
+    return _collect([group], tol, cap)
 
 
 def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the antidiagonal step a[i,j] = a[i-1,j+2] (i >= 1) inside the windows."""
     if m.rows.is_empty or m.cols.is_empty or m.rows.lo < 0 or m.cols.lo < 0:
         raise WindowError(f"slant-hankel predicate needs analytic windows, got {m.rows} x {m.cols}")
-
-    def pairs():
-        for i in m.rows.indices():
-            if i < 1 or i - 1 not in m.rows:
-                continue
-            for j in m.cols.indices():
-                if j + 2 in m.cols:
-                    yield "a[i,j]=a[i-1,j+2]", (i, j, i - 1, j + 2), m.entry(i, j), m.entry(i - 1, j + 2)
-
-    return _collect(pairs(), tol, cap)
+    a, i, j = m.data, m.rows.lo + 1, m.cols.lo
+    group = _grid("a[i,j]=a[i-1,j+2]", a[1:, :-2], a[:-1, 2:], lambda o, t: (i + o, j + t, i + o - 1, j + t + 2))
+    return _collect([group], tol, cap)
 
 
 def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
@@ -191,12 +198,12 @@ def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
     return LaurentSymbol(coeffs)
 
 
-def _identity_pairs(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix):
+def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
+    """Group comparing two sections entry by entry on their shared windows."""
     rows = lhs.rows.intersect(rhs.rows)
     cols = lhs.cols.intersect(rhs.cols)
-    for i in rows.indices():
-        for j in cols.indices():
-            yield tag, (i, j), lhs.entry(i, j), rhs.entry(i, j)
+    return _grid(tag, lhs.restrict(rows, cols).data, rhs.restrict(rows, cols).data,
+                 lambda o, t: (rows.lo + o, cols.lo + t))
 
 
 def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
@@ -228,12 +235,12 @@ def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e
     lhs_c = compose_chain([USTAR, m.restrict(m.rows, e0)], e0)
     rhs_c = compose_chain([m, mult_z(3)], e0)
 
-    def pairs():
-        yield from _identity_pairs("A.Cz2=U*.A.Cz2.U2", lhs_a, rhs_a)
-        yield from _identity_pairs("U*.A.Mz3.Cz4=A.Mz3.Cz4.U", lhs_b, rhs_b)
-        yield from _identity_pairs("U*.A.e0=A.Mz3.e0", lhs_c, rhs_c)
-
-    return _collect(pairs(), tol, cap)
+    groups = [
+        _identity("A.Cz2=U*.A.Cz2.U2", lhs_a, rhs_a),
+        _identity("U*.A.Mz3.Cz4=A.Mz3.Cz4.U", lhs_b, rhs_b),
+        _identity("U*.A.e0=A.Mz3.e0", lhs_c, rhs_c),
+    ]
+    return _collect(groups, tol, cap)
 
 
 def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
@@ -270,10 +277,10 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     lhs_c = compose_chain([USTAR, am.restrict(am.rows, e0)], e0)
     rhs_c = compose_chain([a, mult_z(3)], e0)
 
-    def pairs():
-        yield from _identity_pairs("Am.Cz2=S(-m).A.Cz2.U2m", lhs_a, rhs_a)
-        yield from _identity_pairs("U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", lhs_b, rhs_b)
-        yield from _identity_pairs("U*.Am.e0=A.Mz3.e0", lhs_c, rhs_c)
-        yield from _identity_pairs("Am[i,j]=A[i,j]", am, a)
-
-    return _collect(pairs(), tol, cap)
+    groups = [
+        _identity("Am.Cz2=S(-m).A.Cz2.U2m", lhs_a, rhs_a),
+        _identity("U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", lhs_b, rhs_b),
+        _identity("U*.Am.e0=A.Mz3.e0", lhs_c, rhs_c),
+        _identity("Am[i,j]=A[i,j]", am, a),
+    ]
+    return _collect(groups, tol, cap)

@@ -324,13 +324,9 @@ def apply(a: WindowedMatrix, v: WindowedVector) -> WindowedVector:
     return WindowedVector(a.rows, a.data @ x)
 
 
-def _format_real(x: float) -> str:
-    # repr of a Python float is the shortest string that parses back exactly
-    return repr(float(x))
-
-
 def format_entry(c: complex) -> str:
-    return f"{_format_real(c.real)}:{_format_real(c.imag)}"
+    """`re:im` of a Python complex, each part in the shortest form that parses back exactly."""
+    return f"{c.real!r}:{c.imag!r}"
 
 
 def parse_entry(text: str) -> complex:
@@ -343,8 +339,8 @@ def parse_entry(text: str) -> complex:
 def dump_matrix(m: WindowedMatrix) -> str:
     """Render the windowed matrix file format (bit-exact round trip)."""
     lines = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
-    for r in range(m.rows.size):
-        lines.append(" ".join(format_entry(c) for c in m.data[r]))
+    for row in m.data:
+        lines.append(" ".join(map(format_entry, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -367,11 +363,17 @@ def load_matrix(text: str) -> WindowedMatrix:
         raise ValueError(f"expected {rows.size} data lines, found {len(body)}")
     data = np.zeros((rows.size, cols.size), dtype=complex)
     for r, line in enumerate(body):
-        entries = line.split()
-        if len(entries) != cols.size:
-            raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(entries)}")
-        for c, cell in enumerate(entries):
-            data[r, c] = parse_entry(cell)
+        # the line is cols.size cells of exactly `re:im` iff the colons, split
+        # out as tokens of their own, sit at every third place and nowhere else
+        tokens = line.replace(":", " : ").split()
+        if len(tokens) != 3 * cols.size or not line.count(":") == tokens[1::3].count(":") == cols.size:
+            cells = line.split()
+            if len(cells) != cols.size:
+                raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(cells)}")
+            for cell in cells:
+                parse_entry(cell)  # raises for the first malformed cell
+        del tokens[1::3]
+        data.view(float)[r] = np.fromiter(map(float, tokens), float, 2 * cols.size)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]

@@ -12,6 +12,7 @@ from slanth import (
     load_symbol_file,
     parse_symbol,
 )
+from slanth.cli import main
 from slanth.verify import perturbed
 
 GENERIC_INLINE = "-1:2, 0:3, 1:5, 2:7"
@@ -144,6 +145,27 @@ class TestCheck:
         bad_path = tmp_path / "nan.mat"
         bad_path.write_text(section_file.read_text().replace("3.0:0.0", "nan:0.0", 1))
         assert run_cli("check", "slant-h", "--matrix", str(bad_path)).returncode == 2
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.0:0.0 1:2:3", "could not convert string to float: '2:3'"),
+            ("0.0:0.0 1.0", "malformed matrix entry '1.0'"),
+            ("0.0:0.0 :", "could not convert string to float: ''"),
+            ("a:b 0.0:0.0", "could not convert string to float: 'a'"),
+            ("0.0:0.0", "data line 1: expected 2 entries, found 1"),
+            ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0", "expected 1 data lines, found 2"),
+            ("nan:0 0.0:0.0", "data line 1: entry 1 is not finite"),
+            # colon counts that cancel out across the line
+            ("1:2:3 4", "could not convert string to float: '2:3'"),
+            ("1 2:3:4", "malformed matrix entry '1'"),
+        ],
+    )
+    def test_malformed_matrix_file_messages(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"#fmt 1\nrows 0 0\ncols 0 1\n{body}\n")
+        assert main(["check", "slant-h", "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_characterization_predicate(self, tmp_path):
         path = tmp_path / "wide.mat"

@@ -1,5 +1,10 @@
+import collections
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symbol
 from slanth import (
@@ -20,9 +25,12 @@ from slanth import (
     compose,
     extract_symbol,
     parse_symbol,
+    slant_hankel_perp_check,
 )
+from slanth.families import compose_chain
+from slanth.structure import WITNESS_CAP, CheckReport, Witness
 from slanth.verify import perturbed
-from slanth.windowed import build_elementary, compose_z, mult_z
+from slanth.windowed import U, USTAR, WindowedMatrix, build_elementary, compose_z, mult_z
 
 GENERIC = parse_symbol("-1:2, 0:3, 1:5, 2:7")
 
@@ -67,6 +75,18 @@ class TestSlantHPredicate:
         again = check_slant_h_matrix(noisy)
         assert report.witnesses == again.witnesses
         assert len(report.witnesses) <= 16
+
+    @pytest.mark.parametrize("rows_hi, cols_hi", [(8, 33), (16, 65), (5, 40), (3, 7)])
+    def test_flags_every_change_to_a_shared_degree(self, rows_hi, cols_hi):
+        # an entry is constrained iff another entry in the window has its degree
+        section = v_section(GENERIC, rows_hi, cols_hi)
+        degree = SLANT_H_TOEPLITZ.degree
+        seen = collections.Counter(degree(i, j) for i in range(rows_hi + 1) for j in range(cols_hi + 1))
+        assert check_slant_h_matrix(section).passed
+        for i in range(rows_hi + 1):
+            for j in range(cols_hi + 1):
+                report = check_slant_h_matrix(perturbed(section, i, j))
+                assert report.passed == (seen[degree(i, j)] == 1), (i, j)
 
     def test_vacuous_windows_flagged(self):
         tiny = build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 0), IndexWindow(0, 1))
@@ -211,3 +231,167 @@ class TestReportFormat:
         assert lines[0].startswith("FAIL max_residual=")
         assert len(lines) > 1
         assert "lhs=" in lines[1] and "rhs=" in lines[1]
+
+
+# Scalar reference scan: every relation instance folded one at a time, in the
+# scan order the vectorised checks must reproduce byte for byte.
+
+
+def reference_fold(instances, tol=1e-12, cap=WITNESS_CAP):
+    max_residual, witnesses, checked = 0.0, [], 0
+    for relation, indices, lhs, rhs in instances:
+        checked += 1
+        residual = abs(lhs - rhs)
+        if residual > max_residual or math.isnan(residual):
+            max_residual = residual
+        if not residual <= tol and len(witnesses) < cap:
+            witnesses.append(Witness(relation, indices, lhs, rhs))
+    return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), tol, checked)
+
+
+def slant_h_instances(m):
+    rows, hi, e = m.rows, m.cols.hi, m.entry
+    for k in rows.indices():
+        for j in range(1, hi // 4 + 1):
+            if k + j in rows:
+                yield "a[k,0]=a[k+j,4j]", (k, 0, k + j, 4 * j), e(k, 0), e(k + j, 4 * j)
+    for k in rows.indices():
+        for j in range(1, k + 1):
+            if k - j in rows and 4 * j - 1 <= hi:
+                yield "a[k,0]=a[k-j,4j-1]", (k, 0, k - j, 4 * j - 1), e(k, 0), e(k - j, 4 * j - 1)
+    if 0 in rows:
+        for k in range(1, hi // 2 + 1):
+            for i in rows.indices():
+                if i >= 1 and 2 * k + 4 * i <= hi:
+                    yield "a[0,2k]=a[i,2k+4i]", (0, 2 * k, i, 2 * k + 4 * i), e(0, 2 * k), e(i, 2 * k + 4 * i)
+    for k in rows.indices():
+        for j in range(1, (hi + 2) // 4 + 1):
+            if k + j in rows:
+                yield "a[k,1]=a[k+j,4j-2]", (k, 1, k + j, 4 * j - 2), e(k, 1), e(k + j, 4 * j - 2)
+    for i in rows.indices():
+        if i + 1 in rows:
+            for n in range(2, (hi - 1) // 2 + 1):
+                yield "a[i,2n+1]=a[i+1,2n-3]", (i, 2 * n + 1, i + 1, 2 * n - 3), e(i, 2 * n + 1), e(i + 1, 2 * n - 3)
+
+
+def step_instances(m, relation, di):
+    for i in m.rows.indices():
+        if i + di in m.rows and i + di >= 0:
+            for j in m.cols.indices():
+                if j + 2 in m.cols:
+                    yield relation, (i, j, i + di, j + 2), m.entry(i, j), m.entry(i + di, j + 2)
+
+
+def identity_instances(tag, lhs, rhs):
+    rows, cols = lhs.rows.intersect(rhs.rows), lhs.cols.intersect(rhs.cols)
+    for i in rows.indices():
+        for j in cols.indices():
+            yield tag, (i, j), lhs.entry(i, j), rhs.entry(i, j)
+
+
+def characterization_instances(m, cols):
+    e0 = IndexWindow(0, 0)
+    yield from identity_instances(
+        "A.Cz2=U*.A.Cz2.U2",
+        compose_chain([m, compose_z(2)], cols),
+        compose_chain([USTAR, m, compose_z(2), mult_z(2)], cols),
+    )
+    yield from identity_instances(
+        "U*.A.Mz3.Cz4=A.Mz3.Cz4.U",
+        compose_chain([USTAR, m, mult_z(3), compose_z(4)], cols),
+        compose_chain([m, mult_z(3), compose_z(4), U], cols),
+    )
+    yield from identity_instances(
+        "U*.A.e0=A.Mz3.e0",
+        compose_chain([USTAR, m.restrict(m.rows, e0)], e0),
+        compose_chain([m, mult_z(3)], e0),
+    )
+
+
+def perp_instances(phi, idx_max):
+    c = phi.coeff
+    for m in range(0, (idx_max - 7) // 2 + 1):
+        for j in range(0, (idx_max - 7 - 2 * m) // 2 + 1):
+            yield "a[2m+2j+7]=a[2m+2j+1]", (m, j), c(2 * m + 2 * j + 7), c(2 * m + 2 * j + 1)
+    for m in range(0, (idx_max - 8) // 4 + 1):
+        for j in range(0, (idx_max - 8 - 4 * m) // 2 + 1):
+            yield "a[4m+2j+6]=a[4m+2j+8]", (m, j), c(4 * m + 2 * j + 6), c(4 * m + 2 * j + 8)
+    for j in range(0, (idx_max - 4) // 2 + 1):
+        yield "a[2j+4]=a[2j+3]", (j,), c(2 * j + 4), c(2 * j + 3)
+    for n, a in phi.items():
+        if n == 1 or n >= 3:
+            yield "a[n]=0(n=1|n>=3)", (n,), a, 0j
+
+
+def assert_same(report, reference):
+    assert report.render() == reference.render()
+    assert report.checked == reference.checked
+    assert type(report.max_residual) is float
+    for w in report.witnesses:
+        assert all(type(i) is int for i in w.indices)
+        assert type(w.lhs) is complex and type(w.rhs) is complex
+
+
+DIFFERENTIAL = settings(deadline=None, max_examples=60)
+# small integer parts make equal entries, and so passing relations, likely
+small = st.integers(-2, 2).map(float)
+symbols = st.dictionaries(st.integers(-6, 8), st.builds(complex, small, small), max_size=6).map(LaurentSymbol)
+spikes = st.sampled_from([1.0, 1j, float("nan"), float("inf"), float("-inf")])
+caps = st.sampled_from([1, 5, WITNESS_CAP])
+
+
+@st.composite
+def sections(draw, rows_lo, rows_size, cols_lo, cols_hi):
+    """A slant-h section, the same with one entry changed, or random entries (many violations)."""
+    lo = draw(rows_lo)
+    rows = IndexWindow(lo, lo + draw(rows_size) - 1)
+    cols = IndexWindow(draw(cols_lo), draw(cols_hi))
+    kind = draw(st.sampled_from(["clean", "perturbed", "random"]))
+    if kind == "random":
+        parts = st.lists(small, min_size=rows.size * cols.size, max_size=rows.size * cols.size)
+        data = np.array(draw(parts)) + 1j * np.array(draw(parts))
+        return WindowedMatrix(rows, cols, data.reshape(rows.size, cols.size))
+    section = build_family(SLANT_H_TOEPLITZ, draw(symbols), rows, cols)
+    if kind == "clean":
+        return section
+    i = draw(st.integers(rows.lo, rows.hi))
+    j = draw(st.integers(cols.lo, cols.hi))
+    return perturbed(section, i, j, draw(spikes))
+
+
+class TestDifferential:
+    """The array-at-a-time checks against the scalar reference scan."""
+
+    @DIFFERENTIAL
+    @given(sections(st.integers(0, 3), st.integers(1, 10), st.just(0), st.integers(0, 40)), caps)
+    def test_slant_h(self, m, cap):
+        assert_same(check_slant_h_matrix(m, cap=cap), reference_fold(slant_h_instances(m), cap=cap))
+
+    @DIFFERENTIAL
+    @given(sections(st.integers(0, 3), st.integers(1, 8), st.integers(0, 3), st.integers(3, 20)), caps)
+    def test_step_predicates(self, m, cap):
+        assert_same(
+            check_slant_toeplitz_matrix(m, cap=cap),
+            reference_fold(step_instances(m, "a[i,j]=a[i+1,j+2]", 1), cap=cap),
+        )
+        assert_same(
+            check_slant_hankel_matrix(m, cap=cap),
+            reference_fold(step_instances(m, "a[i,j]=a[i-1,j+2]", -1), cap=cap),
+        )
+
+    @DIFFERENTIAL
+    @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(11, 30)), caps, st.data())
+    def test_characterization(self, m, cap, data):
+        dom = IndexWindow(0, data.draw(st.integers(0, (m.cols.hi - 7) // 4)))
+        assert_same(check_characterization(m, dom, cap=cap), reference_fold(characterization_instances(m, dom), cap=cap))
+
+    @DIFFERENTIAL
+    @given(symbols, st.integers(0, 24), caps)
+    def test_perp(self, phi, idx_max, cap):
+        assert_same(slant_hankel_perp_check(phi, idx_max, cap=cap), reference_fold(perp_instances(phi, idx_max), cap=cap))
+
+    def test_vacuous_window_matches(self):
+        m = v_section(GENERIC, row_hi=0, col_hi=9)
+        report = check_slant_h_matrix(m)
+        assert report.vacuous
+        assert_same(report, reference_fold(slant_h_instances(m)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symbol
 from slanth import (
@@ -207,6 +209,13 @@ class TestApply:
             apply(w, unit_vector(5, IndexWindow(0, 5)))
 
 
+# signed zeros, subnormals and the ends of the finite range
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestDumpFormat:
     def test_bit_exact_roundtrip(self, rng):
         phi = random_symbol(rng)
@@ -226,6 +235,22 @@ class TestDumpFormat:
         sec = build_elementary(P, IndexWindow(-3, -1))
         again = load_matrix(dump_matrix(sec))
         assert again.rows.is_empty and again.cols == IndexWindow(-3, -1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        lo, size = data.draw(st.integers(-4, 3)), data.draw(st.integers(0, 4))
+        rows = IndexWindow(lo, lo + size - 1)
+        lo, size = data.draw(st.integers(-4, 3)), data.draw(st.integers(1, 5))
+        cols = IndexWindow(lo, lo + size - 1)
+        n = 2 * rows.size * cols.size
+        parts = data.draw(st.lists(edge_floats, min_size=n, max_size=n))
+        sec = WindowedMatrix(rows, cols, np.array(parts, dtype=float).view(complex).reshape(rows.size, cols.size))
+        text = dump_matrix(sec)
+        again = load_matrix(text)
+        assert again.rows == sec.rows and again.cols == sec.cols
+        assert again.data.tobytes() == sec.data.tobytes()
+        assert dump_matrix(again) == text
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
