@@ -142,9 +142,7 @@ def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow, tol: float 
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"analytic column window required, got {cols}")
     rho = symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))
-    inner = compose_chain(SLANT_H_TOEPLITZ.chain(phi), cols)
-    outer = compose_chain([W, P, mult(rho), WSTAR], inner.rows)
-    whole = compose(outer, inner)
+    whole = compose_chain([W, P, mult(rho), WSTAR, *SLANT_H_TOEPLITZ.chain(phi)], cols)
     value = float(np.max(np.abs(whole.data))) if whole.data.size else 0.0
     return _residual_summary("partial_isometry_residual", value, whole.rows, whole.cols, tol)
 

@@ -16,6 +16,7 @@ and holds every nonzero row of them, so subtraction zero-embeds both operands
 on the hull of their row windows.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -25,8 +26,10 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
-    build_elementary,
-    compose,
+    _dense,
+    _images,
+    _product,
+    _scaled,
     mult,
 )
 
@@ -164,6 +167,8 @@ class _Parser:
             return node
         if kind == "number":
             self.advance()
+            if not math.isfinite(float(text)):
+                raise ExprParseError(f"scale factor {text!r} is not finite", column)
             return Scaled(float(text), self.atom())
         return self.atom()
 
@@ -253,21 +258,25 @@ def _resolve(symbols: dict, name: str):
 
 def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
     """Exact section of the expression, windows propagated from `window`."""
+    return _dense(_eval(node, window, symbols))
+
+
+def _eval(node, window: IndexWindow, symbols: dict):
+    """`eval_expr` before the final densify: chains of elementaries are triplets, all else dense."""
     if isinstance(node, Diff):
         left = eval_expr(node.left, window, symbols)
         right = eval_expr(node.right, window, symbols)
         rows = left.rows.hull(right.rows)
-        return WindowedMatrix(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
+        return WindowedMatrix._of(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
     if isinstance(node, Compose):
-        right = eval_expr(node.right, window, symbols)
-        left = eval_expr(node.left, right.rows, symbols)
-        return compose(left, right)
+        right = _eval(node.right, window, symbols)
+        left = _eval(node.left, right.rows, symbols)
+        return _product(left, right)
     if isinstance(node, Scaled):
-        inner = eval_expr(node.node, window, symbols)
-        return WindowedMatrix(inner.rows, inner.cols, node.factor * inner.data)
+        return _scaled(_eval(node.node, window, symbols), node.factor)
     if isinstance(node, Atom):
         if node.name == "M":
-            return build_elementary(mult(_resolve(symbols, node.args[0])), window)
+            return _images(mult(_resolve(symbols, node.args[0])), window)
         if node.name in _FAMILY_ATOMS:
             return build_compositional(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
         if node.name == _EXTENSION:
@@ -275,5 +284,5 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
             if depth < 0:
                 raise WindowError("extension depth must be >= 0")
             return build_extension_natural(depth, _resolve(symbols, name), window)
-        return build_elementary(Elementary(node.name, *node.args), window)
+        return _images(Elementary(node.name, *node.args), window)
     raise TypeError(f"not an expression node: {node!r}")

@@ -35,8 +35,7 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
-    build_elementary,
-    compose,
+    compose_chain,
     mult,
 )
 
@@ -155,19 +154,7 @@ def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: Inde
     j = np.arange(cols.lo, cols.hi + 1)
     data = _coefficients(phi, kind.degree(i, j))
     # conjugating after the gather also turns the zeros off the support into 0-0j
-    return WindowedMatrix(rows, cols, np.conj(data) if kind.conj else data)
-
-
-def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
-    """Compose elementary kinds and ready sections listed leftmost-first, starting from `domain`."""
-    result = None
-    for stage in reversed(stages):
-        section = stage if isinstance(stage, WindowedMatrix) else build_elementary(stage, domain)
-        result = section if result is None else compose(section, result)
-        domain = section.rows
-    if result is None:
-        raise ValueError("empty chain")
-    return result
+    return WindowedMatrix._of(rows, cols, np.conj(data) if kind.conj else data)
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:

@@ -160,7 +160,7 @@ def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNE
 
 def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the diagonal step a[i,j] = a[i+1,j+2] inside the windows."""
-    if m.rows.is_empty or m.cols.is_empty or m.rows.lo < 0 or m.cols.lo < 0:
+    if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
         raise WindowError(f"slant-toeplitz predicate needs analytic windows, got {m.rows} x {m.cols}")
     a, i, j = m.data, m.rows.lo, m.cols.lo
     group = _grid("a[i,j]=a[i+1,j+2]", a[:-1, :-2], a[1:, 2:], lambda o, t: (i + o, j + t, i + o + 1, j + t + 2))
@@ -169,7 +169,7 @@ def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int 
 
 def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the antidiagonal step a[i,j] = a[i-1,j+2] (i >= 1) inside the windows."""
-    if m.rows.is_empty or m.cols.is_empty or m.rows.lo < 0 or m.cols.lo < 0:
+    if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
         raise WindowError(f"slant-hankel predicate needs analytic windows, got {m.rows} x {m.cols}")
     a, i, j = m.data, m.rows.lo + 1, m.cols.lo
     group = _grid("a[i,j]=a[i-1,j+2]", a[1:, :-2], a[:-1, 2:], lambda o, t: (i + o, j + t, i + o - 1, j + t + 2))

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from slanth.cli import main
 from slanth.verify import perturbed
 
 GENERIC_INLINE = "-1:2, 0:3, 1:5, 2:7"
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, **kwargs):
@@ -98,6 +100,22 @@ class TestBuild:
     def test_window_error_exit_code(self):
         result = run_cli("build", "--expr", "J", "--window=-2:3")
         assert result.returncode == 3
+
+    def test_non_finite_scale_factor_exit_code(self):
+        result = run_cli("build", "--expr", "1e400 W", "--window", "0:3")
+        assert result.returncode == 2
+        assert result.stderr == "error: col 1: scale factor '1e400' is not finite\n"
+
+    @pytest.mark.parametrize("rows, cols", [("0:1", "5:4"), ("0:1", "-3:-4"), ("-3:-4", "0:2")])
+    def test_empty_window_round_trips(self, tmp_path, rows, cols):
+        path = tmp_path / "f.mat"
+        build = run_cli("build", "--family", "toeplitz", "--symbol", "p=0:1", f"--rows={rows}", f"--cols={cols}",
+                        "--out", str(path))
+        assert build.returncode == 0
+        for predicate in ("slant-toeplitz", "slant-hankel"):
+            check = run_cli("check", predicate, "--matrix", str(path))
+            assert check.returncode == 0
+            assert check.stdout == "#fmt 1\nPASS max_residual=0.0 vacuous=1\n"
 
     def test_repeated_symbol_name_exit_code(self):
         result = run_cli(
@@ -241,6 +259,7 @@ class TestVerify:
         lines = result.stdout.strip().splitlines()
         assert len(lines) == 10
         assert all(line.startswith("PASS ") for line in lines)
+        assert result.stdout == (DATA / "verify_all.txt").read_text()
 
     def test_exit_code_tracks_failures(self, monkeypatch):
         # the exit code is 0 iff every selected suite passes
@@ -259,3 +278,10 @@ class TestVerify:
         first = run_cli("verify", "golden", "roundtrip")
         second = run_cli("verify", "golden", "roundtrip")
         assert first.stdout == second.stdout and first.returncode == second.returncode == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, slanth.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,7 +1,7 @@
-import random
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slanth import (
     SLANT_H_TOEPLITZ,
@@ -55,10 +55,30 @@ class TestParse:
         with pytest.raises(ExprParseError):
             parse_expr(text)
 
+    @pytest.mark.parametrize("text, column", [("1e400 W", 1), ("W . 2e999 K", 5)])
+    def test_rejects_non_finite_factor(self, text, column):
+        with pytest.raises(ExprParseError, match="is not finite") as info:
+            parse_expr(text)
+        assert info.value.column == column
+
     def test_error_carries_column(self):
         with pytest.raises(ExprParseError) as info:
             parse_expr("W . Bogus")
         assert "col 5" in str(info.value)
+
+
+names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True)
+small_ints = st.integers(-5, 5)
+atoms = st.one_of(
+    st.sampled_from(["W", "W*", "K", "K*", "J", "P", "U", "U*"]).map(Atom),
+    st.builds(lambda name, k: Atom(name, (k,)), st.sampled_from(["S", "Cz", "Mz"]), small_ints),
+    st.builds(lambda name, sym: Atom(name, (sym,)), st.sampled_from(["M", "T", "H", "B", "L", "Sh", "V", "V*"]), names),
+    st.builds(lambda m, sym: Atom("A", (m, sym)), small_ints, names),
+)
+# factors print as repr and carry no sign; exponents and 0.0 included
+factors = st.one_of(st.sampled_from([0.0, 1e-300, 2.5e16, 5e-324]), st.floats(min_value=0.0, allow_infinity=False))
+terms = st.one_of(atoms, st.builds(Scaled, factors, atoms))
+ast_nodes = st.recursive(terms, lambda inner: st.builds(Compose, inner, inner) | st.builds(Diff, inner, inner), max_leaves=8)
 
 
 class TestPrintRoundtrip:
@@ -73,20 +93,10 @@ class TestPrintRoundtrip:
             node = parse_expr(text)
             assert parse_expr(print_expr(node)) == node
 
-    def test_random_asts(self):
-        rng = random.Random(7)
-        atoms = [Atom("W"), Atom("K*"), Atom("Cz", (2,)), Atom("V", ("phi",)), Atom("A", (1, "phi"))]
-
-        def grow(depth):
-            if depth == 0:
-                atom = rng.choice(atoms)
-                return Scaled(round(rng.uniform(0.5, 3.0), 3), atom) if rng.random() < 0.3 else atom
-            kind = rng.choice([Compose, Diff])
-            return kind(grow(depth - 1), grow(rng.randint(0, depth - 1)))
-
-        for _ in range(50):
-            node = grow(rng.randint(1, 3))
-            assert parse_expr(print_expr(node)) == node
+    @settings(deadline=None, max_examples=300)
+    @given(ast_nodes)
+    def test_random_asts(self, node):
+        assert parse_expr(print_expr(node)) == node
 
 
 class TestEval:

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,9 @@ from slanth import (
     parse_symbol,
     unit_vector,
 )
+from slanth.families import COMPOSITIONAL_KINDS, compose_chain
+from slanth.symbol import LaurentSymbol
+from slanth import windowed
 from slanth.windowed import (
     J,
     K,
@@ -26,6 +32,7 @@ from slanth.windowed import (
     USTAR,
     W,
     WSTAR,
+    Elementary,
     WindowedMatrix,
     bilateral_shift,
     compose_z,
@@ -114,6 +121,20 @@ class TestBuildElementary:
             sec = build_elementary(kind, IndexWindow(-4, 7))
             norms = np.linalg.norm(sec.data, axis=0)
             assert np.all((np.abs(norms - 1) < 1e-15) | (norms == 0))
+
+
+class TestSectionOwnership:
+    def test_caller_array_is_copied(self):
+        data = np.arange(6, dtype=complex).reshape(2, 3)
+        sec = WindowedMatrix(IndexWindow(0, 1), IndexWindow(0, 2), data)
+        data[0, 0] = 99
+        assert sec.entry(0, 0) == 0
+        assert not sec.data.flags.writeable
+
+    def test_results_are_read_only(self):
+        sec = build_elementary(K, IndexWindow(0, 5))
+        for m in (sec, compose(build_elementary(P, sec.rows), sec), sec.restrict(sec.rows, IndexWindow(1, 2)), adjoint(sec)):
+            assert not m.data.flags.writeable
 
 
 class TestCompose:
@@ -241,7 +262,7 @@ class TestDumpFormat:
     def test_roundtrip_property(self, data):
         lo, size = data.draw(st.integers(-4, 3)), data.draw(st.integers(0, 4))
         rows = IndexWindow(lo, lo + size - 1)
-        lo, size = data.draw(st.integers(-4, 3)), data.draw(st.integers(1, 5))
+        lo, size = data.draw(st.integers(-4, 3)), data.draw(st.integers(0, 5))
         cols = IndexWindow(lo, lo + size - 1)
         n = 2 * rows.size * cols.size
         parts = data.draw(st.lists(edge_floats, min_size=n, max_size=n))
@@ -269,3 +290,208 @@ class TestDumpFormat:
             sec.entry(5, 0)
         with pytest.raises(WindowError):
             WindowedMatrix(IndexWindow(0, 1), IndexWindow(0, 1), np.zeros((3, 2)))
+
+
+# Scalar reference of the elementary builder: one column at a time, each
+# image added into a dense block.
+
+
+def reference_images(kind, j):
+    name = kind.name
+    if name == "W":
+        return [(j // 2, 1.0)] if j % 2 == 0 else []
+    if name == "W*":
+        return [(2 * j, 1.0)]
+    if name == "K":
+        return [(j // 2, 1.0)] if j % 2 == 0 else [(-((j + 1) // 2), 1.0)]
+    if name == "K*":
+        return [(2 * j, 1.0)] if j >= 0 else [(-2 * j - 1, 1.0)]
+    if name == "J":
+        return [(-j - 1, 1.0)]
+    if name == "P":
+        return [(j, 1.0)] if j >= 0 else []
+    if name == "U":
+        return [(j + 1, 1.0)]
+    if name == "U*":
+        return [(j - 1, 1.0)] if j >= 1 else []
+    if name in ("S", "Mz"):
+        return [(j + kind.power, 1.0)]
+    if name == "Cz":
+        return [(kind.power * j, 1.0)]
+    return [(j + n, a) for n, a in kind.symbol.items()]
+
+
+def reference_elementary(kind, domain):
+    if kind.name in ("K", "J", "U") and not domain.is_empty and domain.lo < 0:
+        raise WindowError("analytic domain required")
+    columns = {j: reference_images(kind, j) for j in domain.indices()}
+    hit = [i for col in columns.values() for i, _ in col]
+    rows = IndexWindow(min(hit), max(hit)) if hit else IndexWindow.empty()
+    data = np.zeros((rows.size, domain.size), dtype=complex)
+    for j, col in columns.items():
+        for i, a in col:
+            data[i - rows.lo, j - domain.lo] += a
+    return WindowedMatrix(rows, domain, data)
+
+
+def dense_compose(a, b):
+    """The dense product the triplet kernel must reproduce."""
+    lo = b.rows.lo - a.cols.lo
+    return WindowedMatrix(a.rows, b.cols, a.data[:, lo : lo + b.rows.size] @ b.data)
+
+
+def signed_zeros_cleared(m):
+    """A dense product's zero entries with +0.0 parts, every other bit kept.
+
+    BLAS kernels differ in the sign they leave on a zero entry (OpenBLAS
+    0.3.31 gives -0.0 in the 2x2 product P . M(-1) and 0.0 in larger ones);
+    the triplet kernel adds every entry into a zero, so its zeros are 0.0.
+    """
+    return WindowedMatrix(m.rows, m.cols, m.data + 0.0)
+
+
+def dense_chain(stages, domain):
+    result = None
+    for stage in reversed(stages):
+        if not isinstance(stage, WindowedMatrix):
+            stage = reference_elementary(stage, domain if result is None else result.rows)
+        result = stage if result is None else dense_compose(stage, result)
+    return result
+
+
+def assert_bitwise(got, want):
+    assert got.rows == want.rows and got.cols == want.cols
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def assert_close(got, want, tol=1e-13):
+    assert got.rows == want.rows and got.cols == want.cols
+    assert got.data.size == 0 or np.max(np.abs(got.data - want.data)) <= tol
+
+
+coefficients = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+# signed zeros included: a dense block holds every sign of zero as 0 + x does
+laurent = st.dictionaries(st.integers(-5, 5), st.one_of(coefficients, st.sampled_from([-0.0j, complex(-0.0, 1), 1 - 0j])),
+                          max_size=5).map(LaurentSymbol)
+index_maps = st.one_of(
+    st.sampled_from([W, WSTAR, K, KSTAR, J, P, U, USTAR]),
+    st.integers(-4, 4).map(bilateral_shift),
+    st.integers(-4, 4).map(mult_z),
+    st.integers(1, 4).map(compose_z),
+)
+elementaries = st.one_of(index_maps, laurent.map(mult))
+# negative, empty and single-index domains among them
+domains = st.builds(lambda lo, size: IndexWindow(lo, lo + size - 1), st.integers(-6, 6), st.sampled_from([0, 1, 2, 7, 12]))
+KERNEL = settings(deadline=None, max_examples=150)
+
+
+class TestTripletKernel:
+    """The triplet kernel against the scalar builder and dense products."""
+
+    @KERNEL
+    @given(elementaries, domains)
+    def test_build_elementary_matches_scalar_reference(self, kind, domain):
+        try:
+            want = reference_elementary(kind, domain)
+        except WindowError:
+            with pytest.raises(WindowError):
+                build_elementary(kind, domain)
+            return
+        assert_bitwise(build_elementary(kind, domain), want)
+
+    def test_every_kind_is_covered(self):
+        names = {"W", "W*", "K", "K*", "J", "P", "U", "U*", "S", "Mz", "Cz", "M"}
+        for name in names:
+            kind = Elementary(name, 2, parse_symbol("-1:2, 1:3i") if name == "M" else None)
+            assert_bitwise(build_elementary(kind, IndexWindow(0, 9)), reference_elementary(kind, IndexWindow(0, 9)))
+
+    @KERNEL
+    @given(st.sampled_from(COMPOSITIONAL_KINDS), laurent, st.integers(0, 4), st.integers(-1, 40))
+    def test_family_chains_match_dense_bitwise(self, kind, phi, lo, hi):
+        cols = IndexWindow(lo, hi)
+        stages = kind.chain(phi)
+        assert_bitwise(compose_chain(stages, cols), signed_zeros_cleared(dense_chain(stages, cols)))
+
+    @KERNEL
+    @given(st.lists(index_maps, min_size=1, max_size=5), st.one_of(st.none(), laurent), st.integers(0, 5), st.integers(0, 12))
+    def test_index_map_chains_match_dense_bitwise(self, maps, phi, at, size):
+        # one multiplication at most, so every entry is a single product
+        stages = list(maps) if phi is None else maps[:at] + [mult(phi)] + maps[at:]
+        domain = IndexWindow(0, size - 1)
+        try:
+            want = signed_zeros_cleared(dense_chain(stages, domain))
+        except WindowError:
+            with pytest.raises(WindowError):
+                compose_chain(stages, domain)
+            return
+        assert_bitwise(compose_chain(stages, domain), want)
+        if len(stages) > 1:
+            right = compose_chain(stages[1:], domain)
+            assert_bitwise(compose(build_elementary(stages[0], right.rows), right), want)
+
+    @KERNEL
+    @given(st.lists(elementaries, min_size=2, max_size=5), st.integers(0, 12))
+    def test_general_chains_match_dense(self, stages, size):
+        domain = IndexWindow(0, size - 1)
+        try:
+            want = dense_chain(stages, domain)
+        except WindowError:
+            with pytest.raises(WindowError):
+                compose_chain(stages, domain)
+            return
+        assert_close(compose_chain(stages, domain), want)
+
+    @KERNEL
+    @given(st.data())
+    def test_dense_sections_match_dense(self, data):
+        # ready sections on either side, zeros among their entries
+        lo, k, m, n = (data.draw(st.integers(-3, 3)) for _ in range(4))
+        inner = IndexWindow(lo, lo + abs(k) + 1)
+        entries = st.one_of(st.just(0j), coefficients)
+        a_rows, b_cols = IndexWindow(0, abs(m)), IndexWindow(0, abs(n))
+        a = WindowedMatrix(a_rows, inner, np.array(data.draw(st.lists(entries, min_size=a_rows.size * inner.size,
+                           max_size=a_rows.size * inner.size))).reshape(a_rows.size, inner.size))
+        b_rows = IndexWindow(inner.lo + data.draw(st.integers(0, 1)), inner.hi)
+        b = WindowedMatrix(b_rows, b_cols, np.array(data.draw(st.lists(entries, min_size=b_rows.size * b_cols.size,
+                           max_size=b_rows.size * b_cols.size))).reshape(b_rows.size, b_cols.size))
+        assert_close(compose(a, b), dense_compose(a, b))
+        assert_close(compose_chain([a, b], b_cols), dense_compose(a, b))
+        assert_close(compose_chain([USTAR, a, b], b_cols), dense_chain([USTAR, a, b], b_cols))
+
+    @KERNEL
+    @given(st.lists(elementaries, min_size=2, max_size=5), st.integers(0, 12), st.sampled_from([1, 3, 40]))
+    def test_sliced_joins_match_one_join(self, stages, size, products):
+        domain = IndexWindow(0, size - 1)
+        try:
+            whole = compose_chain(stages, domain)
+        except WindowError:
+            return
+        with mock.patch.object(windowed, "_SLICE", products):
+            assert_bitwise(compose_chain(stages, domain), whole)
+
+    def test_wide_join_memory_stays_near_the_output(self):
+        # 4.3M products meet; formed all at once they took about 390 MB
+        phi = LaurentSymbol({n: complex(n, 1) for n in range(-32, 33)})
+        tracemalloc.start()
+        try:
+            out = compose_chain([mult(phi), mult(phi)], IndexWindow(0, 1023))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.rows == IndexWindow(-64, 1087)
+        assert peak < 4 * out.data.nbytes
+
+    def test_dense_join_is_a_dense_product(self):
+        # 268M products meet, 1024 on each output entry: about 27 GB formed as triplets
+        rng = np.random.default_rng(4)
+        inner = IndexWindow(-3, 1020)
+        a = WindowedMatrix(IndexWindow(0, 255), inner, rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024)))
+        b = WindowedMatrix(inner, IndexWindow(0, 1023), rng.standard_normal((1024, 1024)) - 1j * rng.standard_normal((1024, 1024)))
+        tracemalloc.start()
+        try:
+            out = compose(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out.data, a.data @ b.data)
+        assert peak < 16 * out.data.nbytes
