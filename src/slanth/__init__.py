@@ -17,7 +17,6 @@ from .analysis import (
     partial_isometry_identity,
     section_norm,
     self_adjoint_distance,
-    slant_hankel_perp_check,
 )
 from .expr import eval_expr, parse_expr, print_expr
 from .families import (
@@ -46,6 +45,7 @@ from .structure import (
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,
     extract_symbol,
+    slant_hankel_perp_check,
 )
 from .symbol import (
     ONE,
@@ -69,14 +69,11 @@ from .windowed import (
     IndexWindow,
     WindowError,
     WindowedMatrix,
-    WindowedVector,
     adjoint,
-    apply,
     build_elementary,
     compose,
     dump_matrix,
     load_matrix,
-    unit_vector,
 )
 
 __version__ = "0.1.0"

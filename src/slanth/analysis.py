@@ -8,7 +8,6 @@ carries the default symbol corpus the verification suites run over.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -17,11 +16,8 @@ from .families import (
     SLANT_H_TOEPLITZ,
     build_compositional,
     build_family,
-    _coefficients,
-    compose_chain,
     entry,
 )
-from .structure import CheckReport, WITNESS_CAP, _collect, _group
 from .symbol import (
     ONE,
     ZERO,
@@ -41,6 +37,7 @@ from .windowed import (
     WindowedMatrix,
     WindowError,
     compose,
+    compose_chain,
     mult,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "partial_isometry_identity",
     "section_norm",
     "self_adjoint_distance",
-    "slant_hankel_perp_check",
 ]
 
 _ISQ2 = math.sqrt(0.5)
@@ -254,31 +250,6 @@ def norm_bound_check(
     value = section_norm(section) - sup_norm(phi, grid_size)
     verdict = "pass" if value <= tol else "fail"
     return DefectSummary("section_norm_minus_sup_norm", value, rows, cols, tol, verdict)
-
-
-def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
-    """Conditions for a slant-Hankel operator to carry the slant-h pattern.
-
-    Two sub-results folded into one report: (i) the coefficient shift
-    relations, checked for all parameters whose coefficient indices stay
-    within idx_max; (ii) membership, phi = sum_{n<=0} a_n z^n + a_2 z^2,
-    i.e. the coefficients at degree 1 and at every degree >= 3 vanish.
-    """
-    if idx_max < 0:
-        raise ValueError("idx_max must be >= 0")
-    c = partial(_coefficients, phi)
-    odd = [n for n, _ in phi.items() if n == 1 or n >= 3]
-    groups = [
-        _group("a[2m+2j+7]=a[2m+2j+1]", (idx_max - 7 - 2 * np.arange((idx_max - 7) // 2 + 1)) // 2 + 1,
-               lambda m, j: (m, j), lambda m, j: (c(2 * m + 2 * j + 7), c(2 * m + 2 * j + 1))),
-        _group("a[4m+2j+6]=a[4m+2j+8]", (idx_max - 8 - 4 * np.arange((idx_max - 8) // 4 + 1)) // 2 + 1,
-               lambda m, j: (m, j), lambda m, j: (c(4 * m + 2 * j + 6), c(4 * m + 2 * j + 8))),
-        _group("a[2j+4]=a[2j+3]", [max(0, (idx_max - 4) // 2 + 1)],
-               lambda o, j: (j,), lambda j: (c(2 * j + 4), c(2 * j + 3))),
-        ("a[n]=0(n=1|n>=3)", c(np.array(odd, dtype=int)), np.zeros(len(odd), complex), [len(odd)],
-         lambda o, t: (odd[t],)),
-    ]
-    return _collect(groups, tol, cap)
 
 
 def column_norm_floor(phi: LaurentSymbol, pair_hi: int = 31) -> float:

@@ -14,7 +14,7 @@ import sys
 
 from . import verify as verify_mod
 from .analysis import norm_bound_check
-from .expr import ExprParseError, UnknownSymbolError, eval_expr, parse_expr
+from .expr import eval_expr, parse_expr
 from .families import COMPOSITIONAL_KINDS, build_family, extension
 from .structure import (
     check_characterization,
@@ -75,14 +75,18 @@ def _write_output(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _expr_section(args, symbols):
+    if args.window is None:
+        raise SymbolParseError("--expr requires --window lo:hi")
+    return eval_expr(parse_expr(args.expr), _parse_window(args.window), symbols)
+
+
 def _matrix_from_args(args, symbols):
-    if getattr(args, "matrix", None):
+    if args.matrix:
         with open(args.matrix, "r", encoding="utf-8") as handle:
             return load_matrix(handle.read())
-    if getattr(args, "expr", None):
-        if args.window is None:
-            raise SymbolParseError("--expr requires --window lo:hi")
-        return eval_expr(parse_expr(args.expr), _parse_window(args.window), symbols)
+    if args.expr:
+        return _expr_section(args, symbols)
     raise SymbolParseError("supply --matrix FILE or --expr TEXT")
 
 
@@ -100,9 +104,7 @@ def _cmd_build(args) -> int:
         (phi,) = symbols.values()
         matrix = build_family(kind, phi, _parse_window(args.rows), _parse_window(args.cols))
     elif args.expr:
-        if args.window is None:
-            raise SymbolParseError("--expr requires --window lo:hi")
-        matrix = eval_expr(parse_expr(args.expr), _parse_window(args.window), symbols)
+        matrix = _expr_section(args, symbols)
     else:
         raise SymbolParseError("supply --family NAME or --expr TEXT")
     _write_output(dump_matrix(matrix), args.out)
@@ -175,15 +177,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_tol=True):
-        p.add_argument("--symbol", action="append", metavar="NAME=VALUE",
-                       help="named symbol, inline 'n:coeff,...' or a coefficient file")
+    def add_common(p, symbol=True, tol=True):
+        if symbol:
+            p.add_argument("--symbol", action="append", metavar="NAME=VALUE",
+                           help="named symbol, inline 'n:coeff,...' or a coefficient file")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-        if with_tol:
+        if tol:
             p.add_argument("--tol", type=float, default=1e-12)
 
     build = sub.add_parser("build", help="build a section and dump it")
-    add_common(build, with_tol=False)
+    add_common(build, tol=False)
     build.add_argument("--family", choices=sorted([*_FAMILIES, "extension"]))
     build.add_argument("--m", type=int, help="extension depth for --family extension")
     build.add_argument("--rows", metavar="LO:HI")
@@ -204,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     extract = sub.add_parser("extract", help="read the symbol back from a section file")
     extract.add_argument("--matrix", metavar="FILE", required=True)
-    add_common(extract)
+    add_common(extract, symbol=False)
     extract.set_defaults(func=_cmd_extract)
 
     norm = sub.add_parser("norm", help="compare the section norm with the symbol sup norm")
@@ -230,10 +233,7 @@ def main(argv=None) -> int:
     except (WindowError, MemoryError) as exc:
         sys.stderr.write(f"window error: {exc}\n")
         return 3
-    except (SymbolParseError, ExprParseError, UnknownSymbolError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # parse errors are ValueErrors too
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -54,7 +54,6 @@ __all__ = [
     "build_family",
     "build_compositional",
     "build_extension_natural",
-    "compose_chain",
     "natural_rows",
     "oracle_deviation",
 ]

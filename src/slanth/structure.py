@@ -3,18 +3,20 @@
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
 too small to contain a single relation instance is flagged vacuous. Each
-relation is checked array-at-a-time: its instances form one group of lhs and
-rhs arrays in scan order (relations in a fixed order, indices ascending), and
-the witnesses are the first `cap` (default 16) violations in that order.
+relation is checked array-at-a-time, as one group (relation, lhs, rhs, at):
+equal-shape arrays holding the relation's instances in scan order (relations
+in a fixed order, indices ascending, C order), and `at(p)` giving the index
+tuple of instance p, formed for witnesses only. The witnesses are the first
+`cap` (default 16) violations in that order.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .families import build_family, compose_chain, extension
+from .families import _coefficients, build_family, extension
 from .symbol import LaurentSymbol
 from .windowed import (
     U,
@@ -23,6 +25,7 @@ from .windowed import (
     WindowedMatrix,
     WindowError,
     bilateral_shift,
+    compose_chain,
     compose_z,
     format_entry,
     mult_z,
@@ -38,6 +41,7 @@ __all__ = [
     "check_slant_hankel_matrix",
     "check_slant_toeplitz_matrix",
     "extract_symbol",
+    "slant_hankel_perp_check",
 ]
 
 WITNESS_CAP = 16
@@ -62,7 +66,6 @@ class CheckReport:
     passed: bool
     max_residual: float
     witnesses: tuple
-    tol: float
     checked: int = 0
 
     @property
@@ -78,19 +81,15 @@ class CheckReport:
 
 
 def _collect(groups, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
-    """Fold relation groups into a report.
+    """Fold (relation, lhs, rhs, at) groups into a report.
 
-    A group is (relation, lhs, rhs, counts, at): equal-shape arrays holding
-    the relation's instances in scan order (C order), `counts[o]` of them at
-    outer step o, and `at(o, t)` giving the index tuple of instance t of step
-    o; tuples are formed for witnesses only. A non-finite residual is a
-    violation, and a NaN one sticks as the maximum, so non-finite input can
-    never pass.
+    A non-finite residual is a violation, and a NaN one sticks as the
+    maximum, so non-finite input can never pass.
     """
     max_residual = 0.0
     witnesses = []
     checked = 0
-    for relation, lhs, rhs, counts, at in groups:
+    for relation, lhs, rhs, at in groups:
         with np.errstate(invalid="ignore", over="ignore"):
             # |lhs - rhs| as abs() of a Python complex computes it; np.abs of a
             # complex array can differ from that in the last bit
@@ -101,11 +100,9 @@ def _collect(groups, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
         peak = float(residual.max())
         if peak > max_residual or math.isnan(peak):
             max_residual = peak
-        starts = (np.cumsum(counts) - counts).tolist()
         for p in np.flatnonzero(~(residual <= tol))[: cap - len(witnesses)].tolist():
-            o = bisect_right(starts, p) - 1
-            witnesses.append(Witness(relation, at(o, p - starts[o]), complex(lhs.flat[p]), complex(rhs.flat[p])))
-    return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), tol, checked)
+            witnesses.append(Witness(relation, at(p), complex(lhs.flat[p]), complex(rhs.flat[p])))
+    return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), checked)
 
 
 def _group(relation: str, counts, at, pair) -> tuple:
@@ -115,12 +112,12 @@ def _group(relation: str, counts, at, pair) -> tuple:
     its (lhs, rhs); both take Python ints and numpy index arrays alike.
     """
     o, t = np.nonzero(np.arange(max(counts, default=0)) < np.reshape(counts, (-1, 1)))
-    return (relation, *pair(*at(o, t)), counts, at)
+    return relation, *pair(*at(o, t)), lambda p: at(int(o[p]), int(t[p]))
 
 
 def _grid(relation: str, lhs: np.ndarray, rhs: np.ndarray, at) -> tuple:
-    """Group of a rectangular scan: row o of the blocks is outer step o."""
-    return relation, lhs, rhs, np.full(lhs.shape[0], lhs.shape[1]), at
+    """Group of a rectangular scan: `at(o, t)` is the index tuple of block entry (o, t)."""
+    return relation, lhs, rhs, lambda p: at(*divmod(p, lhs.shape[1]))
 
 
 def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
@@ -158,22 +155,24 @@ def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNE
     return _collect(groups(), tol, cap)
 
 
+def _step(m: WindowedMatrix, name: str, relation: str, di: int, tol: float, cap: int) -> CheckReport:
+    """Verify the step a[i,j] = a[i+di,j+2], di = +-1, inside the windows."""
+    if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
+        raise WindowError(f"{name} predicate needs analytic windows, got {m.rows} x {m.cols}")
+    a, i, j = m.data, m.rows.lo + (di < 0), m.cols.lo
+    lhs, rhs = (a[:-1], a[1:]) if di > 0 else (a[1:], a[:-1])
+    group = _grid(relation, lhs[:, :-2], rhs[:, 2:], lambda o, t: (i + o, j + t, i + o + di, j + t + 2))
+    return _collect([group], tol, cap)
+
+
 def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the diagonal step a[i,j] = a[i+1,j+2] inside the windows."""
-    if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
-        raise WindowError(f"slant-toeplitz predicate needs analytic windows, got {m.rows} x {m.cols}")
-    a, i, j = m.data, m.rows.lo, m.cols.lo
-    group = _grid("a[i,j]=a[i+1,j+2]", a[:-1, :-2], a[1:, 2:], lambda o, t: (i + o, j + t, i + o + 1, j + t + 2))
-    return _collect([group], tol, cap)
+    return _step(m, "slant-toeplitz", "a[i,j]=a[i+1,j+2]", 1, tol, cap)
 
 
 def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Verify the antidiagonal step a[i,j] = a[i-1,j+2] (i >= 1) inside the windows."""
-    if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
-        raise WindowError(f"slant-hankel predicate needs analytic windows, got {m.rows} x {m.cols}")
-    a, i, j = m.data, m.rows.lo + 1, m.cols.lo
-    group = _grid("a[i,j]=a[i-1,j+2]", a[1:, :-2], a[:-1, 2:], lambda o, t: (i + o, j + t, i + o - 1, j + t + 2))
-    return _collect([group], tol, cap)
+    return _step(m, "slant-hankel", "a[i,j]=a[i-1,j+2]", -1, tol, cap)
 
 
 def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
@@ -206,6 +205,27 @@ def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
                  lambda o, t: (rows.lo + o, cols.lo + t))
 
 
+def _shift_identities(tags, left: WindowedMatrix, a: WindowedMatrix, dom: IndexWindow, shift, power: int):
+    """Groups of (a) left.Cz2 = shift.A.Cz2.Mz(power), (b) U*.left.Mz3.Cz4 = A.Mz3.Cz4.U
+    and (c) U*.left.e0 = A.Mz3.e0, with A = `a`; (a) and (b) on `dom`, (c) on e0."""
+    e0 = IndexWindow(0, 0)
+    chains = [
+        ([left, compose_z(2)], [shift, a, compose_z(2), mult_z(power)], dom),
+        ([USTAR, left, mult_z(3), compose_z(4)], [a, mult_z(3), compose_z(4), U], dom),
+        ([USTAR, left.restrict(left.rows, e0)], [a, mult_z(3)], e0),
+    ]
+    for tag, (lhs, rhs, cols) in zip(tags, chains):
+        yield _identity(tag, compose_chain(lhs, cols), compose_chain(rhs, cols))
+
+
+def _identity_windows(m: WindowedMatrix, what: str) -> None:
+    """An identity check reads rows 0..R, R >= 1, and columns from 0."""
+    if m.rows.is_empty or m.rows.lo != 0 or m.rows.hi < 1:
+        raise WindowError(f"{what} needs rows 0..R with R >= 1, got {m.rows}")
+    if m.cols.is_empty or m.cols.lo != 0:
+        raise WindowError(f"{what} needs columns from 0, got {m.cols}")
+
+
 def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
     """Check the three shift identities characterizing slant-h sections.
 
@@ -217,30 +237,14 @@ def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e
     column the identities touch for it, which the checker computes and
     enforces up front.
     """
-    if m.rows.is_empty or m.rows.lo != 0 or m.rows.hi < 1:
-        raise WindowError(f"characterization needs rows 0..R with R >= 1, got {m.rows}")
-    if m.cols.is_empty or m.cols.lo != 0:
-        raise WindowError(f"characterization needs columns from 0, got {m.cols}")
+    _identity_windows(m, "characterization")
     if cols.is_empty or cols.lo < 0:
         raise WindowError(f"identity domain must be an analytic window, got {cols}")
     needed = 4 * cols.hi + 7
     if m.cols.hi < needed:
         raise WindowError(f"matrix columns must reach {needed} for identity domain {cols}, got {m.cols}")
-
-    lhs_a = compose_chain([m, compose_z(2)], cols)
-    rhs_a = compose_chain([USTAR, m, compose_z(2), mult_z(2)], cols)
-    lhs_b = compose_chain([USTAR, m, mult_z(3), compose_z(4)], cols)
-    rhs_b = compose_chain([m, mult_z(3), compose_z(4), U], cols)
-    e0 = IndexWindow(0, 0)
-    lhs_c = compose_chain([USTAR, m.restrict(m.rows, e0)], e0)
-    rhs_c = compose_chain([m, mult_z(3)], e0)
-
-    groups = [
-        _identity("A.Cz2=U*.A.Cz2.U2", lhs_a, rhs_a),
-        _identity("U*.A.Mz3.Cz4=A.Mz3.Cz4.U", lhs_b, rhs_b),
-        _identity("U*.A.e0=A.Mz3.e0", lhs_c, rhs_c),
-    ]
-    return _collect(groups, tol, cap)
+    tags = ("A.Cz2=U*.A.Cz2.U2", "U*.A.Mz3.Cz4=A.Mz3.Cz4.U", "U*.A.e0=A.Mz3.e0")
+    return _collect(_shift_identities(tags, m, m, cols, USTAR, 2), tol, cap)
 
 
 def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
@@ -257,30 +261,36 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     """
     if depth < 0:
         raise ValueError("extension depth must be >= 0")
-    if a.rows.is_empty or a.rows.lo != 0 or a.rows.hi < 1:
-        raise WindowError(f"extension check needs rows 0..R with R >= 1, got {a.rows}")
-    if a.cols.is_empty or a.cols.lo != 0:
-        raise WindowError(f"extension check needs columns from 0, got {a.cols}")
+    _identity_windows(a, "extension check")
     p_hi = min((a.cols.hi - 7) // 4, (a.cols.hi - 4 * depth) // 2)
     if p_hi < 0:
         raise WindowError(f"matrix columns {a.cols} too narrow for the identities at depth {depth}")
 
-    phi = extract_symbol(a)
-    am = build_family(extension(depth), phi, IndexWindow(-depth, a.rows.hi), a.cols)
-    dom = IndexWindow(0, p_hi)
+    am = build_family(extension(depth), extract_symbol(a), IndexWindow(-depth, a.rows.hi), a.cols)
+    tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0")
+    groups = _shift_identities(tags, am, a, IndexWindow(0, p_hi), bilateral_shift(-depth), 2 * depth)
+    return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol, cap)
 
-    lhs_a = compose_chain([am, compose_z(2)], dom)
-    rhs_a = compose_chain([bilateral_shift(-depth), a, compose_z(2), mult_z(2 * depth)], dom)
-    lhs_b = compose_chain([USTAR, am, mult_z(3), compose_z(4)], dom)
-    rhs_b = compose_chain([a, mult_z(3), compose_z(4), U], dom)
-    e0 = IndexWindow(0, 0)
-    lhs_c = compose_chain([USTAR, am.restrict(am.rows, e0)], e0)
-    rhs_c = compose_chain([a, mult_z(3)], e0)
 
+def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+    """Conditions for a slant-Hankel operator to carry the slant-h pattern.
+
+    Two sub-results folded into one report: (i) the coefficient shift
+    relations, checked for all parameters whose coefficient indices stay
+    within idx_max; (ii) membership, phi = sum_{n<=0} a_n z^n + a_2 z^2,
+    i.e. the coefficients at degree 1 and at every degree >= 3 vanish.
+    """
+    if idx_max < 0:
+        raise ValueError("idx_max must be >= 0")
+    c = partial(_coefficients, phi)
+    j = np.arange(max(0, (idx_max - 4) // 2 + 1))
+    odd = [n for n, _ in phi.items() if n == 1 or n >= 3]
     groups = [
-        _identity("Am.Cz2=S(-m).A.Cz2.U2m", lhs_a, rhs_a),
-        _identity("U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", lhs_b, rhs_b),
-        _identity("U*.Am.e0=A.Mz3.e0", lhs_c, rhs_c),
-        _identity("Am[i,j]=A[i,j]", am, a),
+        _group("a[2m+2j+7]=a[2m+2j+1]", (idx_max - 7 - 2 * np.arange((idx_max - 7) // 2 + 1)) // 2 + 1,
+               lambda m, j: (m, j), lambda m, j: (c(2 * m + 2 * j + 7), c(2 * m + 2 * j + 1))),
+        _group("a[4m+2j+6]=a[4m+2j+8]", (idx_max - 8 - 4 * np.arange((idx_max - 8) // 4 + 1)) // 2 + 1,
+               lambda m, j: (m, j), lambda m, j: (c(4 * m + 2 * j + 6), c(4 * m + 2 * j + 8))),
+        ("a[2j+4]=a[2j+3]", c(2 * j + 4), c(2 * j + 3), lambda p: (p,)),
+        ("a[n]=0(n=1|n>=3)", c(np.array(odd, dtype=int)), np.zeros(len(odd), complex), lambda p: (odd[p],)),
     ]
     return _collect(groups, tol, cap)

@@ -18,7 +18,6 @@ from .analysis import (
     norm_bound_check,
     partial_isometry_identity,
     self_adjoint_distance,
-    slant_hankel_perp_check,
 )
 from .families import (
     COMPOSITIONAL_KINDS,
@@ -35,6 +34,8 @@ from .structure import (
     check_characterization,
     check_extension_conditions,
     check_slant_h_matrix,
+    extract_symbol,
+    slant_hankel_perp_check,
 )
 from .symbol import LaurentSymbol
 from .windowed import IndexWindow, WindowedMatrix
@@ -119,8 +120,6 @@ def check_roundtrip():
     wide = LaurentSymbol({n: complex(1, n) for n in range(-16, 17)})
     candidates = [phi for _, phi in CORPUS] + [wide]
     rows, cols = IndexWindow(0, 8), IndexWindow(0, 33)
-    from .structure import extract_symbol
-
     for phi in candidates:
         recovered = extract_symbol(build_family(SLANT_H_TOEPLITZ, phi, rows, cols))
         if recovered != phi:

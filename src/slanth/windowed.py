@@ -31,7 +31,6 @@ __all__ = [
     "IndexWindow",
     "WindowError",
     "WindowedMatrix",
-    "WindowedVector",
     "Elementary",
     "W",
     "WSTAR",
@@ -46,13 +45,11 @@ __all__ = [
     "mult",
     "mult_z",
     "adjoint",
-    "apply",
     "build_elementary",
     "compose",
     "compose_chain",
     "dump_matrix",
     "load_matrix",
-    "unit_vector",
 ]
 
 
@@ -106,45 +103,8 @@ class IndexWindow:
             return self
         return IndexWindow(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def shift(self, delta: int) -> "IndexWindow":
-        if self.is_empty:
-            return self
-        return IndexWindow(self.lo + delta, self.hi + delta)
-
     def __str__(self):
         return "empty" if self.is_empty else f"{self.lo}:{self.hi}"
-
-
-@dataclass(frozen=True)
-class WindowedVector:
-    """Complex vector addressed by absolute basis indices."""
-
-    window: IndexWindow
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.shape != (self.window.size,):
-            raise WindowError(f"vector data shape {data.shape} does not match window {self.window}")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    def value(self, i: int) -> complex:
-        if i not in self.window:
-            raise WindowError(f"index {i} outside window {self.window}")
-        return complex(self.data[i - self.window.lo])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-
-def unit_vector(n: int, window: IndexWindow) -> WindowedVector:
-    if n not in window:
-        raise WindowError(f"index {n} outside window {window}")
-    data = np.zeros(window.size, dtype=complex)
-    data[n - window.lo] = 1.0
-    return WindowedVector(window, data)
 
 
 @dataclass(frozen=True)
@@ -177,11 +137,6 @@ class WindowedMatrix:
         if i not in self.rows or j not in self.cols:
             raise WindowError(f"entry ({i}, {j}) outside windows {self.rows} x {self.cols}")
         return complex(self.data[i - self.rows.lo, j - self.cols.lo])
-
-    def column(self, j: int) -> WindowedVector:
-        if j not in self.cols:
-            raise WindowError(f"column {j} outside window {self.cols}")
-        return WindowedVector(self.rows, self.data[:, j - self.cols.lo])
 
     def restrict(self, rows: IndexWindow, cols: IndexWindow) -> "WindowedMatrix":
         """Sub-block on windows contained in this section's windows."""
@@ -410,16 +365,6 @@ def adjoint(a: WindowedMatrix) -> WindowedMatrix:
     return WindowedMatrix._of(a.cols, a.rows, np.conj(a.data.T))
 
 
-def apply(a: WindowedMatrix, v: WindowedVector) -> WindowedVector:
-    """Matrix-vector product; v's window must sit inside a's columns."""
-    if not a.cols.covers(v.window):
-        raise WindowError(f"vector window {v.window} outside matrix columns {a.cols}")
-    x = np.zeros(a.cols.size, dtype=complex)
-    if not v.window.is_empty:
-        x[v.window.lo - a.cols.lo : v.window.hi + 1 - a.cols.lo] = v.data
-    return WindowedVector(a.rows, a.data @ x)
-
-
 def format_entry(c: complex) -> str:
     """`re:im` of a Python complex, each part in the shortest form that parses back exactly."""
     return f"{c.real!r}:{c.imag!r}"
@@ -433,7 +378,11 @@ def parse_entry(text: str) -> complex:
 
 
 def dump_matrix(m: WindowedMatrix) -> str:
-    """Render the windowed matrix file format (bit-exact round trip)."""
+    """Render the windowed matrix file format (bit-exact round trip); entries must be finite."""
+    finite = np.isfinite(m.data)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"entry ({r + m.rows.lo}, {c + m.cols.lo}) is not finite and cannot be dumped")
     lines = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
     for row in m.data:
         lines.append(" ".join(map(format_entry, row.tolist())))

@@ -97,6 +97,17 @@ class TestBuild:
         assert run_cli("build", "--family", "toeplitz").returncode == 2
         assert run_cli("build", "--family", "bogus").returncode == 2
 
+    def test_overflowing_expression_is_not_dumped(self, tmp_path):
+        # 10 * 1e308 is inf, which a matrix file cannot hold
+        path = tmp_path / "f.mat"
+        result = run_cli(
+            "build", "--expr", "10 V(phi)", "--symbol", "phi=0:1e308", "--window", "0:8", "--out", str(path)
+        )
+        assert result.returncode == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: entry (0, 0) is not finite and cannot be dumped"]
+        assert not path.exists()
+
     def test_window_error_exit_code(self):
         result = run_cli("build", "--expr", "J", "--window=-2:3")
         assert result.returncode == 3
@@ -234,6 +245,9 @@ class TestExtract:
         bad_path.write_text(dump_matrix(perturbed(matrix, 0, 0)))
         result = run_cli("extract", "--matrix", str(bad_path))
         assert result.returncode == 1
+
+    def test_usage_error_exit_code(self, section_file):
+        assert run_cli("extract", "--matrix", str(section_file), "--symbol", "phi=0:1").returncode == 2
 
 
 class TestNorm:

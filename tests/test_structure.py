@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,14 +24,23 @@ from slanth import (
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,
     compose,
+    extension,
     extract_symbol,
     parse_symbol,
     slant_hankel_perp_check,
 )
-from slanth.families import compose_chain
 from slanth.structure import WITNESS_CAP, CheckReport, Witness
 from slanth.verify import perturbed
-from slanth.windowed import U, USTAR, WindowedMatrix, build_elementary, compose_z, mult_z
+from slanth.windowed import (
+    U,
+    USTAR,
+    WindowedMatrix,
+    bilateral_shift,
+    build_elementary,
+    compose_chain,
+    compose_z,
+    mult_z,
+)
 
 GENERIC = parse_symbol("-1:2, 0:3, 1:5, 2:7")
 
@@ -246,7 +256,7 @@ def reference_fold(instances, tol=1e-12, cap=WITNESS_CAP):
             max_residual = residual
         if not residual <= tol and len(witnesses) < cap:
             witnesses.append(Witness(relation, indices, lhs, rhs))
-    return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), tol, checked)
+    return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), checked)
 
 
 def slant_h_instances(m):
@@ -306,6 +316,28 @@ def characterization_instances(m, cols):
         compose_chain([USTAR, m.restrict(m.rows, e0)], e0),
         compose_chain([m, mult_z(3)], e0),
     )
+
+
+def extension_instances(a, depth):
+    am = build_family(extension(depth), extract_symbol(a), IndexWindow(-depth, a.rows.hi), a.cols)
+    dom = IndexWindow(0, min((a.cols.hi - 7) // 4, (a.cols.hi - 4 * depth) // 2))
+    e0 = IndexWindow(0, 0)
+    yield from identity_instances(
+        "Am.Cz2=S(-m).A.Cz2.U2m",
+        compose_chain([am, compose_z(2)], dom),
+        compose_chain([bilateral_shift(-depth), a, compose_z(2), mult_z(2 * depth)], dom),
+    )
+    yield from identity_instances(
+        "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U",
+        compose_chain([USTAR, am, mult_z(3), compose_z(4)], dom),
+        compose_chain([a, mult_z(3), compose_z(4), U], dom),
+    )
+    yield from identity_instances(
+        "U*.Am.e0=A.Mz3.e0",
+        compose_chain([USTAR, am.restrict(am.rows, e0)], e0),
+        compose_chain([a, mult_z(3)], e0),
+    )
+    yield from identity_instances("Am[i,j]=A[i,j]", am, a)
 
 
 def perp_instances(phi, idx_max):
@@ -384,6 +416,17 @@ class TestDifferential:
     def test_characterization(self, m, cap, data):
         dom = IndexWindow(0, data.draw(st.integers(0, (m.cols.hi - 7) // 4)))
         assert_same(check_characterization(m, dom, cap=cap), reference_fold(characterization_instances(m, dom), cap=cap))
+
+    @DIFFERENTIAL
+    @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(11, 30)), st.integers(0, 2), caps)
+    def test_extension(self, m, depth, cap):
+        try:
+            reference = reference_fold(extension_instances(m, depth), cap=cap)
+        except ValueError as exc:  # a non-finite entry read back into the symbol
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                check_extension_conditions(m, depth, cap=cap)
+            return
+        assert_same(check_extension_conditions(m, depth, cap=cap), reference)
 
     @DIFFERENTIAL
     @given(symbols, st.integers(0, 24), caps)

@@ -12,15 +12,13 @@ from slanth import (
     IndexWindow,
     WindowError,
     adjoint,
-    apply,
     build_elementary,
     compose,
     dump_matrix,
     load_matrix,
     parse_symbol,
-    unit_vector,
 )
-from slanth.families import COMPOSITIONAL_KINDS, compose_chain
+from slanth.families import COMPOSITIONAL_KINDS
 from slanth.symbol import LaurentSymbol
 from slanth import windowed
 from slanth.windowed import (
@@ -35,6 +33,7 @@ from slanth.windowed import (
     Elementary,
     WindowedMatrix,
     bilateral_shift,
+    compose_chain,
     compose_z,
     mult,
     mult_z,
@@ -57,7 +56,6 @@ class TestIndexWindow:
     def test_hull_and_shift(self):
         assert IndexWindow(0, 2).hull(IndexWindow(5, 6)) == IndexWindow(0, 6)
         assert IndexWindow.empty().hull(IndexWindow(1, 2)) == IndexWindow(1, 2)
-        assert IndexWindow(1, 2).shift(-3) == IndexWindow(-2, -1)
 
 
 class TestBuildElementary:
@@ -208,28 +206,6 @@ class TestAdjoint:
         assert np.max(np.abs(adjoint(prod).data - reversed_prod.data)) < 1e-15
 
 
-class TestApply:
-    def test_identity(self):
-        eye = build_elementary(mult(parse_symbol("0:1")), IndexWindow(0, 4))
-        v = unit_vector(3, IndexWindow(0, 4))
-        assert apply(eye, v).value(3) == 1
-
-    def test_decimation_halves_even_basis(self):
-        w = build_elementary(W, IndexWindow(0, 4))
-        out = apply(w, unit_vector(2, IndexWindow(0, 4)))
-        assert out.value(1) == 1 and out.norm() == 1
-
-    def test_backward_shift_annihilates_origin(self):
-        sec = build_elementary(USTAR, IndexWindow(0, 4))
-        out = apply(sec, unit_vector(0, IndexWindow(0, 4)))
-        assert out.norm() == 0
-
-    def test_rejects_wide_vectors(self):
-        w = build_elementary(W, IndexWindow(0, 4))
-        with pytest.raises(WindowError):
-            apply(w, unit_vector(5, IndexWindow(0, 5)))
-
-
 # signed zeros, subnormals and the ends of the finite range
 edge_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
@@ -283,6 +259,13 @@ class TestDumpFormat:
     def test_non_finite_rejected(self, cell):
         with pytest.raises(ValueError, match="line 2: entry 1 is not finite"):
             load_matrix(f"rows 0 1\ncols 0 1\n0.0:0.0 1.0:0.0\n{cell} 2.0:0.0\n")
+
+    @pytest.mark.parametrize("value", [complex("nan"), complex(0, float("inf")), complex(float("-inf"), 1)])
+    def test_non_finite_not_dumped(self, value):
+        data = np.zeros((2, 3), dtype=complex)
+        data[1, 2] = value
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) is not finite"):
+            dump_matrix(WindowedMatrix(IndexWindow(1, 2), IndexWindow(-1, 1), data))
 
     def test_entry_bounds(self):
         sec = build_elementary(P, IndexWindow(0, 2))
