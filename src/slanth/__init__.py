@@ -9,7 +9,6 @@ from .analysis import (
     coisometry_defect,
     column_norm_floor,
     frobenius_of_section,
-    hs_partial_sums,
     hyponormal_defect,
     isometry_sum_check,
     min_hyponormal_defect,

@@ -47,7 +47,6 @@ __all__ = [
     "coisometry_defect",
     "column_norm_floor",
     "frobenius_of_section",
-    "hs_partial_sums",
     "hyponormal_defect",
     "isometry_sum_check",
     "min_hyponormal_defect",
@@ -143,23 +142,6 @@ def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow, tol: float 
     return _residual_summary("partial_isometry_residual", value, whole.rows, whole.cols, tol)
 
 
-def hs_partial_sums(phi: LaurentSymbol, m_max: int, n_max: int) -> float:
-    """Truncated double sum of |a_{2n-m}|^2 + |a_{2n+m+1}|^2.
-
-    Equals the squared Frobenius norm of the slant-h section on rows
-    [0, n_max] x columns [0, 2*m_max+1]; it grows without bound for any
-    nonzero symbol, which is the finite shadow of V_phi never being
-    Hilbert-Schmidt.
-    """
-    if m_max < 0 or n_max < 0:
-        raise ValueError("bounds must be >= 0")
-    total = 0.0
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            total += abs(phi.coeff(2 * n - m)) ** 2 + abs(phi.coeff(2 * n + m + 1)) ** 2
-    return total
-
-
 def frobenius_of_section(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> float:
     """Squared Frobenius norm of the slant-h section on the given windows."""
     section = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
@@ -209,29 +191,9 @@ def self_adjoint_distance(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWind
     return float(np.max(np.abs(v.data - vstar.data)))
 
 
-def section_norm(m: WindowedMatrix, iterations: int = 200, rel_tol: float = 1e-10) -> float:
-    """Spectral norm estimate by power iteration on the Gram matrix.
-
-    Deterministic all-ones start; converges from below, which is the safe side
-    for an upper-bound check.
-    """
-    a = m.data
-    if a.size == 0:
-        return 0.0
-    gram = a.conj().T @ a
-    v = np.ones(gram.shape[0], dtype=complex) / math.sqrt(gram.shape[0])
-    lam = 0.0
-    for _ in range(iterations):
-        w = gram @ v
-        new_lam = float(np.linalg.norm(w))
-        if new_lam == 0.0:
-            return 0.0
-        v = w / new_lam
-        if abs(new_lam - lam) <= rel_tol * new_lam:
-            lam = new_lam
-            break
-        lam = new_lam
-    return math.sqrt(lam)
+def section_norm(m: WindowedMatrix) -> float:
+    """Spectral norm of the section: its largest singular value, 0 when empty."""
+    return float(np.linalg.norm(m.data, 2)) if m.data.size else 0.0
 
 
 def norm_bound_check(
@@ -244,7 +206,7 @@ def norm_bound_check(
     """Signed margin (section spectral norm) - (grid sup norm); pass iff <= tol.
 
     Sections of a bounded operator can never exceed its norm, so the margin is
-    expected nonpositive up to iteration slack.
+    expected nonpositive; `tol` absorbs rounding and the grid's shortfall.
     """
     section = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
     value = section_norm(section) - sup_norm(phi, grid_size)

@@ -153,11 +153,11 @@ def _cmd_norm(args) -> int:
     rows = _parse_window(args.rows) if args.rows else IndexWindow(0, 32)
     cols = _parse_window(args.cols) if args.cols else IndexWindow(0, 129)
     summary = norm_bound_check(phi, rows, cols, args.grid, args.tol)
-    section = summary.value + sup_norm(phi, args.grid)
+    sup = sup_norm(phi, args.grid)
     text = (
         "#fmt 1\n"
-        f"# section_norm={section!r}\n"
-        f"# sup_norm={sup_norm(phi, args.grid)!r}\n" + summary.render()
+        f"# section_norm={summary.value + sup!r}\n"
+        f"# sup_norm={sup!r}\n" + summary.render()
     )
     _write_output(text, args.out)
     return 0 if summary.verdict != "fail" else 1

@@ -20,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .families import COMPOSITIONAL_KINDS, build_compositional, build_extension_natural
 from .windowed import (
     Elementary,
@@ -261,6 +263,7 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
     return _dense(_eval(node, window, symbols))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf - inf is left to the checks, as in _product
 def _eval(node, window: IndexWindow, symbols: dict):
     """`eval_expr` before the final densify: chains of elementaries are triplets, all else dense."""
     if isinstance(node, Diff):

@@ -199,15 +199,5 @@ def oracle_deviation(primary: WindowedMatrix, oracle: WindowedMatrix) -> float:
     """
     if primary.cols != oracle.cols:
         raise WindowError(f"column windows differ: {primary.cols} vs {oracle.cols}")
-    shared = primary.rows.intersect(oracle.rows)
-    worst = 0.0
-    if not (shared.is_empty or primary.cols.is_empty):
-        a = primary.restrict(shared, primary.cols).data
-        b = oracle.restrict(shared, oracle.cols).data
-        worst = float(np.max(np.abs(a - b)))
-    for i in primary.rows.indices():
-        if i in oracle.rows:
-            continue
-        stray = float(np.max(np.abs(primary.data[i - primary.rows.lo, :]))) if primary.cols.size else 0.0
-        worst = max(worst, stray)
-    return worst
+    expected = oracle.embed(primary.rows.hull(oracle.rows), oracle.cols).restrict(primary.rows, oracle.cols)
+    return float(np.max(np.abs(primary.data - expected.data), initial=0.0))

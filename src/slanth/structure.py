@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .families import _coefficients, build_family, extension
-from .symbol import LaurentSymbol
+from .symbol import LaurentSymbol, SymbolParseError
 from .windowed import (
     U,
     USTAR,
@@ -266,7 +266,10 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     if p_hi < 0:
         raise WindowError(f"matrix columns {a.cols} too narrow for the identities at depth {depth}")
 
-    am = build_family(extension(depth), extract_symbol(a), IndexWindow(-depth, a.rows.hi), a.cols)
+    try:
+        am = build_family(extension(depth), extract_symbol(a), IndexWindow(-depth, a.rows.hi), a.cols)
+    except SymbolParseError:  # a non-finite entry read back leaves A_m, and so every identity, undefined
+        return CheckReport(False, math.nan, ())
     tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0")
     groups = _shift_identities(tags, am, a, IndexWindow(0, p_hi), bilateral_shift(-depth), 2 * depth)
     return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol, cap)

@@ -270,6 +270,8 @@ _DENSE_JOIN = 8
 _SLICE = 1 << 18
 
 
+# overflow and inf * 0 leave inf and nan, which the checks fail on, and write nothing to stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _product(a, b):
     """Triplets of a . b, or its section when the join is dense.
 
@@ -323,6 +325,7 @@ def _dense(x) -> "WindowedMatrix":
     return WindowedMatrix._of(x.rows, x.cols, data)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _scaled(x, factor: float):
     """factor * x, kept a section or triplets as x is."""
     if isinstance(x, WindowedMatrix):

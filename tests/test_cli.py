@@ -104,8 +104,7 @@ class TestBuild:
             "build", "--expr", "10 V(phi)", "--symbol", "phi=0:1e308", "--window", "0:8", "--out", str(path)
         )
         assert result.returncode == 2
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: entry (0, 0) is not finite and cannot be dumped"]
+        assert result.stderr == "error: entry (0, 0) is not finite and cannot be dumped\n"
         assert not path.exists()
 
     def test_window_error_exit_code(self):
@@ -169,6 +168,25 @@ class TestCheck:
         )
         assert result.returncode == 1
         assert result.stdout.splitlines()[1] == "FAIL max_residual=nan"
+        assert result.stderr == ""
+
+    def test_overflowing_difference_fails_closed(self):
+        # inf - inf is NaN in the difference itself
+        result = run_cli(
+            "check", "slant-h", "--expr", "10 V(phi) - 10 V(phi)", "--symbol", "phi=0:1e308", "--window", "0:33"
+        )
+        assert result.returncode == 1
+        assert result.stdout.splitlines()[1] == "FAIL max_residual=nan"
+        assert result.stderr == ""
+
+    def test_extension_fails_closed_on_unreadable_symbol(self):
+        # column 0 holds inf, so no symbol can be read back to continue the section
+        result = run_cli(
+            "check", "extension", "--expr", "10 V(phi)", "--symbol", "phi=0:1e308", "--window", "0:33"
+        )
+        assert result.returncode == 1
+        assert result.stdout == "#fmt 1\nFAIL max_residual=nan\n"
+        assert result.stderr == ""
 
     def test_non_finite_matrix_file_exit_code(self, tmp_path, section_file):
         bad_path = tmp_path / "nan.mat"
@@ -256,6 +274,14 @@ class TestNorm:
         assert result.returncode == 0
         assert "# section_norm=" in result.stdout
         assert "PASS" in result.stdout
+
+    def test_huge_coefficients(self):
+        # the Gram matrix of these entries overflows; the singular values do not
+        result = run_cli("norm", "--symbol", "phi=0:1e200, 3:1e200", "--rows", "0:8", "--cols", "0:33")
+        assert result.returncode == 0
+        section = float(result.stdout.splitlines()[1].removeprefix("# section_norm="))
+        assert abs(section - 2**0.5 * 1e200) <= 1e-12 * section
+        assert result.stderr == ""
 
 
 class TestVerify:

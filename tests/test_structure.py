@@ -1,6 +1,5 @@
 import collections
 import math
-import re
 
 import numpy as np
 import pytest
@@ -422,9 +421,8 @@ class TestDifferential:
     def test_extension(self, m, depth, cap):
         try:
             reference = reference_fold(extension_instances(m, depth), cap=cap)
-        except ValueError as exc:  # a non-finite entry read back into the symbol
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                check_extension_conditions(m, depth, cap=cap)
+        except ValueError:  # a non-finite entry read back into the symbol fails closed
+            assert check_extension_conditions(m, depth, cap=cap).render() == "FAIL max_residual=nan\n"
             return
         assert_same(check_extension_conditions(m, depth, cap=cap), reference)
 
