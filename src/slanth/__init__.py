@@ -5,12 +5,10 @@ and a batch CLI.
 
 from .analysis import (
     CORPUS,
-    DefectSummary,
     coisometry_defect,
     column_norm_floor,
     frobenius_of_section,
     hyponormal_defect,
-    isometry_sum_check,
     min_hyponormal_defect,
     norm_bound_check,
     partial_isometry_identity,
@@ -54,7 +52,6 @@ from .symbol import (
     coefficient_l2,
     conj_reflect,
     dump_symbol_file,
-    is_inner,
     load_symbol_file,
     monomial,
     parse_symbol,

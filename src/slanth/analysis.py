@@ -7,7 +7,6 @@ carries the default symbol corpus the verification suites run over.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .symbol import (
     ONE,
     ZERO,
     LaurentSymbol,
-    coefficient_l2,
     conj_reflect,
     monomial,
     sup_norm,
@@ -43,12 +41,10 @@ from .windowed import (
 
 __all__ = [
     "CORPUS",
-    "DefectSummary",
     "coisometry_defect",
     "column_norm_floor",
     "frobenius_of_section",
     "hyponormal_defect",
-    "isometry_sum_check",
     "min_hyponormal_defect",
     "norm_bound_check",
     "partial_isometry_identity",
@@ -72,64 +68,21 @@ CORPUS: list[tuple[str, LaurentSymbol]] = [
 ]
 
 
-@dataclass(frozen=True)
-class DefectSummary:
-    """A single named quantity with the window it was computed on.
-
-    For residual quantities the verdict is pass iff |value| <= tol; for signed
-    margins (norm bound) it is one-sided. "info" marks purely informational
-    companions.
-    """
-
-    quantity: str
-    value: float
-    rows: IndexWindow
-    cols: IndexWindow
-    tol: float
-    verdict: str
-
-    def render(self) -> str:
-        head = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[self.verdict]
-        return (
-            f"{head} max_residual={self.value!r} quantity={self.quantity}"
-            f" tol={self.tol!r} rows={self.rows} cols={self.cols}\n"
-        )
-
-
-def _residual_summary(quantity: str, value: float, rows, cols, tol: float) -> DefectSummary:
-    verdict = "pass" if abs(value) <= tol else "fail"
-    return DefectSummary(quantity, value, rows, cols, tol, verdict)
-
-
-def coisometry_defect(phi: LaurentSymbol, n_max: int, tol: float = 1e-12) -> DefectSummary:
+def coisometry_defect(phi: LaurentSymbol, n_max: int) -> float:
     """Max over n <= n_max of ||(V V*) e_n - e_n||, built compositionally."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     cols = IndexWindow(0, n_max)
+    # two oracles, then their product: one chain V . V* would sum each entry in another order
     vstar = build_compositional(SLANT_H_ADJOINT, phi, cols)
-    v = build_compositional(SLANT_H_TOEPLITZ, phi, vstar.rows)
-    prod = compose(v, vstar)
-    worst = 0.0
-    for n in cols.indices():
-        column = np.array(prod.data[:, n - cols.lo])
-        if n in prod.rows:
-            column[n - prod.rows.lo] -= 1.0
-            defect = float(np.linalg.norm(column))
-        else:
-            defect = math.sqrt(float(np.sum(np.abs(column) ** 2)) + 1.0)
-        worst = max(worst, defect)
-    return _residual_summary("coisometry_defect", worst, prod.rows, cols, tol)
+    prod = compose(build_compositional(SLANT_H_TOEPLITZ, phi, vstar.rows), vstar)
+    rows = prod.rows.hull(cols)
+    residual = prod.embed(rows, cols).data - np.eye(rows.size, cols.size, rows.lo)
+    # one norm per column: a norm along an axis sums in another order
+    return max(float(np.linalg.norm(column)) for column in residual.T)
 
 
-def isometry_sum_check(phi: LaurentSymbol, tol: float = 1e-12) -> DefectSummary:
-    """|sum |a_n|^2 - 1|: necessary for V* to be an isometry, not sufficient."""
-    value = abs(coefficient_l2(phi) - 1.0)
-    return DefectSummary(
-        "coefficient_l2_minus_1", value, IndexWindow.empty(), IndexWindow.empty(), tol, "info"
-    )
-
-
-def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow, tol: float = 1e-12) -> DefectSummary:
+def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow) -> float:
     """Max entry of (W T_rho W*)(W T_phi K) with rho = 1 - phi*conj(phi).
 
     Vanishes whenever V_phi is a partial isometry.
@@ -138,8 +91,7 @@ def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow, tol: float 
         raise WindowError(f"analytic column window required, got {cols}")
     rho = symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))
     whole = compose_chain([W, P, mult(rho), WSTAR, *SLANT_H_TOEPLITZ.chain(phi)], cols)
-    value = float(np.max(np.abs(whole.data))) if whole.data.size else 0.0
-    return _residual_summary("partial_isometry_residual", value, whole.rows, whole.cols, tol)
+    return float(np.max(np.abs(whole.data))) if whole.data.size else 0.0
 
 
 def frobenius_of_section(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> float:
@@ -197,24 +149,22 @@ def section_norm(m: WindowedMatrix) -> float:
 
 
 def norm_bound_check(
-    phi: LaurentSymbol,
-    rows: IndexWindow,
-    cols: IndexWindow,
-    grid_size: int = 4096,
-    tol: float = 1e-9,
-) -> DefectSummary:
-    """Signed margin (section spectral norm) - (grid sup norm); pass iff <= tol.
+    phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow, grid_size: int = 4096
+) -> tuple[float, float]:
+    """(section spectral norm, grid sup norm) of the slant-h section on the windows.
 
-    Sections of a bounded operator can never exceed its norm, so the margin is
-    expected nonpositive; `tol` absorbs rounding and the grid's shortfall.
+    Sections of a bounded operator never exceed its norm, so the first is
+    expected at most the second, up to rounding and the grid's shortfall.
     """
     section = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
-    value = section_norm(section) - sup_norm(phi, grid_size)
-    verdict = "pass" if value <= tol else "fail"
-    return DefectSummary("section_norm_minus_sup_norm", value, rows, cols, tol, verdict)
+    return section_norm(section), sup_norm(phi, grid_size)
 
 
-def column_norm_floor(phi: LaurentSymbol, pair_hi: int = 31) -> float:
+# Blocks {2m, 2m+1} reach up to m = 31: 64 columns.
+_PAIR_HI = 31
+
+
+def column_norm_floor(phi: LaurentSymbol) -> float:
     """Floor on decimated column norms: the finite shadow of non-compactness.
 
     For each block of two basis indices {2m, 2m+1}, takes the largest of the
@@ -229,7 +179,7 @@ def column_norm_floor(phi: LaurentSymbol, pair_hi: int = 31) -> float:
     n_min, _ = sup
     pair_lo = max(0, (-n_min + 1) // 2) if n_min < 0 else 0
     worst = math.inf
-    for m in range(pair_lo, pair_hi + 1):
+    for m in range(pair_lo, _PAIR_HI + 1):
         best = 0.0
         for n in (2 * m, 2 * m + 1):
             b_norm2 = sum(abs(a) ** 2 for k, a in phi.items() if (k - n) % 2 == 0 and k >= -n)

@@ -20,7 +20,6 @@ __all__ = [
     "coefficient_l2",
     "conj_reflect",
     "dump_symbol_file",
-    "is_inner",
     "load_symbol_file",
     "monomial",
     "parse_symbol",
@@ -163,6 +162,8 @@ def symbol_sub(phi: LaurentSymbol, psi: LaurentSymbol) -> LaurentSymbol:
     return symbol_add(phi, symbol_scale(-1, psi))
 
 
+# overflow leaves inf, which the norm reports, and writes nothing to stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _grid_values(phi: LaurentSymbol, grid_size: int) -> np.ndarray:
     z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
     values = np.zeros(grid_size, dtype=complex)
@@ -182,19 +183,6 @@ def sup_norm(phi: LaurentSymbol, grid_size: int = 4096) -> float:
     if phi.is_zero:
         return 0.0
     return float(np.max(np.abs(_grid_values(phi, grid_size))))
-
-
-def is_inner(phi: LaurentSymbol, grid_size: int = 4096, tol: float = 1e-12) -> bool:
-    """True iff phi is analytic (support >= 0) and |phi| == 1 on the grid."""
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sup = phi.support
-    if sup is None or sup[0] < 0:
-        return False
-    deviation = np.max(np.abs(np.abs(_grid_values(phi, grid_size)) - 1.0))
-    return bool(deviation <= tol)
 
 
 def coefficient_l2(phi: LaurentSymbol) -> float:

@@ -13,7 +13,6 @@ from .analysis import (
     coisometry_defect,
     column_norm_floor,
     frobenius_of_section,
-    isometry_sum_check,
     min_hyponormal_defect,
     norm_bound_check,
     partial_isometry_identity,
@@ -37,7 +36,7 @@ from .structure import (
     extract_symbol,
     slant_hankel_perp_check,
 )
-from .symbol import LaurentSymbol
+from .symbol import LaurentSymbol, coefficient_l2
 from .windowed import IndexWindow, WindowedMatrix
 
 __all__ = ["CHECKS", "run", "perturbed"]
@@ -175,12 +174,14 @@ def check_coisometry():
     for label, phi in CORPUS:
         if label not in labels:
             continue
-        defect = coisometry_defect(phi, 16)
-        sums = isometry_sum_check(phi)
-        partial = partial_isometry_identity(phi, IndexWindow(0, 12))
-        worst = max(worst, defect.value, sums.value, partial.value)
-        if defect.value > 1e-12 or sums.value > 1e-12 or partial.value > 1e-12:
-            return False, f"residual {max(defect.value, sums.value, partial.value)!r} for {label}"
+        residuals = (
+            coisometry_defect(phi, 16),
+            abs(coefficient_l2(phi) - 1.0),
+            partial_isometry_identity(phi, IndexWindow(0, 12)),
+        )
+        worst = max(worst, *residuals)
+        if max(residuals) > 1e-12:
+            return False, f"residual {max(residuals)!r} for {label}"
     return True, f"max_residual={worst!r}"
 
 
@@ -229,10 +230,11 @@ def check_norm_bound():
     rows, cols = IndexWindow(0, 32), IndexWindow(0, 129)
     worst = -float("inf")
     for label, phi in CORPUS:
-        summary = norm_bound_check(phi, rows, cols)
-        worst = max(worst, summary.value)
-        if summary.value > 1e-6:
-            return False, f"norm bound violated for {label}: {summary.value!r}"
+        section, sup = norm_bound_check(phi, rows, cols)
+        margin = section - sup
+        worst = max(worst, margin)
+        if margin > 1e-6:
+            return False, f"norm bound violated for {label}: {margin!r}"
     return True, f"max_margin={worst!r}"
 
 

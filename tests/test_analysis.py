@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slanth import (
     CORPUS,
+    SLANT_H_ADJOINT,
     SLANT_H_TOEPLITZ,
     ZERO,
     IndexWindow,
     LaurentSymbol,
+    build_compositional,
     build_family,
     coefficient_l2,
     coisometry_defect,
     column_norm_floor,
+    compose,
     frobenius_of_section,
     hyponormal_defect,
-    isometry_sum_check,
     min_hyponormal_defect,
     monomial,
     norm_bound_check,
@@ -24,6 +28,7 @@ from slanth import (
     section_norm,
     self_adjoint_distance,
     slant_hankel_perp_check,
+    sup_norm,
 )
 
 SQRT_HALF_PAIR = dict(CORPUS)["(1+z)/sqrt2"]
@@ -31,43 +36,68 @@ GENERIC = dict(CORPUS)["2z^-1+3+5z+7z^2"]
 NONZERO = [(label, phi) for label, phi in CORPUS if not phi.is_zero]
 
 
+# signed zeros included, so the bit comparison covers -0.0 parts too
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-3, 3))
+symbols = st.dictionaries(st.integers(-8, 12), st.builds(complex, parts, parts), max_size=8).map(LaurentSymbol)
+
+
+def reference_coisometry_defect(phi, n_max):
+    """Two oracles, their product, and a loop over the columns."""
+    cols = IndexWindow(0, n_max)
+    vstar = build_compositional(SLANT_H_ADJOINT, phi, cols)
+    v = build_compositional(SLANT_H_TOEPLITZ, phi, vstar.rows)
+    prod = compose(v, vstar)
+    worst = 0.0
+    for n in cols.indices():
+        column = np.array(prod.data[:, n - cols.lo])
+        if n in prod.rows:
+            column[n - prod.rows.lo] -= 1.0
+            defect = float(np.linalg.norm(column))
+        else:
+            defect = math.sqrt(float(np.sum(np.abs(column) ** 2)) + 1.0)
+        worst = max(worst, defect)
+    return worst
+
+
 class TestCoisometry:
     @pytest.mark.parametrize("power", range(7))
     def test_inner_monomials(self, power):
-        assert coisometry_defect(monomial(power), 16).value <= 1e-12
+        assert coisometry_defect(monomial(power), 16) <= 1e-12
 
     def test_sqrt_half_pair(self):
-        summary = coisometry_defect(SQRT_HALF_PAIR, 16)
-        assert summary.value <= 1e-12
-        assert summary.verdict == "pass"
+        assert coisometry_defect(SQRT_HALF_PAIR, 16) <= 1e-12
 
     def test_constant_two_scales_by_four(self):
         # (V V*) e_n = 4 e_n, so the defect is exactly 3 at every n
-        summary = coisometry_defect(parse_symbol("0:2"), 8)
-        assert abs(summary.value - 3.0) < 1e-12
-        assert summary.verdict == "fail"
+        assert abs(coisometry_defect(parse_symbol("0:2"), 8) - 3.0) < 1e-12
 
     def test_zero_symbol(self):
-        assert abs(coisometry_defect(ZERO, 4).value - 1.0) < 1e-15
+        assert abs(coisometry_defect(ZERO, 4) - 1.0) < 1e-15
+
+    @settings(deadline=None, max_examples=60)
+    @given(symbols, st.integers(0, 24))
+    def test_matches_column_loop_bit_for_bit(self, phi, n_max):
+        assert coisometry_defect(phi, n_max) == reference_coisometry_defect(phi, n_max)
 
 
 class TestIsometrySum:
     def test_examples(self):
-        assert isometry_sum_check(SQRT_HALF_PAIR).value <= 1e-12
-        assert isometry_sum_check(monomial(3)).value == 0.0
-        assert isometry_sum_check(parse_symbol("0:2")).value == 3.0
-        assert isometry_sum_check(ZERO).verdict == "info"
+        # the coisometry suite's coefficient residual |sum |a_n|^2 - 1|
+        assert abs(coefficient_l2(SQRT_HALF_PAIR) - 1.0) <= 1e-12
+        assert abs(coefficient_l2(monomial(3)) - 1.0) == 0.0
+        assert abs(coefficient_l2(parse_symbol("0:2")) - 1.0) == 3.0
+        assert abs(coefficient_l2(ZERO) - 1.0) == 1.0
 
 
 class TestPartialIsometry:
     def test_inner_monomial_is_exact(self):
-        assert partial_isometry_identity(monomial(2), IndexWindow(0, 12)).value == 0.0
+        assert partial_isometry_identity(monomial(2), IndexWindow(0, 12)) == 0.0
 
     def test_sqrt_half_pair(self):
-        assert partial_isometry_identity(SQRT_HALF_PAIR, IndexWindow(0, 12)).value <= 1e-12
+        assert partial_isometry_identity(SQRT_HALF_PAIR, IndexWindow(0, 12)) <= 1e-12
 
     def test_constant_two_violates(self):
-        assert partial_isometry_identity(parse_symbol("0:2"), IndexWindow(0, 12)).value > 1.0
+        assert partial_isometry_identity(parse_symbol("0:2"), IndexWindow(0, 12)) > 1.0
 
 
 class TestHilbertSchmidt:
@@ -143,14 +173,10 @@ class TestNormBound:
     def test_corpus(self):
         rows, cols = IndexWindow(0, 32), IndexWindow(0, 129)
         for label, phi in CORPUS:
-            summary = norm_bound_check(phi, rows, cols)
-            assert summary.value <= 1e-9, label
-            assert summary.verdict == "pass"
-
-    def test_render_shape(self):
-        summary = norm_bound_check(monomial(3), IndexWindow(0, 8), IndexWindow(0, 33))
-        line = summary.render().splitlines()[0]
-        assert line.startswith("PASS max_residual=")
+            section, sup = norm_bound_check(phi, rows, cols)
+            assert section - sup <= 1e-9, label
+            assert section == section_norm(build_family(SLANT_H_TOEPLITZ, phi, rows, cols)), label
+            assert sup == sup_norm(phi), label
 
 
 class TestSlantHankelPerp:

@@ -283,6 +283,30 @@ class TestNorm:
         assert abs(section - 2**0.5 * 1e200) <= 1e-12 * section
         assert result.stderr == ""
 
+    def test_overflowing_sup_norm(self):
+        # |phi| reaches 2e308 on the grid, past the largest float; the section norm does not
+        result = run_cli("norm", "--symbol", "phi=0:1e308, 1:1e308", "--rows", "0:8", "--cols", "0:33")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1] == "# section_norm=1.4142135623730951e+308"
+        assert result.stderr == ""
+
+    def test_render_shape(self):
+        result = run_cli("norm", "--symbol", "phi=3:1", "--rows", "0:8", "--cols", "0:33")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[3].startswith("PASS max_residual=")
+
+    def test_pinned_output(self):
+        result = run_cli("norm", "--symbol", f"phi={GENERIC_INLINE}")
+        assert result.returncode == 0
+        assert result.stdout == (DATA / "norm_generic.txt").read_text()
+
+    def test_negative_tol_fails(self):
+        result = run_cli("norm", "--symbol", f"phi={GENERIC_INLINE}", "--tol", "-5")
+        assert result.returncode == 1
+        pinned = (DATA / "norm_generic.txt").read_text().splitlines()
+        want = pinned[3].replace("PASS ", "FAIL ", 1).replace("tol=1e-09", "tol=-5.0")
+        assert result.stdout.splitlines() == [*pinned[:3], want]
+
 
 class TestVerify:
     def test_single_suite(self):
@@ -318,6 +342,27 @@ class TestVerify:
         first = run_cli("verify", "golden", "roundtrip")
         second = run_cli("verify", "golden", "roundtrip")
         assert first.stdout == second.stdout and first.returncode == second.returncode == 0
+
+
+HUGE = "99999999999999999999"  # past int64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--expr", f"S({HUGE})", "--window", "0:3"],
+        ["build", "--expr", f"Mz({HUGE})", "--window", "0:3"],
+        ["build", "--expr", f"Cz({HUGE})", "--window", "0:3"],
+        ["build", "--family", "toeplitz", "--symbol", f"phi={HUGE}:1", "--rows", "0:3", "--cols", "0:3"],
+        ["check", "slant-h", "--expr", "V(phi)", "--symbol", f"phi={HUGE}:1", "--window", "0:3"],
+        ["norm", "--symbol", f"phi={HUGE}:1"],
+    ],
+)
+def test_integer_past_int64_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_out():

@@ -11,7 +11,6 @@ from slanth import (
     coefficient_l2,
     conj_reflect,
     dump_symbol_file,
-    is_inner,
     load_symbol_file,
     monomial,
     parse_symbol,
@@ -152,21 +151,6 @@ class TestSupNorm:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             sup_norm(ZERO, 0)
-
-
-class TestIsInner:
-    def test_monomial(self):
-        assert is_inner(monomial(3), 256, 1e-12)
-
-    def test_sqrt_half_pair_is_not(self):
-        phi = parse_symbol(f"0:{ISQ2!r}, 1:{ISQ2!r}")
-        assert not is_inner(phi, 4096, 1e-6)
-
-    def test_anti_analytic_is_not(self):
-        assert not is_inner(monomial(-1), 256, 1e-12)
-
-    def test_zero_is_not(self):
-        assert not is_inner(ZERO, 16, 1e-12)
 
 
 class TestCoefficientL2:
