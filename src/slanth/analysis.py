@@ -160,7 +160,7 @@ def norm_bound_check(
     return section_norm(section), sup_norm(phi, grid_size)
 
 
-# Blocks {2m, 2m+1} reach up to m = 31: 64 columns.
+# Blocks {2m, 2m+1} reach up to m = 31: 64 columns, or just the first block when it starts later.
 _PAIR_HI = 31
 
 
@@ -179,7 +179,7 @@ def column_norm_floor(phi: LaurentSymbol) -> float:
     n_min, _ = sup
     pair_lo = max(0, (-n_min + 1) // 2) if n_min < 0 else 0
     worst = math.inf
-    for m in range(pair_lo, _PAIR_HI + 1):
+    for m in range(pair_lo, max(_PAIR_HI, pair_lo) + 1):
         best = 0.0
         for n in (2 * m, 2 * m + 1):
             b_norm2 = sum(abs(a) ** 2 for k, a in phi.items() if (k - n) % 2 == 0 and k >= -n)

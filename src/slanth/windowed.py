@@ -373,6 +373,9 @@ def format_entry(c: complex) -> str:
     return f"{c.real!r}:{c.imag!r}"
 
 
+_ZERO_CELL = format_entry(0j)
+
+
 def parse_entry(text: str) -> complex:
     head, sep, tail = text.partition(":")
     if not sep:
@@ -387,8 +390,13 @@ def dump_matrix(m: WindowedMatrix) -> str:
         r, c = np.argwhere(~finite)[0]
         raise ValueError(f"entry ({r + m.rows.lo}, {c + m.cols.lo}) is not finite and cannot be dumped")
     lines = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
-    for row in m.data:
-        lines.append(" ".join(map(format_entry, row.tolist())))
+    # only +0 has all 128 bits clear, so -0.0 and 0.0:-0.0 are formatted as themselves
+    nonzero = (m.data.real.view(np.uint64) | m.data.imag.view(np.uint64)) != 0
+    for row, keep in zip(m.data, nonzero):
+        cells = [_ZERO_CELL] * m.cols.size
+        for j, x in zip(np.flatnonzero(keep).tolist(), row[keep].tolist()):
+            cells[j] = format_entry(x)
+        lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -413,17 +421,19 @@ def load_matrix(text: str) -> WindowedMatrix:
         raise ValueError(f"expected {expected} data lines, found {len(body)}")
     data = np.zeros((rows.size, cols.size), dtype=complex)
     for r, line in enumerate(body):
-        # the line is cols.size cells of exactly `re:im` iff the colons, split
-        # out as tokens of their own, sit at every third place and nowhere else
-        tokens = line.replace(":", " : ").split()
-        if len(tokens) != 3 * cols.size or not line.count(":") == tokens[1::3].count(":") == cols.size:
-            cells = line.split()
-            if len(cells) != cols.size:
-                raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(cells)}")
-            for cell in cells:
-                parse_entry(cell)  # raises for the first malformed cell
+        cells = line.split()
+        if len(cells) != cols.size:
+            raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(cells)}")
+        at = [c for c, cell in enumerate(cells) if cell != _ZERO_CELL]  # the data starts at +0
+        # the cells are exactly `re:im` iff the colons, split out as tokens
+        # of their own, sit at every third place and nowhere else
+        kept = " ".join([cells[c] for c in at])
+        tokens = kept.replace(":", " : ").split()
+        if len(tokens) != 3 * len(at) or not kept.count(":") == tokens[1::3].count(":") == len(at):
+            for c in at:
+                parse_entry(cells[c])  # raises for the first malformed cell
         del tokens[1::3]
-        data.view(float)[r] = np.fromiter(map(float, tokens), float, 2 * cols.size)
+        data[r, at] = np.fromiter(map(float, tokens), float, 2 * len(at)).view(complex)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]

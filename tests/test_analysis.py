@@ -206,6 +206,11 @@ class TestColumnNormFloor:
     def test_zero(self):
         assert column_norm_floor(ZERO) == 0.0
 
+    @pytest.mark.parametrize("k", [-200, -70, -64, -63, -62, 0, 70])
+    def test_monomial(self, k):
+        # a lowest degree of -64 or below once left no block to take the floor over
+        assert column_norm_floor(LaurentSymbol({k: 1})) == 1.0
+
 
 class TestCorpus:
     def test_contents(self):

@@ -76,6 +76,12 @@ class TestBuild:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_pinned_oracle_dump(self):
+        result = run_cli("build", "--expr", "W . P . M(phi) . K", "--symbol", f"phi={GENERIC_INLINE}", "--window", "0:33")
+        assert result.returncode == 0
+        assert result.stdout == (DATA / "build_oracle.mat").read_text()
+        assert run_cli("check", "slant-h", "--matrix", str(DATA / "build_oracle.mat")).returncode == 0
+
     def test_dump_roundtrips_bit_exactly(self, section_file):
         text = section_file.read_text()
         assert dump_matrix(load_matrix(text)) == text
@@ -206,13 +212,18 @@ class TestCheck:
             # colon counts that cancel out across the line
             ("1:2:3 4", "could not convert string to float: '2:3'"),
             ("1 2:3:4", "malformed matrix entry '1'"),
+            # a cell split by whitespace, whose colon tokens would line up
+            ("1.0 :2.0 3:4", "data line 1: expected 2 entries, found 3"),
+            ("cols 0 0\n1.0 : 2.0", "data line 1: expected 1 entries, found 3"),
         ],
     )
     def test_malformed_matrix_file_messages(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.mat"
-        path.write_text(f"#fmt 1\nrows 0 0\ncols 0 1\n{body}\n")
-        assert main(["check", "slant-h", "--matrix", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        cols = "" if body.startswith("cols ") else "cols 0 1\n"  # a body may bring its own column window
+        path.write_text(f"#fmt 1\nrows 0 0\n{cols}{body}\n")
+        for command in (["check", "slant-h"], ["extract"]):
+            assert main([*command, "--matrix", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_characterization_predicate(self, tmp_path):
         path = tmp_path / "wide.mat"

@@ -35,6 +35,7 @@ from slanth.windowed import (
     bilateral_shift,
     compose_chain,
     compose_z,
+    format_entry,
     mult,
     mult_z,
 )
@@ -248,6 +249,37 @@ class TestDumpFormat:
         assert again.rows == sec.rows and again.cols == sec.cols
         assert again.data.tobytes() == sec.data.tobytes()
         assert dump_matrix(again) == text
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_mostly_zero_sections_match_per_cell_dump(self, data):
+        rows = IndexWindow(0, data.draw(st.integers(0, 6)) - 1)
+        cols = IndexWindow(-3, data.draw(st.integers(1, 12)) - 4)
+        signed_zeros = st.sampled_from([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+        other = st.one_of(signed_zeros, st.builds(complex, edge_floats, edge_floats))
+        cell = st.tuples(st.integers(0, 9), other).map(lambda t: t[1] if t[0] == 0 else 0j)  # about 90% +0
+        cells = data.draw(st.lists(cell, min_size=rows.size * cols.size, max_size=rows.size * cols.size))
+        sec = WindowedMatrix(rows, cols, np.array(cells, dtype=complex).reshape(rows.size, cols.size))
+        for m in (sec, adjoint(sec)):  # the adjoint's data is column-major
+            # every cell formatted on its own, as the format defines it
+            header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
+            text = dump_matrix(m)
+            assert text == "\n".join(header + [" ".join(map(format_entry, row.tolist())) for row in m.data]) + "\n"
+            assert load_matrix(text).data.tobytes() == m.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.0:0.0 1.0\n0.0:0.0", "malformed matrix entry '1.0'"),
+            ("0.0:0.0\n0.0:0.0 1.0", "data line 1: expected 2 entries, found 1"),
+            # non-finite values are looked for only once every line has parsed
+            ("nan:0.0 0.0:0.0\n0.0:0.0 a:0.0", "could not convert string to float: 'a'"),
+        ],
+    )
+    def test_first_bad_line_wins(self, body, message):
+        with pytest.raises(ValueError) as error:
+            load_matrix(f"rows 0 1\ncols 0 1\n{body}\n")
+        assert str(error.value) == message
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
