@@ -80,20 +80,31 @@ class CheckReport:
         return "\n".join([first] + [w.render() for w in self.witnesses]) + "\n"
 
 
+@np.errstate(invalid="ignore", over="ignore")
+def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """|lhs - rhs| per instance, flat, as abs() of a Python complex computes it: the hypot of the parts.
+
+    hypot is formed only where a part of lhs - rhs is nonzero (NaN
+    included); elsewhere the residual is the real part, a zero whose sign
+    no comparison reads. np.abs of a complex array can differ from hypot
+    in the last bit.
+    """
+    re, im = np.ravel(lhs.real - rhs.real), np.ravel(lhs.imag - rhs.imag)
+    return np.hypot(re, im, out=re, where=(re != 0) | (im != 0))
+
+
 def _collect(groups, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
     """Fold (relation, lhs, rhs, at) groups into a report.
 
-    A non-finite residual is a violation, and a NaN one sticks as the
-    maximum, so non-finite input can never pass.
+    An instance's residual is |lhs - rhs| (see _residual). A non-finite
+    residual is a violation, and a NaN one sticks as the maximum, so
+    non-finite input can never pass.
     """
     max_residual = 0.0
     witnesses = []
     checked = 0
     for relation, lhs, rhs, at in groups:
-        with np.errstate(invalid="ignore", over="ignore"):
-            # |lhs - rhs| as abs() of a Python complex computes it; np.abs of a
-            # complex array can differ from that in the last bit
-            residual = np.hypot(lhs.real - rhs.real, lhs.imag - rhs.imag)
+        residual = _residual(lhs, rhs)
         if not residual.size:
             continue
         checked += residual.size
@@ -135,8 +146,10 @@ def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNE
     k = np.arange(n)
     w = max(0, (c - 3) // 2)  # odd columns 2n+1 with n >= 2
 
+    flat = a.ravel()  # gathers by flat index cost less than by (row, column) pairs
+
     def pair(i, j, p, q):
-        return a[i - r0, j], a[p - r0, q]
+        return flat.take((i - r0) * (c + 1) + j), flat.take((p - r0) * (c + 1) + q)
 
     def groups():  # lazily, so one relation's arrays are alive at a time
         yield _group("a[k,0]=a[k+j,4j]", np.minimum(c // 4, n - 1 - k),

@@ -400,8 +400,78 @@ def dump_matrix(m: WindowedMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The two zero cells a dump holds most, as the little-endian words of their
+# bytes: +0 (7 bytes, so its word is masked to 7) and 0-0j, every zero of a
+# conjugated section.
+_ZERO_WORD = int.from_bytes(_ZERO_CELL.encode(), "little")
+_NEGATIVE_ZERO_WORD = int.from_bytes(format_entry(complex(0.0, -0.0)).encode(), "little")
+_SEVEN_BYTES = (1 << 56) - 1
+# Cells tokenized at once, in whole lines (at least one): 7 lines at 2049
+# columns, about 130 KB of text, so the tokenizer's scratch stays a small part
+# of the section it fills however wide the lines are.
+_BLOCK = 1 << 14
+
+
+def _cells(text: str) -> tuple:
+    """The UTF-8 bytes of text and 7 zero bytes, and where each cell starts and ends; b' ' and b'\\n' end cells."""
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass") + bytes(7), np.uint8)
+    ends = np.flatnonzero((buf == 32) | (buf == 10))
+    return buf, np.concatenate(([0], ends[:-1] + 1)), ends
+
+
+def _read_block(out: np.ndarray, lines: list, width: int, first: int) -> None:
+    """Parse data lines `first` + 1, `first` + 2, ... of `width` cells each into the flat `out`.
+
+    A block that is not canonical (ASCII, one space between cells, no blank
+    at either end of a line) is first rewritten as its cells joined by single
+    spaces, which splits it exactly as str.split() does. Every cell is then
+    ended by b' ' or b'\\n'. The cells `0.0:0.0` and `0.0:-0.0` are found by
+    comparing each cell's first word with theirs, and only the others are
+    decoded and parsed. A malformed cell raises before a wrong cell count on
+    a later line, as a line-by-line reader would.
+    """
+    text = "\n".join(lines) + "\n"
+    canonical = text.isascii() and "\t" not in text and "\x1f" not in text
+    if canonical:
+        buf, starts, ends = _cells(text)
+    if not canonical or np.any(starts == ends):  # an empty cell: a blank at either end of a line, or two in a row
+        buf, starts, ends = _cells("\n".join(" ".join(line.split()) for line in lines) + "\n")
+    counts = np.diff(np.flatnonzero(buf[ends] == 10), prepend=-1)
+    wrong = np.flatnonzero(counts != width)
+    cells = (wrong[0] if wrong.size else len(lines)) * width  # the cells before the first wrong line
+    starts, ends = starts[:cells], ends[:cells]
+    words = np.ndarray(buf.size - 7, "<u8", buf, strides=(1,))[starts]  # unaligned: the 8 bytes from each byte
+    size = ends - starts
+    zero = (size == 7) & (words & _SEVEN_BYTES == _ZERO_WORD)
+    negative = (size == 8) & (words == _NEGATIVE_ZERO_WORD)
+    out[np.flatnonzero(negative)] = complex(0.0, -0.0)
+    at = np.flatnonzero(~(zero | negative))  # out starts at +0
+    if at.size:
+        lengths = size[at] + 1  # each kept cell with its separator
+        chosen = np.arange(lengths.sum()) + np.repeat(starts[at] - (np.cumsum(lengths) - lengths), lengths)
+        kept_text = buf[chosen].tobytes().decode("utf-8", "surrogatepass")
+        # the cells are exactly `re:im` iff the colons, split out as tokens
+        # of their own, sit at every third place and nowhere else
+        tokens = kept_text.replace(":", " : ").split()
+        if len(tokens) != 3 * at.size or not kept_text.count(":") == tokens[1::3].count(":") == at.size:
+            for cell in kept_text.split():
+                parse_entry(cell)  # raises for the first malformed cell
+        del tokens[1::3]
+        out[at] = np.fromiter(map(float, tokens), float, 2 * at.size).view(complex)
+    if wrong.size:
+        line = int(wrong[0])
+        raise ValueError(f"data line {first + line + 1}: expected {width} entries, found {counts[line]}")
+
+
 def load_matrix(text: str) -> WindowedMatrix:
-    """Parse the matrix file format produced by dump_matrix."""
+    """Parse the matrix file format produced by dump_matrix.
+
+    Data lines are tokenized with numpy, about `_BLOCK` cells at a time, so the
+    cost grows with the cells that are neither `0.0:0.0` nor `0.0:-0.0`;
+    cells may be separated by any whitespace str.split() accepts. Errors
+    name the first bad line, and within it the first malformed cell;
+    non-finite entries are looked for once every line has parsed.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:
         raise ValueError("matrix file is missing its window headers")
@@ -420,22 +490,11 @@ def load_matrix(text: str) -> WindowedMatrix:
     if len(body) != expected:
         raise ValueError(f"expected {expected} data lines, found {len(body)}")
     data = np.zeros((rows.size, cols.size), dtype=complex)
-    for r, line in enumerate(body):
-        cells = line.split()
-        if len(cells) != cols.size:
-            raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(cells)}")
-        at = [c for c, cell in enumerate(cells) if cell != _ZERO_CELL]  # the data starts at +0
-        # the cells are exactly `re:im` iff the colons, split out as tokens
-        # of their own, sit at every third place and nowhere else
-        kept = " ".join([cells[c] for c in at])
-        tokens = kept.replace(":", " : ").split()
-        if len(tokens) != 3 * len(at) or not kept.count(":") == tokens[1::3].count(":") == len(at):
-            for c in at:
-                parse_entry(cells[c])  # raises for the first malformed cell
-        del tokens[1::3]
-        data[r, at] = np.fromiter(map(float, tokens), float, 2 * len(at)).view(complex)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
+    flat, step = data.reshape(-1), max(1, _BLOCK // max(1, cols.size))
+    for r in range(0, len(body), step):
+        _read_block(flat[r * cols.size :], body[r : r + step], cols.size, r)
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
         raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
     return WindowedMatrix._of(rows, cols, data)

@@ -167,6 +167,15 @@ class TestCheck:
         assert lines[1].startswith("FAIL max_residual=")
         assert len(lines) >= 3 and "lhs=" in lines[2]
 
+    def test_pinned_failure_report(self):
+        # tests/data/build_oracle.mat with entry (1, 7) changed from 0.0:0.0 to 0.5:-0.25
+        pinned = (DATA / "perturbed_oracle.mat").read_text().splitlines()
+        clean = (DATA / "build_oracle.mat").read_text().splitlines()
+        assert [k for k, (a, b) in enumerate(zip(pinned, clean)) if a != b] == [4]
+        result = run_cli("check", "slant-h", "--matrix", str(DATA / "perturbed_oracle.mat"))
+        assert result.returncode == 1
+        assert result.stdout == (DATA / "check_perturbed.txt").read_text()
+
     def test_overflowing_expression_fails_closed(self):
         # 10 * 1e308 is inf, and inf - inf residuals are NaN
         result = run_cli(

@@ -1,5 +1,6 @@
 import collections
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from slanth import (
     parse_symbol,
     slant_hankel_perp_check,
 )
-from slanth.structure import WITNESS_CAP, CheckReport, Witness
+from slanth.structure import WITNESS_CAP, CheckReport, Witness, _collect
 from slanth.verify import perturbed
 from slanth.windowed import (
     U,
@@ -240,6 +241,48 @@ class TestReportFormat:
         assert lines[0].startswith("FAIL max_residual=")
         assert len(lines) > 1
         assert "lhs=" in lines[1] and "rhs=" in lines[1]
+
+
+def hypot_fold(groups, tol, cap=WITNESS_CAP):
+    """The fold _collect must reproduce, with hypot formed on every instance."""
+    max_residual, witnesses, checked = 0.0, [], 0
+    for relation, lhs, rhs, at in groups:
+        with np.errstate(invalid="ignore", over="ignore"):
+            residual = np.hypot(lhs.real - rhs.real, lhs.imag - rhs.imag)
+        if not residual.size:
+            continue
+        checked += residual.size
+        peak = float(residual.max())
+        if peak > max_residual or math.isnan(peak):
+            max_residual = peak
+        for p in np.flatnonzero(~(residual <= tol))[: cap - len(witnesses)].tolist():
+            witnesses.append(Witness(relation, at(p), complex(lhs.flat[p]), complex(rhs.flat[p])))
+    return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), checked)
+
+
+def report_bits(report):
+    """A report with every float as its bytes, so NaNs and signed zeros compare exactly."""
+    witnesses = [(w.relation, w.indices, struct.pack("<4d", w.lhs.real, w.lhs.imag, w.rhs.real, w.rhs.imag))
+                 for w in report.witnesses]
+    return report.passed, struct.pack("<d", report.max_residual), witnesses, report.checked, report.render()
+
+
+extreme = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf")])
+
+
+class TestCollect:
+    @settings(deadline=None, max_examples=200)
+    @given(st.data(), st.sampled_from([1e-12, 0.0, -1.0, float("inf"), float("nan")]), st.sampled_from([1, 3, WITNESS_CAP]))
+    def test_matches_hypot_on_every_instance(self, data, tol, cap):
+        groups = []
+        for g in range(data.draw(st.integers(0, 4))):
+            shape = data.draw(st.sampled_from([(0,), (1,), (5,), (2, 3), (3, 0)]))
+            size = math.prod(shape)
+            parts = [np.array(data.draw(st.lists(extreme, min_size=size, max_size=size))).reshape(shape) for _ in range(4)]
+            lhs, rhs = np.empty(shape, complex), np.empty(shape, complex)  # parts set directly: 1j * inf is nan
+            lhs.real, lhs.imag, rhs.real, rhs.imag = parts
+            groups.append((f"r{g}", lhs, rhs, lambda p, g=g: (g, p)))
+        assert report_bits(_collect(groups, tol, cap)) == report_bits(hypot_fold(groups, tol, cap))
 
 
 # Scalar reference scan: every relation instance folded one at a time, in the

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import random_symbol
 from slanth import (
+    SLANT_H_TOEPLITZ,
     ZERO,
     IndexWindow,
     WindowError,
     adjoint,
     build_elementary,
+    build_family,
+    check_slant_h_matrix,
     compose,
     dump_matrix,
     load_matrix,
@@ -274,11 +277,19 @@ class TestDumpFormat:
             ("0.0:0.0\n0.0:0.0 1.0", "data line 1: expected 2 entries, found 1"),
             # non-finite values are looked for only once every line has parsed
             ("nan:0.0 0.0:0.0\n0.0:0.0 a:0.0", "could not convert string to float: 'a'"),
+            # two lines a block: a malformed cell in an early block wins over a wrong count in a later one
+            ("0.0:0.0 0.0:0.0\n0.0:0.0 1:2:3\n0.0:0.0 0.0:0.0\n0.0:0.0", "could not convert string to float: '2:3'"),
+            # and a wrong count in an early block over a malformed cell in a later one
+            ("0.0:0.0 0.0:0.0\n0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0 1.0", "data line 2: expected 2 entries, found 1"),
+            # within one block as well
+            ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0 :2\n0.0:0.0", "could not convert string to float: ''"),
+            ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0\n0.0:0.0 a:0", "data line 3: expected 2 entries, found 1"),
         ],
     )
     def test_first_bad_line_wins(self, body, message):
-        with pytest.raises(ValueError) as error:
-            load_matrix(f"rows 0 1\ncols 0 1\n{body}\n")
+        with mock.patch.object(windowed, "_BLOCK", 4):  # two lines of two cells a block
+            with pytest.raises(ValueError) as error:
+                load_matrix(f"rows 0 {body.count(chr(10))}\ncols 0 1\n{body}\n")
         assert str(error.value) == message
 
     def test_malformed_rejected(self):
@@ -305,6 +316,106 @@ class TestDumpFormat:
             sec.entry(5, 0)
         with pytest.raises(WindowError):
             WindowedMatrix(IndexWindow(0, 1), IndexWindow(0, 1), np.zeros((3, 2)))
+
+
+def reference_load(text):
+    """The per-cell reader the block tokenizer must reproduce, bit for bit and message for message."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if len(lines) < 2:
+        raise ValueError("matrix file is missing its window headers")
+
+    def parse_window(line, tag):
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != tag:
+            raise ValueError(f"expected '{tag} lo hi' header, got {line!r}")
+        return IndexWindow(int(parts[1]), int(parts[2]))
+
+    rows = parse_window(lines[0], "rows")
+    cols = parse_window(lines[1], "cols")
+    body = lines[2:]
+    expected = rows.size if cols.size else 0
+    if len(body) != expected:
+        raise ValueError(f"expected {expected} data lines, found {len(body)}")
+    data = np.zeros((rows.size, cols.size), dtype=complex)
+    for r, line in enumerate(body):
+        cells = line.split()
+        if len(cells) != cols.size:
+            raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(cells)}")
+        at = [c for c, cell in enumerate(cells) if cell != "0.0:0.0"]
+        kept = " ".join([cells[c] for c in at])
+        tokens = kept.replace(":", " : ").split()
+        if len(tokens) != 3 * len(at) or not kept.count(":") == tokens[1::3].count(":") == len(at):
+            for c in at:
+                windowed.parse_entry(cells[c])
+        del tokens[1::3]
+        data[r, at] = np.fromiter(map(float, tokens), float, 2 * len(at)).view(complex)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
+    return WindowedMatrix(rows, cols, data)
+
+
+def outcome(read, text):
+    """The section's windows and bytes, or the message of the ValueError raised."""
+    try:
+        m = read(text)
+    except ValueError as error:
+        return type(error), str(error)
+    return m.rows, m.cols, m.data.tobytes()
+
+
+good_cells = st.one_of(
+    st.sampled_from(["0.0:0.0", "0.0:-0.0", "-0.0:0.0", "-0.0:-0.0", "0.0:0.00", "0.0:0.01", "0.0:-0.05", "00.0:0.0",
+                    "1.5:-2.0", "5e-324:1e308"]),
+    st.builds(complex, edge_floats, edge_floats).map(format_entry),
+)
+# malformed, split by a blank, non-finite, or digits float() reads that are not ASCII
+odd_cells = st.sampled_from(["1.0", "1.0:", ":2", "1:2:3", "a:0", "1.0 :2.0", "0.0:0.0:", "nan:0.0", "0.0:inf",
+                             "-inf:1.0", "\u0661:0.0", "\uff11:\uff12", "1_0:2"])
+
+
+class TestBlockTokenizer:
+    """load_matrix against the per-cell reader on canonical and irregular files."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data(), st.sampled_from([1, 4, 9, 1 << 14]))  # cells a block: one line, a few, all
+    def test_matches_reference_reader(self, data, block):
+        n_rows, width = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 5))
+        # "" keeps one space between cells and none at the ends, the tokenizer's direct path
+        extra = data.draw(st.sampled_from(["", " ", "\t", "\x1f", "\xa0", "\u3000", " \t\x1f\xa0\u3000"]))
+        run = st.text(alphabet=extra, min_size=1, max_size=3)
+        gap = st.one_of(st.just(" "), run) if extra else st.just(" ")
+        end = st.one_of(st.just(""), run) if extra else st.just("")
+        odd_one_in = data.draw(st.sampled_from([6, 25, 1000]))
+        any_cell = st.integers(1, odd_one_in).flatmap(lambda k: odd_cells if k == 1 else good_cells)
+        lines = ["#fmt 1", f"rows 0 {n_rows - 1}", f"cols 3 {width + 2}"]
+        for _ in range(n_rows + data.draw(st.sampled_from([0] * 8 + [-1, 1]))):
+            if data.draw(st.integers(0, 9)) == 0:
+                lines.append(data.draw(st.sampled_from(["", " ", "\t\xa0", "# comment", "  #0.0:0.0 x"])))
+            count = max(0, width + data.draw(st.sampled_from([0] * 12 + [-1, 1])))
+            cells = [data.draw(any_cell) for _ in range(count)]
+            line = data.draw(end)
+            for k, cell in enumerate(cells):
+                line += (data.draw(gap) if k else "") + cell
+            lines.append(line + data.draw(end))
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+        with mock.patch.object(windowed, "_BLOCK", block):
+            assert outcome(load_matrix, text) == outcome(reference_load, text)
+
+    def test_load_and_check_memory_stay_near_the_section(self, rng):
+        # the 512 x 2049 closed form the benchmark reads; a tokenizer of the whole
+        # body at once held about 8 int64 arrays of 1M entries on top of the section
+        m = build_family(SLANT_H_TOEPLITZ, random_symbol(rng), IndexWindow(0, 512), IndexWindow(0, 2049))
+        text = dump_matrix(m)
+        for step in (lambda: load_matrix(text), lambda: check_slant_h_matrix(m)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * m.data.nbytes
 
 
 # Scalar reference of the elementary builder: one column at a time, each
