@@ -144,8 +144,27 @@ def self_adjoint_distance(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWind
 
 
 def section_norm(m: WindowedMatrix) -> float:
-    """Spectral norm of the section: its largest singular value, 0 when empty."""
-    return float(np.linalg.norm(m.data, 2)) if m.data.size else 0.0
+    """Spectral norm of the section: its largest singular value.
+
+    That is sqrt(lambda_max) of the smaller Gram matrix of the section's
+    nonzero block (all-zero rows and columns dropped, which is exact), taken
+    with the block scaled by a power of two so the Gram can neither overflow
+    nor lose its largest entries to underflow. 0.0 for an empty or all-zero
+    section, inf when the norm lies past the float range.
+    """
+    nonzero = m.data != 0
+    block = np.ascontiguousarray(m.data[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))])
+    if not block.size:
+        return 0.0
+    # the exponent of the largest |re| or |im|: a modulus could itself overflow
+    parts = block.view(np.float64)
+    e = math.frexp(max(parts.max(), -parts.min()))[1]
+    np.ldexp(parts, -e, out=parts)
+    gram = block @ block.conj().T if block.shape[0] <= block.shape[1] else block.conj().T @ block
+    try:
+        return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
+    except OverflowError:
+        return math.inf
 
 
 def norm_bound_check(

@@ -394,8 +394,10 @@ def dump_matrix(m: WindowedMatrix) -> str:
     nonzero = (m.data.real.view(np.uint64) | m.data.imag.view(np.uint64)) != 0
     for row, keep in zip(m.data, nonzero):
         cells = [_ZERO_CELL] * m.cols.size
-        for j, x in zip(np.flatnonzero(keep).tolist(), row[keep].tolist()):
-            cells[j] = format_entry(x)
+        kept = row[keep]
+        # format_entry's text, from the parts' floats without a call per cell
+        for j, re, im in zip(np.flatnonzero(keep).tolist(), kept.real.tolist(), kept.imag.tolist()):
+            cells[j] = f"{re!r}:{im!r}"
         lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 

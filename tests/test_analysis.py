@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slanth import (
+    COMPOSITIONAL_KINDS,
     CORPUS,
     SLANT_H_ADJOINT,
     SLANT_H_TOEPLITZ,
     ZERO,
     IndexWindow,
     LaurentSymbol,
+    WindowedMatrix,
     build_compositional,
     build_family,
     coefficient_l2,
     coisometry_defect,
     column_norm_floor,
     compose,
+    extension,
     frobenius_of_section,
     hyponormal_defect,
     min_hyponormal_defect,
@@ -39,6 +42,30 @@ NONZERO = [(label, phi) for label, phi in CORPUS if not phi.is_zero]
 # signed zeros included, so the bit comparison covers -0.0 parts too
 parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-3, 3))
 symbols = st.dictionaries(st.integers(-8, 12), st.builds(complex, parts, parts), max_size=8).map(LaurentSymbol)
+
+# magnitudes far apart, down to the least subnormal: squares of these overflow or vanish unscaled
+wide_parts = st.one_of(parts, st.sampled_from([1e200, -1e-200, 1e300, -1e300, 1e-300, 5e-324, -5e-324]))
+wide_cells = st.builds(complex, wide_parts, wide_parts)
+wide_symbols = st.dictionaries(st.integers(-8, 12), wide_cells, max_size=8).map(LaurentSymbol)
+
+
+@st.composite
+def family_sections(draw):
+    """Closed-form sections of every family, extension rows below 0 included, up to 12x40."""
+    kind = draw(st.one_of(st.sampled_from(COMPOSITIONAL_KINDS), st.integers(1, 3).map(extension)))
+    row_lo = draw(st.integers(-kind.depth, 4))
+    col_lo = draw(st.integers(0, 6))
+    rows = IndexWindow(row_lo, row_lo + draw(st.integers(-1, 11)))
+    cols = IndexWindow(col_lo, col_lo + draw(st.integers(-1, 39)))
+    return build_family(kind, draw(st.one_of(symbols, wide_symbols)), rows, cols)
+
+
+@st.composite
+def raw_sections(draw):
+    """Arbitrary finite sections up to 6x6, empty, tall and wide ones among them."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = draw(st.lists(wide_cells, min_size=r * c, max_size=r * c))
+    return WindowedMatrix(IndexWindow(0, r - 1), IndexWindow(0, c - 1), np.array(cells, dtype=complex).reshape(r, c))
 
 
 def reference_coisometry_defect(phi, n_max):
@@ -167,6 +194,20 @@ class TestSectionNorm:
     def test_empty_section(self):
         section = build_family(SLANT_H_TOEPLITZ, ZERO, IndexWindow(0, -1), IndexWindow(0, 5))
         assert section_norm(section) == 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(family_sections(), raw_sections()))
+    def test_matches_svd_property(self, section):
+        got = section_norm(section)
+        exact = float(np.linalg.svd(section.data, compute_uv=False)[0]) if section.data.size else 0.0
+        assert not math.isnan(got)
+        assert abs(got - exact) <= 1e-12 * exact
+
+    def test_generic_reference_digits(self):
+        # 40-digit mpmath value of the section norm behind tests/data/norm_generic.txt
+        section = build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 32), IndexWindow(0, 129))
+        got = section_norm(section)
+        assert abs(got - 12.195644096899268613) <= 2 * math.ulp(got)
 
 
 class TestNormBound:

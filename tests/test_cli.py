@@ -296,7 +296,7 @@ class TestNorm:
         assert "PASS" in result.stdout
 
     def test_huge_coefficients(self):
-        # the Gram matrix of these entries overflows; the singular values do not
+        # squares of these entries overflow unless the section is scaled first
         result = run_cli("norm", "--symbol", "phi=0:1e200, 3:1e200", "--rows", "0:8", "--cols", "0:33")
         assert result.returncode == 0
         section = float(result.stdout.splitlines()[1].removeprefix("# section_norm="))
@@ -308,6 +308,14 @@ class TestNorm:
         result = run_cli("norm", "--symbol", "phi=0:1e308, 1:1e308", "--rows", "0:8", "--cols", "0:33")
         assert result.returncode == 0
         assert result.stdout.splitlines()[1] == "# section_norm=1.4142135623730951e+308"
+        assert result.stderr == ""
+
+    def test_norm_past_float_range(self):
+        # the section norm exceeds the largest float: inf, and the margin inf - inf is NaN, so it fails
+        result = run_cli("norm", "--symbol", "phi=0:1.5e308+1.5e308i, 1:1e308", "--rows", "0:8", "--cols", "0:33")
+        assert result.returncode == 1
+        assert result.stdout.splitlines()[1] == "# section_norm=inf"
+        assert result.stdout.splitlines()[3].startswith("FAIL max_residual=nan ")
         assert result.stderr == ""
 
     def test_render_shape(self):
