@@ -99,6 +99,11 @@ _TOKEN = re.compile(
 )
 
 
+# Deepest parenthesis nesting parsed: each level takes three parser frames,
+# so 200 stay far inside Python's recursion limit.
+_MAX_NESTING = 200
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -121,6 +126,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -160,8 +166,12 @@ class _Parser:
     def term(self):
         kind, text, column = self.peek()
         if kind == "punct" and text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ExprParseError(f"parentheses nested deeper than {_MAX_NESTING}", column)
             self.advance()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             kind, text, column = self.peek()
             if kind != "punct" or text != ")":
                 raise ExprParseError("unbalanced parentheses", column)

@@ -149,8 +149,8 @@ def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: Inde
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     if not rows.is_empty and rows.lo < -kind.depth:
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
-    i = np.arange(rows.lo, rows.hi + 1)[:, None]
-    j = np.arange(cols.lo, cols.hi + 1)
+    i = rows.index_array()[:, None]
+    j = cols.index_array()
     data = _coefficients(phi, kind.degree(i, j))
     # conjugating after the gather also turns the zeros off the support into 0-0j
     return WindowedMatrix._of(rows, cols, np.conj(data) if kind.conj else data)

@@ -88,6 +88,17 @@ class IndexWindow:
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)
 
+    def index_array(self) -> np.ndarray:
+        """The indices as an int64 array; a WindowError when no such array can hold them.
+
+        np.arange raises past numpy's size limit or past int64's bounds, and
+        returns an empty array for 2**63 - 1 indices.
+        """
+        limit = np.iinfo(np.int64)
+        if not self.is_empty and (self.lo < limit.min or self.hi >= limit.max or self.size > limit.max // 8):
+            raise WindowError(f"window {self} does not fit an int64 index array")
+        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
+
     def covers(self, other: "IndexWindow") -> bool:
         return other.is_empty or (not self.is_empty and self.lo <= other.lo and other.hi <= self.hi)
 
@@ -239,7 +250,7 @@ def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
     """Triplets of the images of e_j, j in `domain`, by index arithmetic; the rows are their hull."""
     if kind.name in _ANALYTIC_DOMAIN and not domain.is_empty and domain.lo < 0:
         raise WindowError(f"{kind.name} requires an analytic domain (lo >= 0), got {domain}")
-    j = np.arange(domain.lo, domain.hi + 1)
+    j = domain.index_array()
     if kind.name == "M":
         degrees = np.array([n for n, _ in kind.symbol.items()], dtype=np.int64)
         coeffs = np.array([a for _, a in kind.symbol.items()], dtype=complex)
@@ -374,6 +385,11 @@ def format_entry(c: complex) -> str:
 
 
 _ZERO_CELL = format_entry(0j)
+_NEGATIVE_ZERO_CELL = format_entry(complex(0.0, -0.0))  # every zero of a conjugated section
+_SIGN_BIT = np.uint64(1 << 63)
+# Odd, so im -> im * _MIX is one to one: two distinct cells rarely share the
+# sort key re ^ (im * _MIX), and when they do, a cell may be formatted twice.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def parse_entry(text: str) -> complex:
@@ -384,29 +400,68 @@ def parse_entry(text: str) -> complex:
 
 
 def dump_matrix(m: WindowedMatrix) -> str:
-    """Render the windowed matrix file format (bit-exact round trip); entries must be finite."""
-    finite = np.isfinite(m.data)
+    """Render the windowed matrix file format (bit-exact round trip); entries must be finite.
+
+    The background cell is the more frequent of `0.0:0.0` and `0.0:-0.0`.
+    Each run of it within a row is written as one slice of a row of it, and
+    each distinct other cell, told apart by its 128 bits (so `3.0:0.0` and
+    `3.0:-0.0` are two), is formatted once.
+    """
+    header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
+    return "\n".join([*header, *_data_lines(m), ""])  # the lines' pieces are freed before this join
+
+
+def _data_lines(m: WindowedMatrix) -> list:
+    """The dump's line of each row of m."""
+    data = np.ascontiguousarray(m.data)  # an adjoint's data is column-major
+    re, im = data.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
+    zero_re = re == 0
+    zero, negative = zero_re & (im == 0), zero_re & (im == _SIGN_BIT)
+    background, fill = zero, _ZERO_CELL
+    if np.count_nonzero(negative) > np.count_nonzero(zero):
+        background, fill = negative, _NEGATIVE_ZERO_CELL
+    # a token is one other cell or one run of background cells within a row
+    grid = background.reshape(data.shape)
+    opens = ~grid
+    opens[:, 1:] |= ~grid[:, :-1]  # a run opens after an other cell
+    opens[:, :1] = True
+    starts = np.flatnonzero(opens)
+    run = background[starts]
+    cells = starts[~run]  # every other cell, in reading order; only these can be non-finite
+    values = data.reshape(-1)[cells]
+    finite = np.isfinite(values)
     if not finite.all():
-        r, c = np.argwhere(~finite)[0]
+        r, c = divmod(int(cells[np.argmin(finite)]), m.cols.size)
         raise ValueError(f"entry ({r + m.rows.lo}, {c + m.cols.lo}) is not finite and cannot be dumped")
-    lines = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
-    # only +0 has all 128 bits clear, so -0.0 and 0.0:-0.0 are formatted as themselves
-    nonzero = (m.data.real.view(np.uint64) | m.data.imag.view(np.uint64)) != 0
-    for row, keep in zip(m.data, nonzero):
-        cells = [_ZERO_CELL] * m.cols.size
-        kept = row[keep]
-        # format_entry's text, from the parts' floats without a call per cell
-        for j, re, im in zip(np.flatnonzero(keep).tolist(), kept.real.tolist(), kept.imag.tolist()):
-            cells[j] = f"{re!r}:{im!r}"
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+    # equal cells sort together; a group opens where the bits change
+    words = values.view(np.uint64).reshape(-1, 2)
+    order = np.argsort(words[:, 0] ^ (words[:, 1] * _MIX))
+    sorted_re, sorted_im = words[order].T
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (sorted_re[1:] != sorted_re[:-1]) | (sorted_im[1:] != sorted_im[:-1])
+    # each group is formatted from one member, in reading order: joining
+    # strings made in the order they are read is faster
+    chosen = np.zeros(order.size, dtype=bool)
+    chosen[order[first]] = True
+    label = np.empty(order.size, dtype=np.intp)  # each other cell's text
+    label[order] = (np.cumsum(chosen) - 1)[order[first]][np.cumsum(first) - 1]
+    token = np.empty(starts.size, dtype=np.intp)
+    token[~run] = label
+    texts = list(map(format_entry, values[chosen].tolist()))
+    # a run of k background cells is the first k of a row of them, spaces between
+    lengths, token[run] = np.unique(np.diff(starts, append=data.size)[run], return_inverse=True)
+    token[run] += len(texts)
+    row = " ".join([fill] * data.shape[1])
+    texts += [row[: (len(fill) + 1) * k - 1] for k in lengths.tolist()]
+    pieces = list(map(texts.__getitem__, token.tolist()))
+    ends = np.cumsum(np.count_nonzero(opens, axis=1)).tolist()
+    return [" ".join(pieces[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 # The two zero cells a dump holds most, as the little-endian words of their
-# bytes: +0 (7 bytes, so its word is masked to 7) and 0-0j, every zero of a
-# conjugated section.
+# bytes: +0 (7 bytes, so its word is masked to 7) and 0-0j.
 _ZERO_WORD = int.from_bytes(_ZERO_CELL.encode(), "little")
-_NEGATIVE_ZERO_WORD = int.from_bytes(format_entry(complex(0.0, -0.0)).encode(), "little")
+_NEGATIVE_ZERO_WORD = int.from_bytes(_NEGATIVE_ZERO_CELL.encode(), "little")
 _SEVEN_BYTES = (1 << 56) - 1
 # Cells tokenized at once, in whole lines (at least one): 7 lines at 2049
 # columns, about 130 KB of text, so the tokenizer's scratch stays a small part

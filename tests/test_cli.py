@@ -82,6 +82,13 @@ class TestBuild:
         assert result.stdout == (DATA / "build_oracle.mat").read_text()
         assert run_cli("check", "slant-h", "--matrix", str(DATA / "build_oracle.mat")).returncode == 0
 
+    def test_pinned_adjoint_dump(self):
+        # every zero is 0.0:-0.0, the other background cell
+        argv = ("--family", "slant-h-adjoint", "--symbol", f"phi={GENERIC_INLINE}", "--rows", "0:8", "--cols", "0:33")
+        result = run_cli("build", *argv)
+        assert result.returncode == 0
+        assert result.stdout == (DATA / "build_adjoint.mat").read_text()
+
     def test_dump_roundtrips_bit_exactly(self, section_file):
         text = section_file.read_text()
         assert dump_matrix(load_matrix(text)) == text
@@ -391,6 +398,32 @@ def test_integer_past_int64_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", f"0:{HUGE}"],
+        ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", f"0:{HUGE}", "--cols", "0:3"],
+        ["build", "--expr", "P", "--window", f"0:{HUGE}"],
+        ["check", "slant-h", "--expr", "V(phi)", "--symbol", "phi=0:1", "--window", f"0:{HUGE}"],
+        # bounds past int64, and 2**63 - 1 indices, for which numpy's arange is empty
+        ["build", "--expr", "P", "--window", f"{HUGE}:{HUGE}"],
+        ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", f"0:{2**63 - 2}"],
+    ],
+)
+def test_window_past_numpy_size_limit_is_a_window_error(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("window error: ") and captured.err.count("\n") == 1
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    assert main(["build", "--expr", "(" * 1000 + "P" + ")" * 1000, "--window", "0:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: col 201: parentheses nested deeper than 200\n"
 
 
 def test_cli_import_leaves_scipy_out():

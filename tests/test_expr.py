@@ -66,6 +66,16 @@ class TestParse:
             parse_expr("W . Bogus")
         assert "col 5" in str(info.value)
 
+    def test_nesting_cap(self):
+        assert parse_expr("(" * 199 + "P . (W)" + ")" * 199) == Compose(Atom("P"), Atom("W"))  # 200 deep
+        # past the cap a parse error at the first parenthesis too many, not a RecursionError
+        with pytest.raises(ExprParseError, match="nested deeper than 200") as info:
+            parse_expr("(" * 1000 + "P" + ")" * 1000)
+        assert info.value.column == 201
+        with pytest.raises(ExprParseError) as info:
+            parse_expr("P . " + "(P . " * 201 + "P" + ")" * 201)
+        assert info.value.column == 5 + 5 * 200
+
 
 names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True)
 small_ints = st.integers(-5, 5)

@@ -217,6 +217,12 @@ edge_floats = st.one_of(
 )
 
 
+def per_cell_dump(m):
+    """The dump with every cell formatted on its own, as the format defines it."""
+    header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
+    return "\n".join(header + [" ".join(map(format_entry, row.tolist())) for row in m.data]) + "\n"
+
+
 class TestDumpFormat:
     def test_bit_exact_roundtrip(self, rng):
         phi = random_symbol(rng)
@@ -253,22 +259,35 @@ class TestDumpFormat:
         assert again.data.tobytes() == sec.data.tobytes()
         assert dump_matrix(again) == text
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=100)
     @given(st.data())
     def test_mostly_zero_sections_match_per_cell_dump(self, data):
         rows = IndexWindow(0, data.draw(st.integers(0, 6)) - 1)
         cols = IndexWindow(-3, data.draw(st.integers(1, 12)) - 4)
-        signed_zeros = st.sampled_from([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
-        other = st.one_of(signed_zeros, st.builds(complex, edge_floats, edge_floats))
-        cell = st.tuples(st.integers(0, 9), other).map(lambda t: t[1] if t[0] == 0 else 0j)  # about 90% +0
-        cells = data.draw(st.lists(cell, min_size=rows.size * cols.size, max_size=rows.size * cols.size))
+        background = data.draw(st.sampled_from([0j, complex(0.0, -0.0)]))
+        # a small pool, so that cells repeat, with each value's zero-sign twins
+        pool = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        for x in data.draw(st.lists(edge_floats, min_size=1, max_size=3)):
+            pool += [complex(x, 0.0), complex(x, -0.0), complex(0.0, x), complex(-0.0, x)]
+        other = st.one_of(st.sampled_from(pool), st.builds(complex, edge_floats, edge_floats))
+        cells = []
+        for dense in data.draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size)):
+            # about 90% background in a sparse row, about 90% other cells in a dense one
+            cell = st.tuples(st.integers(0, 9), other).map(lambda t, d=dense: t[1] if (t[0] > 0) == d else background)
+            cells += data.draw(st.lists(cell, min_size=cols.size, max_size=cols.size))
         sec = WindowedMatrix(rows, cols, np.array(cells, dtype=complex).reshape(rows.size, cols.size))
         for m in (sec, adjoint(sec)):  # the adjoint's data is column-major
-            # every cell formatted on its own, as the format defines it
-            header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
             text = dump_matrix(m)
-            assert text == "\n".join(header + [" ".join(map(format_entry, row.tolist())) for row in m.data]) + "\n"
+            assert text == per_cell_dump(m)
             assert load_matrix(text).data.tobytes() == m.data.tobytes()
+
+    def test_cells_sharing_a_sort_key(self):
+        # 1+0j and x+3j, x with the bits of 1.0 xor 3.0's times _MIX, get one sort key
+        bits = [int(np.float64(f).view(np.uint64)) for f in (1.0, 3.0)]
+        x = float(np.uint64((bits[0] ^ bits[1] * int(windowed._MIX)) % 2**64).view(np.float64))
+        row = [1 + 0j, complex(x, 3.0)] * 3
+        sec = WindowedMatrix(IndexWindow(0, 1), IndexWindow(0, 5), np.array([row, row[::-1]]))
+        assert dump_matrix(sec) == per_cell_dump(sec)
 
     @pytest.mark.parametrize(
         "body, message",
@@ -309,6 +328,12 @@ class TestDumpFormat:
         data[1, 2] = value
         with pytest.raises(ValueError, match=r"entry \(2, 1\) is not finite"):
             dump_matrix(WindowedMatrix(IndexWindow(1, 2), IndexWindow(-1, 1), data))
+        # the first in reading order is named, also when the data is column-major
+        data[1, 0], data[0, 2] = value, value  # entries (2, -1) and (1, 1)
+        for m, where in ((WindowedMatrix(IndexWindow(1, 2), IndexWindow(-1, 1), data), r"\(1, 1\)"),
+                         (adjoint(WindowedMatrix(IndexWindow(1, 2), IndexWindow(-1, 1), data)), r"\(-1, 2\)")):
+            with pytest.raises(ValueError, match=rf"entry {where} is not finite"):
+                dump_matrix(m)
 
     def test_entry_bounds(self):
         sec = build_elementary(P, IndexWindow(0, 2))
