@@ -27,7 +27,6 @@ from .families import (
     TOEPLITZ,
     Family,
     build_compositional,
-    build_extension_natural,
     build_family,
     entry,
     extension,

@@ -175,8 +175,8 @@ def norm_bound_check(
     Sections of a bounded operator never exceed its norm, so the first is
     expected at most the second, up to rounding and the grid's shortfall.
     """
-    section = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
-    return section_norm(section), sup_norm(phi, grid_size)
+    sup = sup_norm(phi, grid_size)  # a grid past its limit is refused before the section is built
+    return section_norm(build_family(SLANT_H_TOEPLITZ, phi, rows, cols)), sup
 
 
 # Blocks {2m, 2m+1} reach up to m = 31: 64 columns, or just the first block when it starts later.

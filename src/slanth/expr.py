@@ -9,11 +9,12 @@ Grammar (whitespace-insensitive; composition binds tighter than subtraction):
 
 Atoms: W W* K K* J P U U* S(k) Cz(k) Mz(k) M(name) T(name) H(name) B(name)
 L(name) Sh(name) V(name) V*(name) A(m,name). Names refer to symbols supplied
-in the evaluation table. Evaluation propagates windows from the user-supplied
-input window through the rightmost atom leftwards, refusing any composition
-that would lose exactness. Every operand has the input window as its columns
-and holds every nonzero row of them, so subtraction zero-embeds both operands
-on the hull of their row windows.
+in the evaluation table. Every family atom, A(m,name) too, is built by its
+family's compositional oracle. Evaluation propagates windows from the
+user-supplied input window through the rightmost atom leftwards, refusing any
+composition that would lose exactness. Every operand has the input window as
+its columns and holds every nonzero row of them, so subtraction zero-embeds
+both operands on the hull of their row windows.
 """
 
 import math
@@ -22,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import COMPOSITIONAL_KINDS, build_compositional, build_extension_natural
+from .families import COMPOSITIONAL_KINDS, build_compositional, extension
 from .windowed import (
     Elementary,
     IndexWindow,
     WindowedMatrix,
-    WindowError,
     _dense,
     _images,
     _product,
@@ -294,8 +294,6 @@ def _eval(node, window: IndexWindow, symbols: dict):
             return build_compositional(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
         if node.name == _EXTENSION:
             depth, name = node.args
-            if depth < 0:
-                raise WindowError("extension depth must be >= 0")
-            return build_extension_natural(depth, _resolve(symbols, name), window)
+            return build_compositional(extension(depth), _resolve(symbols, name), window)
         return _images(Elementary(node.name, *node.args), window)
     raise TypeError(f"not an expression node: {node!r}")

@@ -13,10 +13,11 @@ Each family admits an O(1) per-entry formula in the symbol coefficients:
 
 The closed form is primary; `build_compositional` assembles the same
 operators from elementary sections with exact window propagation and serves
-as the independent oracle the closed forms are tested against. Each family
-is one `Family` record holding both routes, its CLI name and its expression
+as the independent oracle the closed forms are tested against. The two agree
+bit for bit: every zero of either reads +0. Each family, extension(m) too, is
+one `Family` record holding both routes, its CLI name and its expression
 atom; the CLI and the expression language build their tables from
-`COMPOSITIONAL_KINDS`.
+`COMPOSITIONAL_KINDS` and `extension`.
 """
 
 from collections.abc import Callable
@@ -35,6 +36,7 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
+    bilateral_shift,
     compose_chain,
     mult,
 )
@@ -53,8 +55,6 @@ __all__ = [
     "entry",
     "build_family",
     "build_compositional",
-    "build_extension_natural",
-    "natural_rows",
     "oracle_deviation",
 ]
 
@@ -74,7 +74,7 @@ class Family:
     name: str
     atom: str
     degree: Callable
-    chain: Callable | None
+    chain: Callable
     conj: bool = False
     depth: int = 0
 
@@ -113,12 +113,17 @@ COMPOSITIONAL_KINDS = (
 
 
 def extension(depth: int) -> Family:
-    """Slant-h family continued to rows >= -depth; depth 0 is the base family."""
+    """Slant-h family continued to rows >= -depth; depth 0 is the base family.
+
+    Its oracle keeps the rows from -depth on, P_{>=-depth} = S(-depth) . P . S(depth),
+    of W . M(phi) . K; a P between W and M would leave no row below 0.
+    """
     if depth < 0:
         raise ValueError("extension depth must be >= 0")
     if depth == 0:
         return SLANT_H_TOEPLITZ
-    return Family("extension", "A", _SLANT_H, None, depth=depth)
+    return Family("extension", "A", _SLANT_H,
+                  lambda phi: [bilateral_shift(-depth), P, bilateral_shift(depth), W, mult(phi), K], depth=depth)
 
 
 def entry(kind: Family, phi: LaurentSymbol, i: int, j: int) -> complex:
@@ -128,17 +133,19 @@ def entry(kind: Family, phi: LaurentSymbol, i: int, j: int) -> complex:
     if i < -kind.depth:
         raise WindowError(f"{kind.name} has no row {i}")
     value = phi.coeff(kind.degree(i, j))
-    return value.conjugate() if kind.conj else value
+    return (value.conjugate() if kind.conj else value) + 0j  # as in _coefficients
 
 
-def _coefficients(phi: LaurentSymbol, degrees: np.ndarray) -> np.ndarray:
-    """Coefficient of phi at every degree of an integer grid."""
+def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, conj: bool = False) -> np.ndarray:
+    """Coefficient of phi, conjugated when `conj` is set, at every degree of an integer grid."""
     if phi.is_zero:
         return np.zeros(degrees.shape, dtype=complex)
     lo, hi = phi.support
     table = np.zeros(hi - lo + 2, dtype=complex)  # the last slot is the zero off the support
     for n, a in phi.items():
         table[n - lo] = a
+    # + 0.0: every zero part reads +0, as the oracle's densify writes it
+    table = (np.conj(table) if conj else table) + 0.0
     index = degrees - lo
     return table[np.where((index >= 0) & (index <= hi - lo), index, -1)]
 
@@ -151,9 +158,7 @@ def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: Inde
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
     i = rows.index_array()[:, None]
     j = cols.index_array()
-    data = _coefficients(phi, kind.degree(i, j))
-    # conjugating after the gather also turns the zeros off the support into 0-0j
-    return WindowedMatrix._of(rows, cols, np.conj(data) if kind.conj else data)
+    return WindowedMatrix._of(rows, cols, _coefficients(phi, kind.degree(i, j), kind.conj))
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
@@ -163,31 +168,9 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
     every nonzero row of the true operator restricted to `cols`; it may be
     empty, in which case the operator vanishes on those columns.
     """
-    if kind.chain is None:
-        raise ValueError("extension families have no single compositional formula")
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     return compose_chain(kind.chain(phi), cols)
-
-
-def natural_rows(depth: int, phi: LaurentSymbol, cols: IndexWindow) -> IndexWindow:
-    """Hull of the nonzero rows of the depth-`depth` extension section on `cols`."""
-    if phi.is_zero or cols.is_empty:
-        return IndexWindow.empty()
-    n_min, n_max = phi.support
-    # row i of column j holds degree 2i + d0 with d0 the degree in row 0
-    d0 = _SLANT_H(0, np.arange(cols.lo, cols.hi + 1))
-    lo = np.maximum((n_min - d0 + 1) // 2, -depth)
-    hi = (n_max - d0) // 2
-    hit = lo <= hi
-    if not hit.any():
-        return IndexWindow.empty()
-    return IndexWindow(int(lo[hit].min()), int(hi[hit].max()))
-
-
-def build_extension_natural(depth: int, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
-    """Extension section on its full natural row window for the given columns."""
-    return build_family(extension(depth), phi, natural_rows(depth, phi, cols), cols)
 
 
 def oracle_deviation(primary: WindowedMatrix, oracle: WindowedMatrix) -> float:

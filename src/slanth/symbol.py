@@ -172,14 +172,19 @@ def _grid_values(phi: LaurentSymbol, grid_size: int) -> np.ndarray:
     return values
 
 
+# Most grid points sampled, 16 MB of complex values: a larger grid size is a
+# usage error raised before anything is allocated, not numpy's own error.
+_MAX_GRID = 2**20
+
+
 def sup_norm(phi: LaurentSymbol, grid_size: int = 4096) -> float:
     """Max of |phi| over grid_size equispaced circle points.
 
     A lower bound for the true sup norm, exact in the grid limit and adequate
     for trigonometric polynomials sampled far beyond their degree.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    if not 1 <= grid_size <= _MAX_GRID:
+        raise ValueError(f"grid size {grid_size} is not between 1 and {_MAX_GRID}")
     if phi.is_zero:
         return 0.0
     return float(np.max(np.abs(_grid_values(phi, grid_size))))

@@ -83,14 +83,14 @@ def perturbed(m: WindowedMatrix, i: int, j: int, delta=1.0) -> WindowedMatrix:
 
 
 def check_oracle():
-    """Closed forms agree with the compositional builder for every corpus symbol."""
+    """Closed forms, extension depths 1-3 too, agree with the compositional builder for every corpus symbol."""
     cols = IndexWindow(0, 33)
     worst = 0.0
     combos = 0
     for _, phi in CORPUS:
-        for kind in COMPOSITIONAL_KINDS:
+        for kind in (*COMPOSITIONAL_KINDS, *map(extension, (1, 2, 3))):
             oracle = build_compositional(kind, phi, cols)
-            rows = oracle.rows.hull(IndexWindow(0, 8))
+            rows = oracle.rows.hull(IndexWindow(-kind.depth, 8))
             primary = build_family(kind, phi, rows, cols)
             worst = max(worst, oracle_deviation(primary, oracle))
             combos += 1

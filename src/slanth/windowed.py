@@ -385,8 +385,6 @@ def format_entry(c: complex) -> str:
 
 
 _ZERO_CELL = format_entry(0j)
-_NEGATIVE_ZERO_CELL = format_entry(complex(0.0, -0.0))  # every zero of a conjugated section
-_SIGN_BIT = np.uint64(1 << 63)
 # Odd, so im -> im * _MIX is one to one: two distinct cells rarely share the
 # sort key re ^ (im * _MIX), and when they do, a cell may be formatted twice.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -402,10 +400,9 @@ def parse_entry(text: str) -> complex:
 def dump_matrix(m: WindowedMatrix) -> str:
     """Render the windowed matrix file format (bit-exact round trip); entries must be finite.
 
-    The background cell is the more frequent of `0.0:0.0` and `0.0:-0.0`.
-    Each run of it within a row is written as one slice of a row of it, and
-    each distinct other cell, told apart by its 128 bits (so `3.0:0.0` and
-    `3.0:-0.0` are two), is formatted once.
+    Each run of `0.0:0.0` cells within a row is written as one slice of a
+    row of them, and each distinct other cell, told apart by its 128 bits
+    (so `3.0:0.0` and `3.0:-0.0` are two), is formatted once.
     """
     header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
     return "\n".join([*header, *_data_lines(m), ""])  # the lines' pieces are freed before this join
@@ -415,11 +412,7 @@ def _data_lines(m: WindowedMatrix) -> list:
     """The dump's line of each row of m."""
     data = np.ascontiguousarray(m.data)  # an adjoint's data is column-major
     re, im = data.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
-    zero_re = re == 0
-    zero, negative = zero_re & (im == 0), zero_re & (im == _SIGN_BIT)
-    background, fill = zero, _ZERO_CELL
-    if np.count_nonzero(negative) > np.count_nonzero(zero):
-        background, fill = negative, _NEGATIVE_ZERO_CELL
+    background = (re == 0) & (im == 0)
     # a token is one other cell or one run of background cells within a row
     grid = background.reshape(data.shape)
     opens = ~grid
@@ -451,17 +444,16 @@ def _data_lines(m: WindowedMatrix) -> list:
     # a run of k background cells is the first k of a row of them, spaces between
     lengths, token[run] = np.unique(np.diff(starts, append=data.size)[run], return_inverse=True)
     token[run] += len(texts)
-    row = " ".join([fill] * data.shape[1])
-    texts += [row[: (len(fill) + 1) * k - 1] for k in lengths.tolist()]
+    row = " ".join([_ZERO_CELL] * data.shape[1])
+    texts += [row[: (len(_ZERO_CELL) + 1) * k - 1] for k in lengths.tolist()]
     pieces = list(map(texts.__getitem__, token.tolist()))
     ends = np.cumsum(np.count_nonzero(opens, axis=1)).tolist()
     return [" ".join(pieces[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-# The two zero cells a dump holds most, as the little-endian words of their
-# bytes: +0 (7 bytes, so its word is masked to 7) and 0-0j.
+# The zero cell, which a dump holds most, as the little-endian word of its
+# 7 bytes (so a cell's word is masked to 7).
 _ZERO_WORD = int.from_bytes(_ZERO_CELL.encode(), "little")
-_NEGATIVE_ZERO_WORD = int.from_bytes(_NEGATIVE_ZERO_CELL.encode(), "little")
 _SEVEN_BYTES = (1 << 56) - 1
 # Cells tokenized at once, in whole lines (at least one): 7 lines at 2049
 # columns, about 130 KB of text, so the tokenizer's scratch stays a small part
@@ -482,10 +474,10 @@ def _read_block(out: np.ndarray, lines: list, width: int, first: int) -> None:
     A block that is not canonical (ASCII, one space between cells, no blank
     at either end of a line) is first rewritten as its cells joined by single
     spaces, which splits it exactly as str.split() does. Every cell is then
-    ended by b' ' or b'\\n'. The cells `0.0:0.0` and `0.0:-0.0` are found by
-    comparing each cell's first word with theirs, and only the others are
-    decoded and parsed. A malformed cell raises before a wrong cell count on
-    a later line, as a line-by-line reader would.
+    ended by b' ' or b'\\n'. The `0.0:0.0` cells are found by comparing each
+    cell's first word with that cell's, and only the others are decoded and
+    parsed; `0.0:-0.0` is parsed like any other cell. A malformed cell raises
+    before a wrong cell count on a later line, as a line-by-line reader would.
     """
     text = "\n".join(lines) + "\n"
     canonical = text.isascii() and "\t" not in text and "\x1f" not in text
@@ -500,9 +492,7 @@ def _read_block(out: np.ndarray, lines: list, width: int, first: int) -> None:
     words = np.ndarray(buf.size - 7, "<u8", buf, strides=(1,))[starts]  # unaligned: the 8 bytes from each byte
     size = ends - starts
     zero = (size == 7) & (words & _SEVEN_BYTES == _ZERO_WORD)
-    negative = (size == 8) & (words == _NEGATIVE_ZERO_WORD)
-    out[np.flatnonzero(negative)] = complex(0.0, -0.0)
-    at = np.flatnonzero(~(zero | negative))  # out starts at +0
+    at = np.flatnonzero(~zero)  # out starts at +0
     if at.size:
         lengths = size[at] + 1  # each kept cell with its separator
         chosen = np.arange(lengths.sum()) + np.repeat(starts[at] - (np.cumsum(lengths) - lengths), lengths)
@@ -524,10 +514,10 @@ def load_matrix(text: str) -> WindowedMatrix:
     """Parse the matrix file format produced by dump_matrix.
 
     Data lines are tokenized with numpy, about `_BLOCK` cells at a time, so the
-    cost grows with the cells that are neither `0.0:0.0` nor `0.0:-0.0`;
-    cells may be separated by any whitespace str.split() accepts. Errors
-    name the first bad line, and within it the first malformed cell;
-    non-finite entries are looked for once every line has parsed.
+    cost grows with the cells other than `0.0:0.0`; cells may be separated by
+    any whitespace str.split() accepts. Errors name the first bad line, and
+    within it the first malformed cell; non-finite entries are looked for once
+    every line has parsed.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:

@@ -18,6 +18,7 @@ from slanth.verify import perturbed
 
 GENERIC_INLINE = "-1:2, 0:3, 1:5, 2:7"
 DATA = Path(__file__).parent / "data"
+HUGE = "99999999999999999999"  # past int64
 
 
 def run_cli(*args, **kwargs):
@@ -83,11 +84,18 @@ class TestBuild:
         assert run_cli("check", "slant-h", "--matrix", str(DATA / "build_oracle.mat")).returncode == 0
 
     def test_pinned_adjoint_dump(self):
-        # every zero is 0.0:-0.0, the other background cell
+        # the closed form conjugates its coefficient table, so every zero is 0.0:0.0, as its oracle writes it
         argv = ("--family", "slant-h-adjoint", "--symbol", f"phi={GENERIC_INLINE}", "--rows", "0:8", "--cols", "0:33")
         result = run_cli("build", *argv)
         assert result.returncode == 0
         assert result.stdout == (DATA / "build_adjoint.mat").read_text()
+        assert ":-0.0" not in result.stdout
+
+    def test_pinned_extension_dump(self):
+        # A(m, .) is built by its oracle, S(-m) . P . S(m) . W . M(phi) . K
+        result = run_cli("build", "--expr", "A(2,phi)", "--symbol", f"phi={GENERIC_INLINE}", "--window", "0:33")
+        assert result.returncode == 0
+        assert result.stdout == (DATA / "build_extension.mat").read_text()
 
     def test_dump_roundtrips_bit_exactly(self, section_file):
         text = section_file.read_text()
@@ -335,6 +343,14 @@ class TestNorm:
         assert result.returncode == 0
         assert result.stdout == (DATA / "norm_generic.txt").read_text()
 
+    @pytest.mark.parametrize("grid", [HUGE, str(2**20 + 1), "0"])
+    def test_grid_out_of_range_is_a_usage_error(self, capsys, grid):
+        # only sizes refused before any grid is allocated
+        assert main(["norm", "--symbol", "phi=0:1", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid size {grid} is not between 1 and 1048576\n"
+
     def test_negative_tol_fails(self):
         result = run_cli("norm", "--symbol", f"phi={GENERIC_INLINE}", "--tol", "-5")
         assert result.returncode == 1
@@ -379,9 +395,6 @@ class TestVerify:
         assert first.stdout == second.stdout and first.returncode == second.returncode == 0
 
 
-HUGE = "99999999999999999999"  # past int64
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -398,6 +411,20 @@ def test_integer_past_int64_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--expr", "A(-1,phi)", "--symbol", "phi=0:1", "--window", "0:3"],
+        ["build", "--family", "extension", "--m", "-1", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", "0:3"],
+    ],
+)
+def test_negative_extension_depth_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: extension depth must be >= 0\n"
 
 
 @pytest.mark.parametrize(

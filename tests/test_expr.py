@@ -9,9 +9,9 @@ from slanth import (
     IndexWindow,
     WindowError,
     build_compositional,
-    build_extension_natural,
     build_family,
     eval_expr,
+    extension,
     parse_expr,
     parse_symbol,
     print_expr,
@@ -140,7 +140,7 @@ class TestEval:
 
     def test_extension_atom(self):
         got = eval_expr(parse_expr("A(2, phi)"), IndexWindow(0, 6), TABLE)
-        want = build_extension_natural(2, GENERIC, IndexWindow(0, 6))
+        want = build_compositional(extension(2), GENERIC, IndexWindow(0, 6))
         assert got.rows == want.rows
         assert np.array_equal(got.data, want.data)
 

@@ -15,7 +15,6 @@ from slanth import (
     WindowError,
     adjoint,
     build_compositional,
-    build_extension_natural,
     build_family,
     entry,
     extension,
@@ -24,7 +23,7 @@ from slanth import (
     symbol_add,
     symbol_scale,
 )
-from slanth.families import COMPOSITIONAL_KINDS, natural_rows
+from slanth.families import COMPOSITIONAL_KINDS
 
 GENERIC = parse_symbol("-1:2, 0:3, 1:5, 2:7")
 
@@ -119,8 +118,10 @@ class TestOracleEquivalence:
         assert np.array_equal(sec.data, np.eye(6))
 
     def test_compositional_guards(self):
-        with pytest.raises(ValueError):
-            build_compositional(extension(1), GENERIC, IndexWindow(0, 5))
+        # extension has its oracle too: rows from -1 on
+        sec = build_compositional(extension(1), GENERIC, IndexWindow(0, 5))
+        assert sec.rows.lo == -1
+        assert sec.entry(-1, 0) == GENERIC.coeff(-2)
         with pytest.raises(WindowError):
             build_compositional(TOEPLITZ, GENERIC, IndexWindow(-1, 5))
 
@@ -182,24 +183,3 @@ class TestStructuralIdentities:
                     entry(extension(depth), GENERIC, i, j) for depth in range(4) if i >= -depth
                 }
                 assert len(values) <= 1
-
-
-class TestNaturalRows:
-    def test_covers_all_nonzero_rows(self, rng):
-        cols = IndexWindow(0, 21)
-        for _ in range(5):
-            phi = random_symbol(rng)
-            for depth in range(4):
-                rows = natural_rows(depth, phi, cols)
-                hi = (rows.hi if not rows.is_empty else 0) + 6
-                sec = build_family(extension(depth), phi, IndexWindow(-depth, hi), cols)
-                for i in sec.rows.indices():
-                    if i not in rows and np.any(np.abs(sec.data[i - sec.rows.lo]) > 0):
-                        raise AssertionError(f"nonzero row {i} outside natural window {rows}")
-
-    def test_extension_natural_build(self):
-        sec = build_extension_natural(2, GENERIC, IndexWindow(0, 6))
-        assert sec.rows.lo == -2
-        assert sec.entry(-2, 0) == GENERIC.coeff(-4)
-        empty = build_extension_natural(1, ZERO, IndexWindow(0, 6))
-        assert empty.rows.is_empty
