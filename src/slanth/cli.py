@@ -95,7 +95,7 @@ def _cmd_build(args) -> int:
         if args.rows is None or args.cols is None:
             raise SymbolParseError("--family requires --rows and --cols")
         if args.family == "extension":
-            kind = extension(args.m if args.m is not None else 1)
+            kind = extension(args.m)
         else:
             kind = _FAMILIES[args.family]
         if len(symbols) != 1:
@@ -127,8 +127,7 @@ def _cmd_check(args) -> int:
             dom = IndexWindow(0, max(0, (matrix.cols.hi - 7) // 4))
         report = check_characterization(matrix, dom, tol)
     else:
-        depth = args.m if args.m is not None else 1
-        report = check_extension_conditions(matrix, depth, tol)
+        report = check_extension_conditions(matrix, args.m, tol)
     _write_output("#fmt 1\n" + report.render(), args.out)
     return 0 if report.passed else 1
 
@@ -188,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="build a section and dump it")
     add_common(build, tol=False)
     build.add_argument("--family", choices=sorted([*_FAMILIES, "extension"]))
-    build.add_argument("--m", type=int, help="extension depth for --family extension")
+    build.add_argument("--m", type=int, default=1, help="extension depth for --family extension")
     build.add_argument("--rows", metavar="LO:HI")
     build.add_argument("--cols", metavar="LO:HI")
     build.add_argument("--expr", metavar="TEXT")
@@ -202,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--expr", metavar="TEXT")
     check.add_argument("--window", metavar="LO:HI")
     check.add_argument("--cols", metavar="LO:HI", help="identity domain for characterization")
-    check.add_argument("--m", type=int, help="depth for the extension predicate")
+    check.add_argument("--m", type=int, default=1, help="depth for the extension predicate")
     check.set_defaults(func=_cmd_check)
 
     extract = sub.add_parser("extract", help="read the symbol back from a section file")

@@ -10,11 +10,14 @@ Grammar (whitespace-insensitive; composition binds tighter than subtraction):
 Atoms: W W* K K* J P U U* S(k) Cz(k) Mz(k) M(name) T(name) H(name) B(name)
 L(name) Sh(name) V(name) V*(name) A(m,name). Names refer to symbols supplied
 in the evaluation table. Every family atom, A(m,name) too, is built by its
-family's compositional oracle. Evaluation propagates windows from the
-user-supplied input window through the rightmost atom leftwards, refusing any
-composition that would lose exactness. Every operand has the input window as
-its columns and holds every nonzero row of them, so subtraction zero-embeds
-both operands on the hull of their row windows.
+family's compositional oracle. A chain is one n-ary `Compose` and a difference
+one n-ary `Diff`, each a tuple of at least 2 terms folded by one loop, left
+associative: ((a . b) . c) and ((a - b) - c). Only a parenthesised term nests
+a node, so evaluation recurses once per parenthesis level. Evaluation
+propagates windows from the user-supplied input window through the rightmost
+atom leftwards, refusing any composition that would lose exactness. Every
+operand has the input window as its columns and holds every nonzero row of
+them, so subtraction zero-embeds both operands on the hull of their row windows.
 """
 
 import math
@@ -74,14 +77,12 @@ class Scaled:
 
 @dataclass(frozen=True)
 class Compose:
-    left: object
-    right: object
+    terms: tuple
 
 
 @dataclass(frozen=True)
 class Diff:
-    left: object
-    right: object
+    terms: tuple
 
 
 _FAMILY_ATOMS = {kind.atom: kind for kind in COMPOSITIONAL_KINDS}
@@ -150,18 +151,18 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.chain()
+        terms = [self.chain()]
         while self.peek()[:2] == ("punct", "-"):
             self.advance()
-            node = Diff(node, self.chain())
-        return node
+            terms.append(self.chain())
+        return Diff(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def chain(self):
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[:2] == ("punct", "."):
             self.advance()
-            node = Compose(node, self.term())
-        return node
+            terms.append(self.term())
+        return Compose(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term(self):
         kind, text, column = self.peek()
@@ -244,21 +245,10 @@ def print_expr(node) -> str:
         return f"{node.name}({','.join(str(a) for a in node.args)})"
     if isinstance(node, Scaled):
         return f"{node.factor!r} {print_expr(node.node)}"
-    if isinstance(node, Compose):
-        left = print_expr(node.left)
-        right = print_expr(node.right)
-        if isinstance(node.left, Diff):
-            left = f"({left})"
-        # parsing is left-associative, so right-nested children need parens
-        if isinstance(node.right, (Diff, Compose)):
-            right = f"({right})"
-        return f"{left} . {right}"
-    if isinstance(node, Diff):
-        left = print_expr(node.left)
-        right = print_expr(node.right)
-        if isinstance(node.right, Diff):
-            right = f"({right})"
-        return f"{left} - {right}"
+    if isinstance(node, (Compose, Diff)):
+        # a term keeps its own node only in parentheses: a Diff, or a Compose inside a Compose
+        texts = (f"({print_expr(t)})" if isinstance(t, (Diff, type(node))) else print_expr(t) for t in node.terms)
+        return (" . " if isinstance(node, Compose) else " - ").join(texts)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -277,14 +267,21 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
 def _eval(node, window: IndexWindow, symbols: dict):
     """`eval_expr` before the final densify: chains of elementaries are triplets, all else dense."""
     if isinstance(node, Diff):
-        left = eval_expr(node.left, window, symbols)
-        right = eval_expr(node.right, window, symbols)
-        rows = left.rows.hull(right.rows)
-        return WindowedMatrix._of(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
+        first, *rest = node.terms
+        total = _dense(_eval(first, window, symbols))
+        for term in rest:  # ((a - b) - c), each term evaluated when it is reached
+            part = _dense(_eval(term, window, symbols))
+            rows = total.rows.hull(part.rows)
+            total = WindowedMatrix._of(rows, window, total.embed(rows, window).data - part.embed(rows, window).data)
+        return total
     if isinstance(node, Compose):
-        right = _eval(node.right, window, symbols)
-        left = _eval(node.left, right.rows, symbols)
-        return _product(left, right)
+        factors = []  # right to left, each term on the rows of the one to its right
+        for term in reversed(node.terms):
+            factors.append(_eval(term, factors[-1].rows if factors else window, symbols))
+        product = factors.pop()
+        while factors:  # ((a . b) . c), each factor released once it is multiplied
+            product = _product(product, factors.pop())
+        return product
     if isinstance(node, Scaled):
         return _scaled(_eval(node.node, window, symbols), node.factor)
     if isinstance(node, Atom):

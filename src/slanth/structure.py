@@ -7,7 +7,7 @@ relation is checked array-at-a-time, as one group (relation, lhs, rhs, at):
 equal-shape arrays holding the relation's instances in scan order (relations
 in a fixed order, indices ascending, C order), and `at(p)` giving the index
 tuple of instance p, formed for witnesses only. The witnesses are the first
-`cap` (default 16) violations in that order.
+`WITNESS_CAP` (16) violations in that order, read when a report is folded.
 """
 
 import math
@@ -93,7 +93,7 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.hypot(re, im, out=re, where=(re != 0) | (im != 0))
 
 
-def _collect(groups, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
+def _collect(groups, tol: float) -> CheckReport:
     """Fold (relation, lhs, rhs, at) groups into a report.
 
     An instance's residual is |lhs - rhs| (see _residual). A non-finite
@@ -111,7 +111,7 @@ def _collect(groups, tol: float, cap: int = WITNESS_CAP) -> CheckReport:
         peak = float(residual.max())
         if peak > max_residual or math.isnan(peak):
             max_residual = peak
-        for p in np.flatnonzero(~(residual <= tol))[: cap - len(witnesses)].tolist():
+        for p in np.flatnonzero(~(residual <= tol))[: WITNESS_CAP - len(witnesses)].tolist():
             witnesses.append(Witness(relation, at(p), complex(lhs.flat[p]), complex(rhs.flat[p])))
     return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), checked)
 
@@ -131,7 +131,7 @@ def _grid(relation: str, lhs: np.ndarray, rhs: np.ndarray, at) -> tuple:
     return relation, lhs, rhs, lambda p: at(*divmod(p, lhs.shape[1]))
 
 
-def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """Verify the slant-h pattern relations inside the matrix windows.
 
     First-column anchors: a[k,0] = a[k+j,4j] and a[k,0] = a[k-j,4j-1];
@@ -165,27 +165,27 @@ def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNE
         yield _grid("a[i,2n+1]=a[i+1,2n-3]", a[:-1, 5 : 2 * w + 4 : 2], a[1:, 1 : 2 * w : 2],
                     lambda o, t: (r0 + o, 2 * t + 5, r0 + o + 1, 2 * t + 1))
 
-    return _collect(groups(), tol, cap)
+    return _collect(groups(), tol)
 
 
-def _step(m: WindowedMatrix, name: str, relation: str, di: int, tol: float, cap: int) -> CheckReport:
+def _step(m: WindowedMatrix, name: str, relation: str, di: int, tol: float) -> CheckReport:
     """Verify the step a[i,j] = a[i+di,j+2], di = +-1, inside the windows."""
     if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
         raise WindowError(f"{name} predicate needs analytic windows, got {m.rows} x {m.cols}")
     a, i, j = m.data, m.rows.lo + (di < 0), m.cols.lo
     lhs, rhs = (a[:-1], a[1:]) if di > 0 else (a[1:], a[:-1])
     group = _grid(relation, lhs[:, :-2], rhs[:, 2:], lambda o, t: (i + o, j + t, i + o + di, j + t + 2))
-    return _collect([group], tol, cap)
+    return _collect([group], tol)
 
 
-def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """Verify the diagonal step a[i,j] = a[i+1,j+2] inside the windows."""
-    return _step(m, "slant-toeplitz", "a[i,j]=a[i+1,j+2]", 1, tol, cap)
+    return _step(m, "slant-toeplitz", "a[i,j]=a[i+1,j+2]", 1, tol)
 
 
-def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """Verify the antidiagonal step a[i,j] = a[i-1,j+2] (i >= 1) inside the windows."""
-    return _step(m, "slant-hankel", "a[i,j]=a[i-1,j+2]", -1, tol, cap)
+    return _step(m, "slant-hankel", "a[i,j]=a[i-1,j+2]", -1, tol)
 
 
 def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
@@ -239,7 +239,7 @@ def _identity_windows(m: WindowedMatrix, what: str) -> None:
         raise WindowError(f"{what} needs columns from 0, got {m.cols}")
 
 
-def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e-12) -> CheckReport:
     """Check the three shift identities characterizing slant-h sections.
 
         (a) A.Cz2 = U*.A.Cz2.U2
@@ -257,10 +257,10 @@ def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e
     if m.cols.hi < needed:
         raise WindowError(f"matrix columns must reach {needed} for identity domain {cols}, got {m.cols}")
     tags = ("A.Cz2=U*.A.Cz2.U2", "U*.A.Mz3.Cz4=A.Mz3.Cz4.U", "U*.A.e0=A.Mz3.e0")
-    return _collect(_shift_identities(tags, m, m, cols, USTAR, 2), tol, cap)
+    return _collect(_shift_identities(tags, m, m, cols, USTAR, 2), tol)
 
 
-def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12) -> CheckReport:
     """Check the extension identities for the depth-m continuation of a section.
 
     The continuation A_m is rebuilt from the extracted symbol on rows >= -m and
@@ -285,10 +285,10 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
         return CheckReport(False, math.nan, ())
     tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0")
     groups = _shift_identities(tags, am, a, IndexWindow(0, p_hi), bilateral_shift(-depth), 2 * depth)
-    return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol, cap)
+    return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol)
 
 
-def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12, cap: int = WITNESS_CAP) -> CheckReport:
+def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12) -> CheckReport:
     """Conditions for a slant-Hankel operator to carry the slant-h pattern.
 
     Two sub-results folded into one report: (i) the coefficient shift
@@ -309,4 +309,4 @@ def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12
         ("a[2j+4]=a[2j+3]", c(2 * j + 4), c(2 * j + 3), lambda p: (p,)),
         ("a[n]=0(n=1|n>=3)", c(np.array(odd, dtype=int)), np.zeros(len(odd), complex), lambda p: (odd[p],)),
     ]
-    return _collect(groups, tol, cap)
+    return _collect(groups, tol)

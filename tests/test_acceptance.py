@@ -27,7 +27,7 @@ def _run_suite(criterion: str, name: str):
 
 
 def test_criterion_01_oracle_equivalence():
-    # closed forms == compositional builder, 8 symbols x 7 kinds, <= 1e-13
+    # closed forms == compositional builder bit for bit, 8 symbols x 10 kinds
     _run_suite("criterion-01-oracle", "oracle")
 
 

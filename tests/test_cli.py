@@ -1,8 +1,14 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slanth import (
     SLANT_H_TOEPLITZ,
@@ -458,3 +464,195 @@ def test_cli_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("atoms", [500, 5000])
+def test_long_chains_evaluate(capsys, atoms):
+    # one loop per chain or difference, so no length reaches the recursion limit
+    assert main(["build", "--expr", "P", "--window", "0:9"]) == 0
+    single = capsys.readouterr().out
+    assert main(["build", "--expr", " . ".join(["P"] * atoms), "--window", "0:9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == single and captured.err == ""
+    # P - P - ... - P is ((P - P) - P) ... = -(n - 2) P
+    assert main(["build", "--expr", " - ".join(["P"] * atoms), "--window", "0:9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    section = load_matrix(captured.out)
+    assert section.rows == section.cols == IndexWindow(0, 9)
+    assert np.array_equal(section.data, -(atoms - 2) * np.eye(10))
+
+
+# The CLI grammar, for the property that no input yields a traceback. An
+# integer is small or at least 2**40 in size; a window holds at most 256
+# indices or at least 2**40. Sizes in between would be allocated for real, and
+# a few of them exhaust the machine; past 2**40 the allocation fails before
+# any memory is touched. Degrees, powers and depths go past int64.
+
+
+def mostly(common, rare):
+    """`common` seven times in eight, else `rare`."""
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else common)
+
+
+SMALL = st.integers(-8, 8)
+FAR = st.sampled_from([2**40, 2**62, 2**63 - 1, 2**63, 10**20]).flatmap(lambda n: st.sampled_from([n, -n]))
+ints = mostly(SMALL, FAR)
+window_texts = mostly(
+    st.builds(lambda lo, size: f"{lo}:{lo + size}", st.integers(-4, 40), st.integers(0, 64)),
+    st.one_of(
+        st.builds(lambda lo, size: f"{lo}:{lo + size}", st.one_of(st.integers(-300, 300), FAR), st.integers(-2, 255)),
+        st.builds(lambda lo, size: f"{lo}:{lo + size}", SMALL, st.sampled_from([2**40, 2**62, 2**63, 10**20])),
+        st.sampled_from(["3", "a:b", ":", "1:2:3", "", "0x1:4", " 0 : 3 "]),
+    ),
+)
+coefficients = mostly(
+    st.sampled_from(["1", "-2.5", "3+4i", "-i", "0", "7"]),
+    st.sampled_from(["1e308", "5e-324", "nan", "inf", "1e400", "2+", "x", ""]),
+)
+symbol_texts = mostly(
+    st.lists(st.tuples(ints, coefficients), min_size=1, max_size=4, unique_by=lambda term: term[0]).map(
+        lambda terms: ", ".join(f"{n}:{c}" for n, c in terms)
+    ),
+    st.text(min_size=1, max_size=12),
+)
+# an atom that keeps a window's size within its symbol's span, and one that
+# multiplies it; an expression holds at most one of the latter
+TAME = ["P", "W", "U*", "U", "K", "J", "S(1)", "Mz(-1)", "M(phi)", "T(phi)", "H(phi)", "B(phi)", "L(phi)",
+        "Sh(phi)", "V(phi)", "A(1,phi)", "2.5 V(phi)", "1e308 P", "0 W"]
+GROWING = ["K*", "W*", "V*(phi)", "Cz(2)", "Cz(8)"]
+tame_atoms = mostly(
+    st.sampled_from(TAME),
+    st.one_of(
+        st.sampled_from(["V(psi)", "Q", "W(2)", "1e400 W", "Cz(0)", "A(-1,phi)"]),
+        st.builds(lambda name, n: f"{name}({n})", st.sampled_from(["S", "Mz", "Cz", "A"]), FAR),
+    ),
+)
+
+
+@st.composite
+def expressions(draw):
+    length = {8: 500, 9: 5000}.get(draw(st.integers(0, 9)))
+    if length:  # few long chains, of atoms that cost little
+        atom = draw(st.sampled_from(["P", "U*", "W", "S(1)"]))
+        text = draw(st.sampled_from([" . ", " - "])).join([atom] * length)
+    else:
+        atoms = draw(st.lists(tame_atoms, min_size=1, max_size=6))
+        if draw(st.booleans()):
+            atoms.insert(draw(st.integers(0, len(atoms))), draw(st.sampled_from(GROWING)))
+        text = atoms[0]
+        for atom in atoms[1:]:
+            if draw(st.integers(0, 4)) == 0:
+                text = f"({text})"
+            text += draw(mostly(st.sampled_from([" . ", " - "]), st.sampled_from([".", "-", " "]))) + atom
+    depth = draw(mostly(st.just(0), st.sampled_from([1, 3, 199, 200, 201, 250])))
+    text = "(" * depth + text + ")" * depth
+    if draw(st.integers(0, 9)) == 0:  # a character dropped or put in
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", "(", ")", ",", "@", "\u00e9", "\x00"])) + text[at + 1 :]
+    return text
+
+
+matrix_cells = st.sampled_from(["0.0:0.0", "1.0:-2.0", "0.0:-0.0", "nan:0", "inf:1", "1e999:0", "1:2:3", "x", ":",
+                                "1.0", "\uff11:2", "5e-324:0"])
+
+
+@st.composite
+def matrix_texts(draw):
+    """A dumped slant-h section, as it is, with a cell, line or header changed, or free text."""
+    rows = IndexWindow(0, draw(st.integers(-1, 8)))
+    cols = IndexWindow(0, draw(st.integers(-1, 40)))
+    lines = dump_matrix(build_family(SLANT_H_TOEPLITZ, parse_symbol(GENERIC_INLINE), rows, cols)).splitlines()
+    change = draw(mostly(st.just("none"), st.sampled_from(["cell", "line", "header", "text"])))
+    if change == "cell" and len(lines) > 3:
+        r = draw(st.integers(3, len(lines) - 1))
+        cells = lines[r].split()
+        if cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(matrix_cells)
+        lines[r] = draw(st.sampled_from([" ", "\t", "  "])).join(cells)
+    elif change == "line":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif change == "header":
+        tag = draw(st.sampled_from(["rows", "cols", "x"]))
+        lines[draw(st.integers(1, 2))] = f"{tag} " + " ".join(draw(window_texts).split(":"))
+    elif change == "text":
+        return draw(st.text(max_size=40))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def argvs(draw, tmp):
+    """argv drawn from every command and predicate, with the files it names written under tmp."""
+
+    def symbol_args():
+        args = []
+        names = draw(mostly(st.just(["phi"]), st.sampled_from([[], ["phi", "psi"], ["phi", "phi"], [""], ["psi"]])))
+        for name in names:
+            value = draw(mostly(symbol_texts, st.sampled_from(["FILE", str(tmp)])))
+            if value == "FILE":
+                value = str(tmp / "phi.sym")
+                body = draw(st.one_of(st.just("#fmt 1\n-1 2.0 0.0\n0 3.0 0.0\n"), st.text(max_size=30)))
+                (tmp / "phi.sym").write_text(body, encoding="utf-8", errors="surrogatepass")
+            args += ["--symbol", f"{name}={value}"]
+        return args
+
+    def matrix_path():
+        path = tmp / "section.mat"
+        path.write_text(draw(matrix_texts()), encoding="utf-8", errors="surrogatepass")
+        return draw(mostly(st.just(str(path)), st.sampled_from([str(tmp / "missing.mat"), str(tmp)])))
+
+    def often(option, value):  # nine times in ten; the = form, as a value may start with -
+        return [f"{option}={value}"] if draw(st.integers(0, 9)) else []
+
+    def maybe(option, value):
+        return [f"{option}={value}"] if draw(st.booleans()) else []
+
+    command = draw(mostly(st.sampled_from(["build-family", "build-expr", "check", "check", "extract", "norm"]),
+                          st.sampled_from(["verify", "junk"])))
+    if command == "build-family":
+        family = draw(mostly(st.sampled_from(["toeplitz", "hankel", "slant-toeplitz", "slant-hankel", "h-toeplitz",
+                                              "slant-h-toeplitz", "slant-h-adjoint", "extension"]), st.just("bogus")))
+        argv = ["build", "--family", family, *symbol_args(), *often("--rows", draw(window_texts)),
+                *often("--cols", draw(window_texts)), *maybe("--m", str(draw(ints)))]
+    elif command == "build-expr":
+        argv = ["build", "--expr", draw(expressions()), *often("--window", draw(window_texts)), *symbol_args()]
+    elif command == "check":
+        predicate = draw(mostly(st.sampled_from(["slant-h", "slant-toeplitz", "slant-hankel", "characterization",
+                                                 "extension"]), st.just("bogus")))
+        source = (["--matrix", matrix_path()] if draw(st.booleans())
+                  else ["--expr", draw(expressions()), *often("--window", draw(window_texts))])
+        argv = ["check", predicate, *source, *symbol_args(), *maybe("--cols", draw(window_texts)),
+                *maybe("--m", str(draw(ints))), *maybe("--tol", draw(st.sampled_from(["0", "-1", "nan", "inf", "x"])))]
+    elif command == "extract":
+        argv = ["extract", "--matrix", matrix_path(), *maybe("--tol", "0")]
+    elif command == "norm":
+        argv = ["norm", *symbol_args(), *maybe("--rows", draw(window_texts)), *maybe("--cols", draw(window_texts)),
+                *maybe("--grid", str(draw(ints)))]
+    elif command == "verify":
+        names = ["oracle", "golden", "roundtrip", "predicates", "interleaving", "coisometry", "negatives", "perp",
+                 "norm-bound", "extension", "bogus", "--all"]
+        argv = ["verify", *draw(st.lists(st.sampled_from(names), max_size=2))]
+    else:
+        words = ["build", "check", "--rows", "0:3", "--bogus", "--help", "-x", "", "\u00e9"]
+        argv = draw(st.lists(st.sampled_from(words), max_size=4))
+    return argv + draw(mostly(st.just([]), st.sampled_from([["--out", str(tmp / "out.txt")], ["--out", str(tmp)]])))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_no_input_yields_a_traceback(data):
+    with tempfile.TemporaryDirectory() as name:
+        argv = data.draw(argvs(Path(name)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors, and --help
+                code = exc.code
+    stderr = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, stderr)
+    assert "Traceback" not in stderr, argv
+    if code in (2, 3):
+        lines = stderr.splitlines(keepends=True) or [""]
+        argparse_error = lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        assert len(lines) == 1 and lines[0].endswith("\n") or argparse_error, (argv, stderr)

@@ -7,6 +7,7 @@ from slanth import (
     SLANT_H_TOEPLITZ,
     TOEPLITZ,
     IndexWindow,
+    LaurentSymbol,
     WindowError,
     build_compositional,
     build_family,
@@ -17,8 +18,8 @@ from slanth import (
     print_expr,
     symbol_sub,
 )
-from slanth.windowed import P, W, build_elementary
-from slanth.expr import Atom, Compose, Diff, ExprParseError, Scaled, UnknownSymbolError
+from slanth.windowed import P, W, WindowedMatrix, _dense, _product, build_elementary
+from slanth.expr import Atom, Compose, Diff, ExprParseError, Scaled, UnknownSymbolError, _eval
 
 GENERIC = parse_symbol("-1:2, 0:3, 1:5, 2:7")
 TABLE = {"phi": GENERIC}
@@ -30,16 +31,16 @@ class TestParse:
 
     def test_chain_of_four(self):
         node = parse_expr("W . P . M(phi) . K")
-        assert node == Compose(Compose(Compose(Atom("W"), Atom("P")), Atom("M", ("phi",))), Atom("K"))
+        assert node == Compose((Atom("W"), Atom("P"), Atom("M", ("phi",)), Atom("K")))
 
     def test_difference_of_chains(self):
         node = parse_expr("U* . V(phi) . Cz(2) . Mz(2) - V(phi) . Cz(2)")
-        assert isinstance(node, Diff)
-        assert isinstance(node.left, Compose) and isinstance(node.right, Compose)
+        assert isinstance(node, Diff) and len(node.terms) == 2
+        assert all(isinstance(term, Compose) for term in node.terms)
 
     def test_parentheses_and_scalar(self):
         node = parse_expr("2.5 W . (K* . K)")
-        assert node == Compose(Scaled(2.5, Atom("W")), Compose(Atom("K*"), Atom("K")))
+        assert node == Compose((Scaled(2.5, Atom("W")), Compose((Atom("K*"), Atom("K")))))
 
     def test_negative_integer_argument(self):
         assert parse_expr("S(-2)") == Atom("S", (-2,))
@@ -67,7 +68,7 @@ class TestParse:
         assert "col 5" in str(info.value)
 
     def test_nesting_cap(self):
-        assert parse_expr("(" * 199 + "P . (W)" + ")" * 199) == Compose(Atom("P"), Atom("W"))  # 200 deep
+        assert parse_expr("(" * 199 + "P . (W)" + ")" * 199) == Compose((Atom("P"), Atom("W")))  # 200 deep
         # past the cap a parse error at the first parenthesis too many, not a RecursionError
         with pytest.raises(ExprParseError, match="nested deeper than 200") as info:
             parse_expr("(" * 1000 + "P" + ")" * 1000)
@@ -88,7 +89,12 @@ atoms = st.one_of(
 # factors print as repr and carry no sign; exponents and 0.0 included
 factors = st.one_of(st.sampled_from([0.0, 1e-300, 2.5e16, 5e-324]), st.floats(min_value=0.0, allow_infinity=False))
 terms = st.one_of(atoms, st.builds(Scaled, factors, atoms))
-ast_nodes = st.recursive(terms, lambda inner: st.builds(Compose, inner, inner) | st.builds(Diff, inner, inner), max_leaves=8)
+ast_nodes = st.recursive(
+    terms,
+    lambda inner: st.builds(Compose, st.lists(inner, min_size=2, max_size=4).map(tuple))
+    | st.builds(Diff, st.lists(inner, min_size=2, max_size=4).map(tuple)),
+    max_leaves=8,
+)
 
 
 class TestPrintRoundtrip:
@@ -99,6 +105,9 @@ class TestPrintRoundtrip:
             "U* . V(phi) . Cz(2) . Mz(2) - V(phi) . Cz(2)",
             "2.5 W . (K* . K)",
             "A(1,phi) - A(2,phi) - V(phi)",
+            "(W . P) . K",
+            "(W - P) - K",
+            "W - (P - K) . U",
         ]:
             node = parse_expr(text)
             assert parse_expr(print_expr(node)) == node
@@ -178,3 +187,78 @@ class TestEval:
     def test_analytic_guard_propagates(self):
         with pytest.raises(WindowError):
             eval_expr(parse_expr("J"), IndexWindow(-2, 3), {})
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_eval(node, window, symbols):
+    """The recursive evaluator the flat folds replaced: a chain or a difference is its head and its last term.
+
+    It keeps each operand as that evaluator did, triplets or dense, so the
+    products take the same paths; atoms are left to `_eval`.
+    """
+    if not isinstance(node, (Compose, Diff)):
+        return _eval(node, window, symbols)
+    *head, last = node.terms
+    head = head[0] if len(head) == 1 else type(node)(tuple(head))
+    if isinstance(node, Diff):
+        left = _dense(reference_eval(head, window, symbols))
+        right = _dense(reference_eval(last, window, symbols))
+        rows = left.rows.hull(right.rows)
+        return WindowedMatrix._of(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
+    right = reference_eval(last, window, symbols)
+    return _product(reference_eval(head, right.rows, symbols), right)
+
+
+# Atoms whose rows stay within their symbol's span of their columns; atoms that
+# double them (V*, K*, W*, Cz) would outgrow memory in a chain of 50. An
+# unknown symbol, a negative depth and a family atom on rows below 0 (which M
+# and A leave) raise, and 1e300 overflows, so exceptions and non-finite
+# entries are compared too. Terms are drawn from one list: drawing each from
+# its own strategy takes several times as long.
+REF_ATOMS = [
+    *(Atom(name, (sym,)) for name in ["M", "T", "H", "B", "L", "Sh", "V"] for sym in ["phi", "psi"]),
+    *(Atom("A", (depth, "phi")) for depth in range(4)),
+    *map(Atom, ["P", "W", "U*"]),
+    Atom("S", (2,)),
+]
+REF_TERMS = [*REF_ATOMS, *(Scaled(f, a) for f in (0.0, 2.5, 1e300) for a in REF_ATOMS[::3])]
+ref_symbols = st.dictionaries(
+    st.integers(-1, 4), st.builds(complex, st.sampled_from([0.5, -1.0, 3.0, 1e300]), st.sampled_from([0.0, -2.0])),
+    min_size=1, max_size=4,
+).map(LaurentSymbol)
+
+
+@st.composite
+def ref_nodes(draw):
+    """1 to 50 terms, cut into chains and differences nested up to 3 parentheses deep."""
+    size = draw(st.integers(1, 50))
+    terms = draw(st.lists(st.sampled_from(REF_TERMS), min_size=size, max_size=size))
+    if draw(st.integers(0, 7)) == 0:  # one term that raises
+        terms[draw(st.integers(0, size - 1))] = draw(st.sampled_from([Atom("V", ("chi",)), Atom("A", (-1, "phi"))]))
+
+    def group(items, level):
+        if len(items) == 1:
+            return items[0]
+        kind = draw(st.sampled_from([Compose, Diff]))
+        if level == 3:
+            return kind(tuple(items))
+        cuts = sorted(draw(st.sets(st.integers(1, len(items) - 1), min_size=1, max_size=5)))
+        return kind(tuple(group(items[a:b], level + 1) for a, b in zip([0, *cuts], [*cuts, len(items)])))
+
+    return group(terms, 0)
+
+
+@settings(deadline=None, max_examples=500)
+@given(ref_nodes(), st.integers(0, 3), st.integers(0, 8), ref_symbols, ref_symbols)
+def test_flat_folds_match_recursive_reference(node, lo, size, phi, psi):
+    window, table = IndexWindow(lo, lo + size), {"phi": phi, "psi": psi}
+    try:
+        want = _dense(reference_eval(node, window, table))
+    except ValueError as exc:  # UnknownSymbolError and WindowError are ValueErrors
+        with pytest.raises(type(exc)) as info:
+            eval_expr(node, window, table)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = eval_expr(node, window, table)
+    assert got.rows == want.rows and got.cols == want.cols
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))

@@ -15,6 +15,8 @@ from slanth import (
     entry,
     extension,
 )
+from slanth import families
+from slanth.verify import check_oracle
 
 PROPERTY = settings(deadline=None, max_examples=30)
 
@@ -56,3 +58,15 @@ def test_closed_form_matches_oracle(phi, col_span):
         rows = oracle.rows.hull(IndexWindow(-kind.depth, 4))
         primary = build_family(kind, phi, rows, cols)
         assert np.array_equal(primary.data.view(np.uint64), oracle.embed(rows, cols).data.view(np.uint64)), kind.name
+
+
+def test_oracle_suite_compares_bits(monkeypatch):
+    # conjugating after the gather writes 0-0j off the support, where the oracle
+    # writes +0: no entry deviates, yet the two routes differ in their bits
+    gather = families._coefficients
+
+    def conjugated_after(phi, degrees, conj=False):
+        return np.conj(gather(phi, degrees)) if conj else gather(phi, degrees)
+
+    monkeypatch.setattr(families, "_coefficients", conjugated_after)
+    assert check_oracle() == (False, "max_dev=0.0 combos=80")

@@ -1,6 +1,7 @@
 import collections
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from slanth import (
     parse_symbol,
     slant_hankel_perp_check,
 )
+from slanth import structure
 from slanth.structure import WITNESS_CAP, CheckReport, Witness, _collect
 from slanth.verify import perturbed
 from slanth.windowed import (
@@ -282,7 +284,8 @@ class TestCollect:
             lhs, rhs = np.empty(shape, complex), np.empty(shape, complex)  # parts set directly: 1j * inf is nan
             lhs.real, lhs.imag, rhs.real, rhs.imag = parts
             groups.append((f"r{g}", lhs, rhs, lambda p, g=g: (g, p)))
-        assert report_bits(_collect(groups, tol, cap)) == report_bits(hypot_fold(groups, tol, cap))
+        with mock.patch.object(structure, "WITNESS_CAP", cap):
+            assert report_bits(_collect(groups, tol)) == report_bits(hypot_fold(groups, tol, cap))
 
 
 # Scalar reference scan: every relation instance folded one at a time, in the
@@ -439,25 +442,28 @@ class TestDifferential:
     @DIFFERENTIAL
     @given(sections(st.integers(0, 3), st.integers(1, 10), st.just(0), st.integers(0, 40)), caps)
     def test_slant_h(self, m, cap):
-        assert_same(check_slant_h_matrix(m, cap=cap), reference_fold(slant_h_instances(m), cap=cap))
+        with mock.patch.object(structure, "WITNESS_CAP", cap):
+            assert_same(check_slant_h_matrix(m), reference_fold(slant_h_instances(m), cap=cap))
 
     @DIFFERENTIAL
     @given(sections(st.integers(0, 3), st.integers(1, 8), st.integers(0, 3), st.integers(3, 20)), caps)
     def test_step_predicates(self, m, cap):
-        assert_same(
-            check_slant_toeplitz_matrix(m, cap=cap),
-            reference_fold(step_instances(m, "a[i,j]=a[i+1,j+2]", 1), cap=cap),
-        )
-        assert_same(
-            check_slant_hankel_matrix(m, cap=cap),
-            reference_fold(step_instances(m, "a[i,j]=a[i-1,j+2]", -1), cap=cap),
-        )
+        with mock.patch.object(structure, "WITNESS_CAP", cap):
+            assert_same(
+                check_slant_toeplitz_matrix(m),
+                reference_fold(step_instances(m, "a[i,j]=a[i+1,j+2]", 1), cap=cap),
+            )
+            assert_same(
+                check_slant_hankel_matrix(m),
+                reference_fold(step_instances(m, "a[i,j]=a[i-1,j+2]", -1), cap=cap),
+            )
 
     @DIFFERENTIAL
     @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(11, 30)), caps, st.data())
     def test_characterization(self, m, cap, data):
         dom = IndexWindow(0, data.draw(st.integers(0, (m.cols.hi - 7) // 4)))
-        assert_same(check_characterization(m, dom, cap=cap), reference_fold(characterization_instances(m, dom), cap=cap))
+        with mock.patch.object(structure, "WITNESS_CAP", cap):
+            assert_same(check_characterization(m, dom), reference_fold(characterization_instances(m, dom), cap=cap))
 
     @DIFFERENTIAL
     @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(11, 30)), st.integers(0, 2), caps)
@@ -465,14 +471,16 @@ class TestDifferential:
         try:
             reference = reference_fold(extension_instances(m, depth), cap=cap)
         except ValueError:  # a non-finite entry read back into the symbol fails closed
-            assert check_extension_conditions(m, depth, cap=cap).render() == "FAIL max_residual=nan\n"
+            assert check_extension_conditions(m, depth).render() == "FAIL max_residual=nan\n"
             return
-        assert_same(check_extension_conditions(m, depth, cap=cap), reference)
+        with mock.patch.object(structure, "WITNESS_CAP", cap):
+            assert_same(check_extension_conditions(m, depth), reference)
 
     @DIFFERENTIAL
     @given(symbols, st.integers(0, 24), caps)
     def test_perp(self, phi, idx_max, cap):
-        assert_same(slant_hankel_perp_check(phi, idx_max, cap=cap), reference_fold(perp_instances(phi, idx_max), cap=cap))
+        with mock.patch.object(structure, "WITNESS_CAP", cap):
+            assert_same(slant_hankel_perp_check(phi, idx_max), reference_fold(perp_instances(phi, idx_max), cap=cap))
 
     def test_vacuous_window_matches(self):
         m = v_section(GENERIC, row_hi=0, col_hi=9)
