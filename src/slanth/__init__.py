@@ -28,9 +28,7 @@ from .families import (
     Family,
     build_compositional,
     build_family,
-    entry,
     extension,
-    oracle_deviation,
 )
 from .structure import (
     CheckReport,

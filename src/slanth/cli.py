@@ -34,7 +34,9 @@ from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
-_PREDICATES = ("slant-h", "slant-toeplitz", "slant-hankel", "characterization", "extension")
+_PATTERNS = {"slant-h": check_slant_h_matrix, "slant-toeplitz": check_slant_toeplitz_matrix,
+             "slant-hankel": check_slant_hankel_matrix}
+_PREDICATES = (*_PATTERNS, "characterization", "extension")
 
 
 def _parse_window(text: str) -> IndexWindow:
@@ -94,10 +96,7 @@ def _cmd_build(args) -> int:
     if args.family:
         if args.rows is None or args.cols is None:
             raise SymbolParseError("--family requires --rows and --cols")
-        if args.family == "extension":
-            kind = extension(args.m)
-        else:
-            kind = _FAMILIES[args.family]
+        kind = extension(args.m) if args.family == "extension" else _FAMILIES[args.family]
         if len(symbols) != 1:
             raise SymbolParseError("--family requires exactly one --symbol")
         (phi,) = symbols.values()
@@ -114,12 +113,8 @@ def _cmd_check(args) -> int:
     symbols = _symbol_table(args.symbol)
     matrix = _matrix_from_args(args, symbols)
     tol = args.tol
-    if args.predicate == "slant-h":
-        report = check_slant_h_matrix(matrix, tol)
-    elif args.predicate == "slant-toeplitz":
-        report = check_slant_toeplitz_matrix(matrix, tol)
-    elif args.predicate == "slant-hankel":
-        report = check_slant_hankel_matrix(matrix, tol)
+    if args.predicate in _PATTERNS:
+        report = _PATTERNS[args.predicate](matrix, tol)
     elif args.predicate == "characterization":
         if args.cols is not None:
             dom = _parse_window(args.cols)

@@ -1,6 +1,6 @@
-"""Closed-form entry generators for the operator families.
+"""The operator families, each built by two routes: its closed form and its oracle.
 
-Each family admits an O(1) per-entry formula in the symbol coefficients:
+The entry at row i, column j of each family is one symbol coefficient:
 
     toeplitz            a_{i-j}
     hankel              a_{i+j+1}
@@ -11,12 +11,13 @@ Each family admits an O(1) per-entry formula in the symbol coefficients:
     slant-h-adjoint     conj of the slant-h form with (i, j) swapped
     extension(m)        the slant-h form continued to rows i >= -m
 
-The closed form is primary; `build_compositional` assembles the same
-operators from elementary sections with exact window propagation and serves
-as the independent oracle the closed forms are tested against. The two agree
-bit for bit: every zero of either reads +0. Each family, extension(m) too, is
-one `Family` record holding both routes, its CLI name and its expression
-atom; the CLI and the expression language build their tables from
+`build_family` gathers whole sections of that closed form, and every reader
+takes sections; `build_compositional` assembles the same operators from
+elementary sections with exact window propagation and serves as the
+independent oracle the closed forms are tested against. The two agree bit for
+bit: every zero of either reads +0. Each family, extension(m) too, is one
+`Family` record holding both routes, its CLI name and its expression atom;
+the CLI and the expression language build their tables from
 `COMPOSITIONAL_KINDS` and `extension`.
 """
 
@@ -36,6 +37,8 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
+    _check_int64,
+    _ends,
     bilateral_shift,
     compose_chain,
     mult,
@@ -52,10 +55,8 @@ __all__ = [
     "SLANT_H_ADJOINT",
     "COMPOSITIONAL_KINDS",
     "extension",
-    "entry",
     "build_family",
     "build_compositional",
-    "oracle_deviation",
 ]
 
 
@@ -126,28 +127,17 @@ def extension(depth: int) -> Family:
                   lambda phi: [bilateral_shift(-depth), P, bilateral_shift(depth), W, mult(phi), K], depth=depth)
 
 
-def entry(kind: Family, phi: LaurentSymbol, i: int, j: int) -> complex:
-    """Closed-form entry at absolute row i, column j."""
-    if j < 0:
-        raise WindowError(f"{kind.name} has no column {j}")
-    if i < -kind.depth:
-        raise WindowError(f"{kind.name} has no row {i}")
-    value = phi.coeff(kind.degree(i, j))
-    return (value.conjugate() if kind.conj else value) + 0j  # as in _coefficients
-
-
 def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, conj: bool = False) -> np.ndarray:
     """Coefficient of phi, conjugated when `conj` is set, at every degree of an integer grid."""
-    if phi.is_zero:
-        return np.zeros(degrees.shape, dtype=complex)
-    lo, hi = phi.support
+    lo, hi = phi.support or (0, -1)  # the zero symbol's table is its zero slot
+    _check_int64([16 * (hi - lo + 2)], f"the bytes of a coefficient table on degrees {lo}:{hi} reach")
     table = np.zeros(hi - lo + 2, dtype=complex)  # the last slot is the zero off the support
     for n, a in phi.items():
         table[n - lo] = a
     # + 0.0: every zero part reads +0, as the oracle's densify writes it
     table = (np.conj(table) if conj else table) + 0.0
-    index = degrees - lo
-    return table[np.where((index >= 0) & (index <= hi - lo), index, -1)]
+    # degrees - lo is read only on the support, where it cannot wrap
+    return table[np.where((degrees >= lo) & (degrees <= hi), degrees - lo, -1)]
 
 
 def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
@@ -158,6 +148,9 @@ def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: Inde
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
     i = rows.index_array()[:, None]
     j = cols.index_array()
+    # each degree map is monotone on each parity of i and of j: the windows' ends bound its int64 arithmetic
+    degrees = (kind.degree(r, c) for r in _ends(rows) for c in _ends(cols))
+    _check_int64(degrees, f"{kind.name} degrees on {rows} x {cols} reach")
     return WindowedMatrix._of(rows, cols, _coefficients(phi, kind.degree(i, j), kind.conj))
 
 
@@ -172,15 +165,3 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     return compose_chain(kind.chain(phi), cols)
 
-
-def oracle_deviation(primary: WindowedMatrix, oracle: WindowedMatrix) -> float:
-    """Max deviation of a closed-form section from the compositional oracle.
-
-    Compares entries on the window intersection, and additionally requires the
-    closed-form entries outside the oracle's row window to vanish (the oracle
-    rows contain every nonzero row for its columns).
-    """
-    if primary.cols != oracle.cols:
-        raise WindowError(f"column windows differ: {primary.cols} vs {oracle.cols}")
-    expected = oracle.embed(primary.rows.hull(oracle.rows), oracle.cols).restrict(primary.rows, oracle.cols)
-    return float(np.max(np.abs(primary.data - expected.data), initial=0.0))

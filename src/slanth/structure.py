@@ -199,14 +199,8 @@ def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
     """
     if m.rows.is_empty or m.cols.is_empty or m.rows.lo != 0 or m.cols.lo != 0:
         raise WindowError(f"symbol readback needs windows anchored at 0, got {m.rows} x {m.cols}")
-    coeffs: dict[int, complex] = {}
-    for i in m.rows.indices():
-        coeffs[2 * i] = m.entry(i, 0)
-    if m.cols.hi >= 1:
-        for i in m.rows.indices():
-            coeffs[2 * i + 1] = m.entry(i, 1)
-    for k in range(-1, -(m.cols.hi // 2) - 1, -1):
-        coeffs[k] = m.entry(0, -2 * k)
+    coeffs = {2 * i + odd: a for odd, column in enumerate(m.data.T[:2].tolist()) for i, a in enumerate(column)}
+    coeffs.update((-k, a) for k, a in enumerate(m.data[0, 2::2].tolist(), 1))
     return LaurentSymbol(coeffs)
 
 

@@ -57,6 +57,10 @@ class WindowError(ValueError):
     """Window mismatch, exactness loss, or out-of-window access."""
 
 
+# numpy's int64 arithmetic wraps silently, so indices are checked against these bounds in Python ints
+_INT64 = np.iinfo(np.int64)
+
+
 @dataclass(frozen=True)
 class IndexWindow:
     """Contiguous inclusive interval of basis indices; hi < lo means empty."""
@@ -94,8 +98,7 @@ class IndexWindow:
         np.arange raises past numpy's size limit or past int64's bounds, and
         returns an empty array for 2**63 - 1 indices.
         """
-        limit = np.iinfo(np.int64)
-        if not self.is_empty and (self.lo < limit.min or self.hi >= limit.max or self.size > limit.max // 8):
+        if not self.is_empty and (self.lo < _INT64.min or self.hi >= _INT64.max or self.size > _INT64.max // 8):
             raise WindowError(f"window {self} does not fit an int64 index array")
         return np.arange(self.lo, self.hi + 1, dtype=np.int64)
 
@@ -246,21 +249,37 @@ _INDEX_MAPS = {
 _Triplets = namedtuple("_Triplets", "rows cols i j v")
 
 
+def _ends(window: IndexWindow) -> list:
+    """The first two and last two indices of a window, as Python ints."""
+    return [*window.indices()[:2], *window.indices()[-2:]]
+
+
+def _check_int64(values, what: str) -> None:
+    """A WindowError unless every Python int of `values` lies in int64, where numpy's arithmetic would wrap."""
+    if any(not _INT64.min <= v <= _INT64.max for v in values):
+        raise WindowError(f"{what} past int64")
+
+
 def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
     """Triplets of the images of e_j, j in `domain`, by index arithmetic; the rows are their hull."""
     if kind.name in _ANALYTIC_DOMAIN and not domain.is_empty and domain.lo < 0:
         raise WindowError(f"{kind.name} requires an analytic domain (lo >= 0), got {domain}")
     j = domain.index_array()
+    # each map is monotone on each parity and sign: the domain's ends' images, in Python ints, bound the rest
+    ends = np.array(_ends(domain), dtype=object)
     if kind.name == "M":
         degrees = np.array([n for n, _ in kind.symbol.items()], dtype=np.int64)
         coeffs = np.array([a for _, a in kind.symbol.items()], dtype=complex)
         i, j, v = (j[:, None] + degrees).ravel(), np.repeat(j, degrees.size), np.tile(coeffs, j.size)
+        ends = ends[:, None] + degrees.astype(object)
     elif kind.name in _INDEX_MAPS:
         row, keep = _INDEX_MAPS[kind.name]
         j = j if keep is None else j[keep(j)]
         i, v = row(j, kind.power), np.ones(j.size, dtype=complex)
+        ends = row(ends if keep is None else ends[keep(ends).astype(bool)], kind.power)
     else:
         raise ValueError(f"unknown elementary kind {kind.name!r}")
+    _check_int64(np.ravel(ends), f"{kind.name} maps {domain}")
     rows = IndexWindow(int(i.min()), int(i.max())) if i.size else IndexWindow.empty()
     return _Triplets(rows, domain, i, j, v)
 
@@ -293,6 +312,7 @@ def _product(a, b):
     """
     if not a.cols.covers(b.rows):
         raise WindowError(f"composition loses exactness: left columns {a.cols} do not cover right rows {b.rows}")
+    _check_int64([a.rows.size * b.cols.size], f"the keys of a product on {a.rows} x {b.cols} reach")
     dense_b = isinstance(b, WindowedMatrix)
     inner = np.count_nonzero(b.data, axis=1) if dense_b else np.bincount(b.i - b.rows.lo, minlength=b.rows.size)
     reach = slice(b.rows.lo - a.cols.lo, b.rows.lo - a.cols.lo + b.rows.size)  # a's columns on b's rows

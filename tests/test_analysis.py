@@ -13,6 +13,7 @@ from slanth import (
     ZERO,
     IndexWindow,
     LaurentSymbol,
+    WindowError,
     WindowedMatrix,
     build_compositional,
     build_family,
@@ -86,6 +87,51 @@ def reference_coisometry_defect(phi, n_max):
     return worst
 
 
+def scalar_entry(kind, phi, i, j):
+    """The closed-form entry at (i, j), one coefficient read in Python ints."""
+    value = phi.coeff(kind.degree(i, j))
+    return (value.conjugate() if kind.conj else value) + 0j
+
+
+def reference_hyponormal_defect(phi, k):
+    """The hand-derived row bounds and scalar entry loops that hyponormal_defect replaced by its oracles."""
+    sup = phi.support
+    if sup is None:
+        return 0.0
+    n_min, n_max = sup
+    reach = max(abs(n_min), abs(n_max))
+    r_v = k + reach + 2
+    v_norm2 = sum(abs(scalar_entry(SLANT_H_TOEPLITZ, phi, i, k)) ** 2 for i in range(r_v + 1))
+    r_s = max(0, 2 * (2 * k - n_min), 2 * (n_max - 2 * k) - 1)
+    s_norm2 = sum(abs(scalar_entry(SLANT_H_ADJOINT, phi, i, k)) ** 2 for i in range(r_s + 1))
+    return float(v_norm2 - s_norm2)
+
+
+def reference_column_norm_floor(phi):
+    """The parity sums over the support that column_norm_floor replaced by the B and L oracles."""
+    sup = phi.support
+    if sup is None:
+        return 0.0
+    n_min, _ = sup
+    pair_lo = max(0, (-n_min + 1) // 2) if n_min < 0 else 0
+    worst = math.inf
+    for m in range(pair_lo, max(31, pair_lo) + 1):
+        best = 0.0
+        for n in (2 * m, 2 * m + 1):
+            b_norm2 = sum(abs(a) ** 2 for k, a in phi.items() if (k - n) % 2 == 0 and k >= -n)
+            l_norm2 = sum(abs(a) ** 2 for k, a in phi.items() if (k - n - 1) % 2 == 0 and k >= n + 1)
+            best = max(best, b_norm2, l_norm2)
+        worst = min(worst, best)
+    return math.sqrt(worst)
+
+
+# the span the reference formulas were written for: degrees -30..50, up to 40 terms
+column_parts = st.floats(-10, 10)
+column_symbols = st.dictionaries(
+    st.integers(-30, 50), st.builds(complex, column_parts, column_parts), max_size=40
+).map(LaurentSymbol)
+
+
 class TestCoisometry:
     @pytest.mark.parametrize("power", range(7))
     def test_inner_monomials(self, power):
@@ -156,6 +202,20 @@ class TestHyponormal:
     def test_every_nonzero_corpus_symbol_violates(self):
         for label, phi in NONZERO:
             assert min_hyponormal_defect(phi) < -1e-12, label
+
+    @settings(deadline=None, max_examples=150)
+    @given(column_symbols, st.integers(0, 5))
+    def test_matches_reference_bounds(self, phi, k):
+        # both column norms are at most sum |a_n|^2, which scales the rounding
+        scale = coefficient_l2(phi)
+        assert abs(hyponormal_defect(phi, k) - reference_hyponormal_defect(phi, k)) <= 1e-14 * scale
+        want = min(reference_hyponormal_defect(phi, 0), reference_hyponormal_defect(phi, 1))
+        assert abs(min_hyponormal_defect(phi) - want) <= 1e-14 * scale
+
+    def test_degrees_past_int64_reach_are_a_window_error(self):
+        # the oracle's rows span 2**63 indices; the hand-derived bound had 2**62 + 2 rows to walk
+        with pytest.raises(WindowError):
+            hyponormal_defect(LaurentSymbol({-(2**62): 1, 2**62: 1}), 0)
 
 
 class TestSelfAdjoint:
@@ -246,6 +306,12 @@ class TestColumnNormFloor:
 
     def test_zero(self):
         assert column_norm_floor(ZERO) == 0.0
+
+    @settings(deadline=None, max_examples=150)
+    @given(column_symbols)
+    def test_matches_reference_parity_sums(self, phi):
+        want = reference_column_norm_floor(phi)
+        assert abs(column_norm_floor(phi) - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("k", [-200, -70, -64, -63, -62, 0, 70])
     def test_monomial(self, k):

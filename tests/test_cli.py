@@ -443,6 +443,18 @@ def test_negative_extension_depth_is_a_usage_error(capsys, argv):
         # bounds past int64, and 2**63 - 1 indices, for which numpy's arange is empty
         ["build", "--expr", "P", "--window", f"{HUGE}:{HUGE}"],
         ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", f"0:{2**63 - 2}"],
+        # indices that int64 arithmetic would wrap: each printed a wrong section and exited 0
+        ["build", "--expr", "M(phi)", "--window", f"{2**62}:{2**62 + 1}", "--symbol", f"phi={2**62}:1"],
+        ["build", "--expr", f"S({2**62})", "--window", f"{2**62}:{2**62 + 1}"],
+        ["build", "--expr", "Cz(4)", "--window", f"{2**62}:{2**62 + 1}"],
+        ["build", "--family", "slant-toeplitz", "--rows", f"{2**62}:{2**62}", "--cols", "0:1", "--symbol",
+         f"phi={-(2**63)}:1"],
+        # symbols too wide for a coefficient table or a product's keys: each exited 2 with numpy's or Python's words
+        ["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi=0:1, {2**59}:1"],
+        ["norm", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi=0:1, {2**59}:1"],
+        ["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
+        ["norm", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
+        ["check", "slant-h", "--expr", "V(phi)", "--window", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
     ],
 )
 def test_window_past_numpy_size_limit_is_a_window_error(capsys, argv):

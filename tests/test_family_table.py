@@ -1,24 +1,26 @@
 """Property tests for the family records: the vectorised gather in
-`build_family` against a scalar `entry` loop, and the closed form against
+`build_family` against a scalar loop over `Family.degree` in Python ints,
+windows and degrees near int64's ends included, and the closed form against
 the compositional oracle, bit for bit."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slanth import (
     COMPOSITIONAL_KINDS,
     IndexWindow,
     LaurentSymbol,
+    WindowError,
     build_compositional,
     build_family,
-    entry,
     extension,
 )
 from slanth import families
 from slanth.verify import check_oracle
 
 PROPERTY = settings(deadline=None, max_examples=30)
+INT64 = np.iinfo(np.int64)
 
 # signed zeros included, so the bit comparison covers -0.0 parts too
 parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-3, 3))
@@ -28,12 +30,26 @@ symbols = st.dictionaries(
 windows = st.tuples(st.integers(0, 6), st.integers(-1, 14))
 all_kinds = COMPOSITIONAL_KINDS + tuple(extension(depth) for depth in (1, 2, 3))
 
+# windows of 1-3 indices and symbol degrees near int64's ends, where numpy's arithmetic would wrap
+far_windows = st.builds(
+    lambda centre, offset, size: IndexWindow(centre + offset, centre + offset + size - 1),
+    st.sampled_from([0, 2**61, -(2**61), 2**62, -(2**62)]), st.integers(-3, 3), st.integers(1, 3),
+)
+far_degrees = st.one_of(
+    st.integers(-4, 4), st.sampled_from([2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63)])
+)
+far_symbols = st.dictionaries(
+    far_degrees, st.builds(complex, parts, parts), min_size=1, max_size=3
+).map(LaurentSymbol)
+
 
 def scalar_section(kind, phi, rows, cols):
+    """The closed form one entry at a time: the coefficient of `kind.degree(i, j)`, in Python ints."""
     data = np.zeros((rows.size, cols.size), dtype=complex)
     for i in rows.indices():
         for j in cols.indices():
-            data[i - rows.lo, j - cols.lo] = entry(kind, phi, i, j)
+            value = phi.coeff(kind.degree(i, j))
+            data[i - rows.lo, j - cols.lo] = (value.conjugate() if kind.conj else value) + 0j
     return data
 
 
@@ -45,6 +61,32 @@ def test_gather_matches_scalar_entries(phi, row_span, col_span):
         lo = row_span[0] - kind.depth
         rows = IndexWindow(lo, lo + row_span[1])
         got = build_family(kind, phi, rows, cols)
+        assert got.data.tobytes() == scalar_section(kind, phi, rows, cols).tobytes(), kind.name
+
+
+@settings(deadline=None, max_examples=200)
+@given(far_symbols, far_windows, far_windows)
+# slant-toeplitz's degree 2**63 at (2**62, 0) wrapped to -2**63 and read that coefficient
+@example(LaurentSymbol({-(2**63): 1}), IndexWindow(2**62, 2**62), IndexWindow(0, 1))
+# and 2**63 + 1 at (2**62 + 1, 1) to -(2**63 - 1)
+@example(LaurentSymbol({-(2**63 - 1): 1}), IndexWindow(2**62 + 1, 2**62 + 1), IndexWindow(0, 1))
+def test_gather_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, cols):
+    # the gather equals the scalar loop bit for bit, or raises WindowError where a
+    # window is out of the family's range, a degree leaves int64 or no table can span the symbol
+    for kind in all_kinds:
+        degrees = [kind.degree(i, j) for i in rows.indices() for j in cols.indices()]
+        lo, hi = phi.support or (0, 0)
+        refusable = (
+            rows.lo < -kind.depth
+            or cols.lo < 0
+            or not all(INT64.min <= d <= INT64.max for d in degrees)
+            or 16 * (hi - lo + 2) > INT64.max
+        )
+        try:
+            got = build_family(kind, phi, rows, cols)
+        except WindowError:
+            assert refusable, kind.name
+            continue
         assert got.data.tobytes() == scalar_section(kind, phi, rows, cols).tobytes(), kind.name
 
 
