@@ -35,6 +35,7 @@ from .structure import (
     Witness,
     check_characterization,
     check_extension_conditions,
+    check_pattern,
     check_slant_h_matrix,
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,

@@ -140,18 +140,26 @@ def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, conj: bool = False) -
     return table[np.where((degrees >= lo) & (degrees <= hi), degrees - lo, -1)]
 
 
-def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
-    """Section of the closed form on caller-chosen row/column windows."""
+def _degree_bounds(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
+    """The least and greatest degree of `kind` on rows x cols, (0, -1) on an empty window.
+
+    A WindowError on columns below 0, rows below -depth or a degree past int64,
+    where numpy's arithmetic would wrap. Each degree map is monotone on each
+    parity of i and of j, so the windows' ends bound it."""
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     if not rows.is_empty and rows.lo < -kind.depth:
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
-    i = rows.index_array()[:, None]
-    j = cols.index_array()
-    # each degree map is monotone on each parity of i and of j: the windows' ends bound its int64 arithmetic
-    degrees = (kind.degree(r, c) for r in _ends(rows) for c in _ends(cols))
+    degrees = [kind.degree(r, c) for r in _ends(rows) for c in _ends(cols)]
     _check_int64(degrees, f"{kind.name} degrees on {rows} x {cols} reach")
-    return WindowedMatrix._of(rows, cols, _coefficients(phi, kind.degree(i, j), kind.conj))
+    return min(degrees, default=0), max(degrees, default=-1)
+
+
+def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
+    """Section of the closed form on caller-chosen row/column windows."""
+    _degree_bounds(kind, rows, cols)
+    degrees = kind.degree(rows.index_array()[:, None], cols.index_array())
+    return WindowedMatrix._of(rows, cols, _coefficients(phi, degrees, kind.conj))
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
@@ -161,7 +169,5 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
     every nonzero row of the true operator restricted to `cols`; it may be
     empty, in which case the operator vanishes on those columns.
     """
-    if not cols.is_empty and cols.lo < 0:
-        raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
+    _degree_bounds(kind, IndexWindow.empty(), cols)
     return compose_chain(kind.chain(phi), cols)
-

@@ -1,11 +1,15 @@
-"""Matrix-pattern predicates, symbol readback, and shift-identity checkers.
+"""The pattern predicate of every family, symbol readback, and shift-identity checkers.
+
+A family's pattern, read from its record, is that entries of one degree
+`Family.degree(i, j)` are equal; the slant-h and slant step predicates are
+`check_pattern` of their family.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
-too small to contain a single relation instance is flagged vacuous. Each
-relation is checked array-at-a-time, as one group (relation, lhs, rhs, at):
-equal-shape arrays holding the relation's instances in scan order (relations
-in a fixed order, indices ascending, C order), and `at(p)` giving the index
+too small to contain a single relation instance is flagged vacuous. Checks
+run array-at-a-time, one group (relation, lhs, rhs, at) per relation or row
+block: equal-shape arrays holding its instances in scan order (relations in
+a fixed order, indices ascending, C order), and `at(p)` giving the index
 tuple of instance p, formed for witnesses only. The witnesses are the first
 `WITNESS_CAP` (16) violations in that order, read when a report is folded.
 """
@@ -16,7 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .families import _coefficients, build_family, extension
+from .families import (SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, Family, _coefficients, _degree_bounds,
+                       build_family, extension)
 from .symbol import LaurentSymbol, SymbolParseError
 from .windowed import (
     U,
@@ -37,6 +42,7 @@ __all__ = [
     "WITNESS_CAP",
     "check_characterization",
     "check_extension_conditions",
+    "check_pattern",
     "check_slant_h_matrix",
     "check_slant_hankel_matrix",
     "check_slant_toeplitz_matrix",
@@ -45,6 +51,9 @@ __all__ = [
 ]
 
 WITNESS_CAP = 16
+
+# Cells per row block of check_pattern, in whole rows (at least one): its scratch stays a few hundred KB.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,7 @@ def _collect(groups, tol: float) -> CheckReport:
     residual is a violation, and a NaN one sticks as the maximum, so
     non-finite input can never pass.
     """
-    max_residual = 0.0
-    witnesses = []
-    checked = 0
+    max_residual, witnesses, checked = 0.0, [], 0
     for relation, lhs, rhs, at in groups:
         residual = _residual(lhs, rhs)
         if not residual.size:
@@ -126,76 +133,61 @@ def _group(relation: str, counts, at, pair) -> tuple:
     return relation, *pair(*at(o, t)), lambda p: at(int(o[p]), int(t[p]))
 
 
-def _grid(relation: str, lhs: np.ndarray, rhs: np.ndarray, at) -> tuple:
-    """Group of a rectangular scan: `at(o, t)` is the index tuple of block entry (o, t)."""
-    return relation, lhs, rhs, lambda p: at(*divmod(p, lhs.shape[1]))
+def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+    """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
 
-
-def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
-    """Verify the slant-h pattern relations inside the matrix windows.
-
-    First-column anchors: a[k,0] = a[k+j,4j] and a[k,0] = a[k-j,4j-1];
-    first-row anchors: a[0,2k] = a[i,2k+4i]; column-1 anchors:
-    a[k,1] = a[k+j,4j-2]; odd-column step: a[i,2n+1] = a[i+1,2n-3] (n >= 2).
+    Each entry is compared with its degree's first entry in C order, which a
+    witness (i,j,p,q) names first. Rows are read in blocks of about `_BLOCK`
+    cells; each block records the first position of every degree it meets by
+    np.minimum.at, which, unlike a fancy-index store, keeps the least of repeated writes.
     """
-    if m.rows.is_empty or m.cols.is_empty:
-        raise WindowError("slant-h predicate needs nonempty windows")
-    if m.rows.lo < 0 or m.cols.lo != 0:
-        raise WindowError(f"slant-h predicate needs rows >= 0 and columns from 0, got {m.rows} x {m.cols}")
-    a, r0, n, c = m.data, m.rows.lo, m.rows.size, m.cols.hi
-    k = np.arange(n)
-    w = max(0, (c - 3) // 2)  # odd columns 2n+1 with n >= 2
+    lo, hi = _degree_bounds(kind, m.rows, m.cols)
+    flat, width = m.data.ravel(), m.cols.size
+    first = np.full(hi - lo + 1, flat.size)  # each degree's least position so far; flat.size is none yet
+    rows, cols = m.rows.index_array(), m.cols.index_array()
+    step = max(1, _BLOCK // max(1, width))
 
-    flat = a.ravel()  # gathers by flat index cost less than by (row, column) pairs
+    def at(p):
+        return m.rows.lo + p // width, m.cols.lo + p % width
 
-    def pair(i, j, p, q):
-        return flat.take((i - r0) * (c + 1) + j), flat.take((p - r0) * (c + 1) + q)
-
-    def groups():  # lazily, so one relation's arrays are alive at a time
-        yield _group("a[k,0]=a[k+j,4j]", np.minimum(c // 4, n - 1 - k),
-                     lambda o, t: (r0 + o, 0, r0 + o + t + 1, 4 * t + 4), pair)
-        yield _group("a[k,0]=a[k-j,4j-1]", np.minimum(k, (c + 1) // 4),
-                     lambda o, t: (r0 + o, 0, r0 + o - t - 1, 4 * t + 3), pair)
-        if r0 == 0:
-            yield _group("a[0,2k]=a[i,2k+4i]", np.minimum(n - 1, (c - 2 * np.arange(1, c // 2 + 1)) // 4),
-                         lambda o, t: (0, 2 * o + 2, t + 1, 2 * o + 4 * t + 6), pair)
-        if c >= 1:
-            yield _group("a[k,1]=a[k+j,4j-2]", np.minimum((c + 2) // 4, n - 1 - k),
-                         lambda o, t: (r0 + o, 1, r0 + o + t + 1, 4 * t + 2), pair)
-        yield _grid("a[i,2n+1]=a[i+1,2n-3]", a[:-1, 5 : 2 * w + 4 : 2], a[1:, 1 : 2 * w : 2],
-                    lambda o, t: (r0 + o, 2 * t + 5, r0 + o + 1, 2 * t + 1))
+    def groups():  # lazily, so one block's arrays are alive at a time
+        for top in range(0, m.rows.size if width else 0, step):
+            slot = np.ravel(kind.degree(rows[top : top + step, None], cols) - lo)
+            position = np.arange(top * width, top * width + slot.size)
+            np.minimum.at(first, slot, position)
+            head = first.take(slot)
+            later = np.flatnonzero(head != position)
+            head, later = head.take(later), later + top * width
+            yield ("a[i,j]=a[p,q]", flat.take(head), flat.take(later),
+                   lambda p, head=head, later=later: (*at(int(head[p])), *at(int(later[p]))))
 
     return _collect(groups(), tol)
 
 
-def _step(m: WindowedMatrix, name: str, relation: str, di: int, tol: float) -> CheckReport:
-    """Verify the step a[i,j] = a[i+di,j+2], di = +-1, inside the windows."""
-    if m.rows.lo < 0 or m.cols.lo < 0:  # an empty window is 0:-1, so it passes and holds no instance
-        raise WindowError(f"{name} predicate needs analytic windows, got {m.rows} x {m.cols}")
-    a, i, j = m.data, m.rows.lo + (di < 0), m.cols.lo
-    lhs, rhs = (a[:-1], a[1:]) if di > 0 else (a[1:], a[:-1])
-    group = _grid(relation, lhs[:, :-2], rhs[:, 2:], lambda o, t: (i + o, j + t, i + o + di, j + t + 2))
-    return _collect([group], tol)
+def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+    """check_pattern of the slant-h-toeplitz family."""
+    return check_pattern(SLANT_H_TOEPLITZ, m, tol)
 
 
 def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
-    """Verify the diagonal step a[i,j] = a[i+1,j+2] inside the windows."""
-    return _step(m, "slant-toeplitz", "a[i,j]=a[i+1,j+2]", 1, tol)
+    """check_pattern of the slant-toeplitz family."""
+    return check_pattern(SLANT_TOEPLITZ, m, tol)
 
 
 def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
-    """Verify the antidiagonal step a[i,j] = a[i-1,j+2] (i >= 1) inside the windows."""
-    return _step(m, "slant-hankel", "a[i,j]=a[i-1,j+2]", -1, tol)
+    """check_pattern of the slant-hankel family."""
+    return check_pattern(SLANT_HANKEL, m, tol)
 
 
 def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
-    """Read the inducing symbol back from a slant-h section.
+    """Read the inducing symbol back from a slant-h section with windows anchored at 0.
 
     Degree 2i comes from column 0, degree 2i+1 from column 1, and negative
     degree k from row 0 at column -2k; every degree recoverable inside the
     windows is read, and the support is trimmed to the nonzero coefficients.
-    The matrix is expected to pass check_slant_h_matrix; no cross-validation
-    is repeated here.
+    The matrix is expected to pass check_slant_h_matrix, which also checks
+    sections not anchored at 0; those are a WindowError here, and no
+    cross-validation is repeated.
     """
     if m.rows.is_empty or m.cols.is_empty or m.rows.lo != 0 or m.cols.lo != 0:
         raise WindowError(f"symbol readback needs windows anchored at 0, got {m.rows} x {m.cols}")
@@ -206,10 +198,9 @@ def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
 
 def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
     """Group comparing two sections entry by entry on their shared windows."""
-    rows = lhs.rows.intersect(rhs.rows)
-    cols = lhs.cols.intersect(rhs.cols)
-    return _grid(tag, lhs.restrict(rows, cols).data, rhs.restrict(rows, cols).data,
-                 lambda o, t: (rows.lo + o, cols.lo + t))
+    rows, cols = lhs.rows.intersect(rhs.rows), lhs.cols.intersect(rhs.cols)
+    return (tag, lhs.restrict(rows, cols).data, rhs.restrict(rows, cols).data,
+            lambda p: (rows.lo + p // cols.size, cols.lo + p % cols.size))
 
 
 def _shift_identities(tags, left: WindowedMatrix, a: WindowedMatrix, dom: IndexWindow, shift, power: int):

@@ -351,6 +351,7 @@ def _dense(x) -> "WindowedMatrix":
     """The section of triplets; a dense section is returned as it is."""
     if isinstance(x, WindowedMatrix):
         return x
+    _check_int64([x.rows.size * x.cols.size * 16], f"the bytes of a section on {x.rows} x {x.cols} reach")
     data = np.zeros((x.rows.size, x.cols.size), dtype=complex)
     data[x.i - x.rows.lo, x.j - x.cols.lo] += x.v  # into zeros, as a dense product sums: -0.0 reads 0.0
     return WindowedMatrix._of(x.rows, x.cols, data)

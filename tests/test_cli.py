@@ -149,7 +149,7 @@ class TestBuild:
         build = run_cli("build", "--family", "toeplitz", "--symbol", "p=0:1", f"--rows={rows}", f"--cols={cols}",
                         "--out", str(path))
         assert build.returncode == 0
-        for predicate in ("slant-toeplitz", "slant-hankel"):
+        for predicate in ("slant-h", "slant-toeplitz", "slant-hankel"):
             check = run_cli("check", predicate, "--matrix", str(path))
             assert check.returncode == 0
             assert check.stdout == "#fmt 1\nPASS max_residual=0.0 vacuous=1\n"
@@ -285,6 +285,32 @@ class TestCheck:
             "--window", "0:8",
         )
         assert result.returncode == 2
+
+    def test_empty_section_passes_vacuously(self, capsys):
+        # the zero symbol's V has no rows; slant-h exited 3 on empty windows where the step checks passed
+        assert main(["check", "slant-h", "--expr", "V(phi)", "--symbol", "phi=0:0", "--window", "0:5"]) == 0
+        assert capsys.readouterr().out == "#fmt 1\nPASS max_residual=0.0 vacuous=1\n"
+
+    def test_columns_past_0_are_checked(self, tmp_path, capsys):
+        # slant-h exited 3 on columns not starting at 0; symbol readback still needs them anchored at 0
+        path = tmp_path / "cols.mat"
+        assert main(["build", "--family", "slant-h-toeplitz", "--symbol", f"phi={GENERIC_INLINE}",
+                     "--rows", "0:8", "--cols", "3:33", "--out", str(path)]) == 0
+        assert main(["check", "slant-h", "--matrix", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["extract", "--matrix", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("window error: symbol readback needs windows anchored at 0")
+        path.write_text(dump_matrix(perturbed(load_matrix(path.read_text()), 1, 3)))
+        assert main(["check", "slant-h", "--matrix", str(path)]) == 1
+
+    @pytest.mark.parametrize("predicate", ["slant-h", "slant-toeplitz", "slant-hankel"])
+    def test_degrees_past_int64_are_window_errors(self, tmp_path, capsys, predicate):
+        # rows from 2**62 give degrees near 2**63, past int64, which each check once read and exited 0 or 1
+        path = tmp_path / "far.mat"
+        path.write_text(f"#fmt 1\nrows {2**62} {2**62 + 1}\ncols 0 2\n" + "0.0:0.0 0.0:0.0 1.0:0.0\n" * 2)
+        assert main(["check", predicate, "--matrix", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("window error: ") and captured.err.count("\n") == 1
 
     def test_insufficient_window_exit_code(self, section_file):
         result = run_cli("check", "characterization", "--matrix", str(section_file), "--cols", "0:20")
@@ -455,6 +481,8 @@ def test_negative_extension_depth_is_a_usage_error(capsys, argv):
         ["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
         ["norm", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
         ["check", "slant-h", "--expr", "V(phi)", "--window", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
+        # a section of 2**63 + 1 rows: exited 2 with numpy's words
+        ["build", "--expr", "M(phi)", "--window", "0:0", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
     ],
 )
 def test_window_past_numpy_size_limit_is_a_window_error(capsys, argv):
