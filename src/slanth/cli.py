@@ -4,8 +4,8 @@ Commands: build (family or expression to a matrix dump), check (predicate on
 a matrix file or expression), extract (matrix file to symbol file), verify
 (named verification suites), norm (section norm against the symbol sup norm).
 
-Exit codes: 0 pass, 1 check failed, 2 usage or parse error, 3 window or
-exactness error. Identical inputs produce byte-identical outputs.
+Exit codes: 0 pass, 1 check failed, 2 usage, parse or output error, 3 window
+or exactness error. Identical inputs produce byte-identical outputs.
 """
 
 import argparse
@@ -68,12 +68,18 @@ def _symbol_table(pairs) -> dict:
     return table
 
 
+def _stdout():
+    if sys.stdout is None:  # file descriptor 1 is closed, or failed to flush
+        raise OSError("stdout is closed")
+    return sys.stdout
+
+
 def _write_output(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        _stdout().write(text)
 
 
 def _expr_section(args, symbols):
@@ -132,7 +138,7 @@ def _cmd_extract(args) -> int:
         matrix = load_matrix(handle.read())
     report = check_slant_h_matrix(matrix, args.tol)
     if not report.passed:
-        sys.stdout.write("#fmt 1\n" + report.render())
+        _stdout().write("#fmt 1\n" + report.render())
         return 1
     _write_output(dump_symbol_file(extract_symbol(matrix)), args.out)
     return 0
@@ -161,7 +167,7 @@ def _cmd_verify(args) -> int:
     names = None if args.all else args.names
     if not names and not args.all:
         raise SymbolParseError("name at least one check or pass --all")
-    return verify_mod.run(names)
+    return verify_mod.run(_stdout(), names)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,15 +229,36 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except (WindowError, MemoryError) as exc:
         sys.stderr.write(f"window error: {exc}\n")
-        return 3
+        code = 3
     # parse errors are ValueErrors too, and integers past int64 (a degree, a power) OverflowErrors
     except (ValueError, OSError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        code = 2
+    try:  # what the command wrote, before an error too
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        sys.stdout = None  # as if closed, so that the exit does not write, and report, the bytes left in it again
+        if code < 2:  # an output error, unless the command's own error is already reported
+            sys.stderr.write(f"error: {exc}\n")
+            code = 2
+    return code
+
+
+def run():
+    """Entry point: `main`, which flushed stdout, then an exit past finalization (mostly numpy's teardown),
+    unless a tracer or profiler (coverage, cProfile, a debugger) needs its exit hooks."""
+    code = main()  # a usage error or an uncaught exception never returns here
+    monitoring = getattr(sys, "monitoring", None)  # where cProfile and coverage attach from Python 3.12
+    if sys.gettrace() or sys.getprofile() or (monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    if sys.stderr:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -283,7 +283,7 @@ def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12
     """
     if idx_max < 0:
         raise ValueError("idx_max must be >= 0")
-    c = partial(_coefficients, phi)
+    c = partial(_coefficients, phi, bounds=phi.support or (0, -1))  # the degrees read include phi's own
     j = np.arange(max(0, (idx_max - 4) // 2 + 1))
     odd = [n for n, _ in phi.items() if n == 1 or n >= 3]
     groups = [

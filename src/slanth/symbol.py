@@ -32,7 +32,7 @@ __all__ = [
 
 
 class SymbolParseError(ValueError):
-    """Malformed symbol text, duplicate or non-integer degree, or non-finite coefficient."""
+    """Malformed symbol text, a duplicate, non-integer or past-int64 degree, or a non-finite coefficient."""
 
 
 class LaurentSymbol:
@@ -45,6 +45,8 @@ class LaurentSymbol:
         for n, a in (coefficients or {}).items():
             if isinstance(n, bool) or not isinstance(n, int):
                 raise SymbolParseError(f"degree {n!r} is not an integer")
+            if not -(2**63) <= n < 2**63:  # no section can hold it: numpy's int64 degrees would wrap
+                raise SymbolParseError(f"degree {n} is past int64")
             a = complex(a)
             if not cmath.isfinite(a):
                 raise SymbolParseError(f"coefficient of degree {n} is not finite")
@@ -168,7 +170,8 @@ def _grid_values(phi: LaurentSymbol, grid_size: int) -> np.ndarray:
     z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
     values = np.zeros(grid_size, dtype=complex)
     for n, a in phi.items():
-        values += a * z**n
+        # z**n drifts off the circle as |n| grows; past the grid, n mod grid_size is the same power
+        values += a * z ** (n if -grid_size < n < grid_size else n % grid_size)
     return values
 
 

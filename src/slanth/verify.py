@@ -271,11 +271,8 @@ CHECKS = [
 ]
 
 
-def run(names=None, out=None) -> int:
-    """Run the named checks (all when names is falsy); 0 iff everything passed."""
-    import sys
-
-    out = out or sys.stdout
+def run(out, names=None) -> int:
+    """Run the named checks (all when names is falsy), a line each to `out`; 0 iff everything passed."""
     table = dict(CHECKS)
     selected = list(names) if names else [name for name, _ in CHECKS]
     failures = 0

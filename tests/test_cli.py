@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -427,6 +428,93 @@ class TestVerify:
         assert first.stdout == second.stdout and first.returncode == second.returncode == 0
 
 
+# Every command as a real process, whose exit skips the interpreter's finalization
+SAME_AS_IN_PROCESS = [
+    ["build", "--family", "slant-h-toeplitz", "--symbol", f"phi={GENERIC_INLINE}", "--rows", "0:8", "--cols", "0:33"],
+    ["build", "--expr", "W . P . M(phi) . K", "--symbol", f"phi={GENERIC_INLINE}", "--window", "0:33"],
+    ["check", "slant-h", "--matrix", str(DATA / "build_oracle.mat")],
+    ["check", "slant-h", "--matrix", str(DATA / "perturbed_oracle.mat")],
+    ["extract", "--matrix", str(DATA / "build_oracle.mat")],
+    ["norm", "--symbol", f"phi={GENERIC_INLINE}"],
+    ["verify", "golden"],
+    ["build", "--expr", "P", "--window", f"0:{HUGE}"],
+    ["verify", "golden", "bogus"],  # a line on stdout, then a usage error
+]
+
+
+class TestExit:
+    @pytest.mark.parametrize("argv", SAME_AS_IN_PROCESS)
+    def test_process_prints_what_main_prints(self, capsys, argv):
+        # stdout block-buffered, as it is without PYTHONUNBUFFERED: what is left in the buffer must be written
+        result = run_cli(*argv, env={name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"})
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (result.stdout, result.stderr, result.returncode) == (captured.out, captured.err, code)
+
+    def test_profiler_still_reports(self):
+        # with a profiler attached the process takes the normal exit, whose hooks print the stats
+        result = subprocess.run([sys.executable, "-m", "cProfile", "-m", "slanth", "verify", "golden"],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("PASS golden ")
+        assert " function calls " in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--all"],
+            ["check", "slant-h", "--matrix", str(DATA / "build_oracle.mat")],
+            ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "0:2", "--cols", "0:2"],
+        ],
+    )
+    def test_closed_stdout_is_an_output_error(self, capsys, tmp_path, argv):
+        # with file descriptor 1 closed sys.stdout is None: this raised AttributeError, a traceback and exit 1
+        result = run_cli(*argv, preexec_fn=lambda: os.close(1))
+        assert (result.returncode, result.stderr) == (2, "error: stdout is closed\n")
+        if argv[0] != "verify":  # verify has no --out
+            out = tmp_path / "out.txt"
+            result = run_cli(*argv, "--out", str(out), preexec_fn=lambda: os.close(1))
+            assert (result.returncode, result.stderr) == (0, "")
+            assert main(argv) == 0
+            assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout_is_an_output_error(self, unbuffered):
+        # buffered, the write failed only at finalization's flush: exit 120 and two "Exception ignored" lines
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "slanth", "verify", "golden"], stdout=full,
+                                    stderr=subprocess.PIPE, text=True, env=env)
+        assert (result.returncode, result.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "start, code, err",
+        [
+            # a tracer takes the normal exit, whose finalization flushed the failed bytes again: exit 120 and two lines
+            ("sys.settrace(lambda *event: None)", 2, "error: [Errno 28] No space left on device\n"),
+            # a window error after some output: the failed flush of that output replaced it with exit 2
+            ("cli._cmd_build = partial_then_window_error", 3, "window error: too wide\n"),
+        ],
+        ids=["tracer", "window-error"],
+    )
+    def test_failed_flush_leaves_one_line_and_the_first_code(self, start, code, err):
+        script = (
+            "import sys\nfrom slanth import cli\nfrom slanth.windowed import WindowError\n"
+            "def partial_then_window_error(args):\n    sys.stdout.write('partial\\n')\n    raise WindowError('too wide')\n"
+            f"{start}\ncli.run()\n"
+        )
+        argv = ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "0:2", "--cols", "0:2"]
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-c", script, *argv], stdout=full, stderr=subprocess.PIPE,
+                                    text=True, env=env)
+        assert (result.returncode, result.stderr) == (code, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -475,11 +563,12 @@ def test_negative_extension_depth_is_a_usage_error(capsys, argv):
         ["build", "--expr", "Cz(4)", "--window", f"{2**62}:{2**62 + 1}"],
         ["build", "--family", "slant-toeplitz", "--rows", f"{2**62}:{2**62}", "--cols", "0:1", "--symbol",
          f"phi={-(2**63)}:1"],
-        # symbols too wide for a coefficient table or a product's keys: each exited 2 with numpy's or Python's words
-        ["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi=0:1, {2**59}:1"],
-        ["norm", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi=0:1, {2**59}:1"],
-        ["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
-        ["norm", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
+        # symbols too wide for the oracle's section, which the closed form builds on small windows
+        # (test_sparse_symbol_builds_on_a_small_window), and norm's sections past int64
+        ["build", "--expr", "T(phi)", "--window", "0:2", "--symbol", f"phi=0:1, {2**59}:1"],
+        ["norm", "--rows", f"{2**62}:{2**62}", "--cols", "0:2", "--symbol", f"phi=0:1, {2**59}:1"],
+        ["build", "--expr", "T(phi)", "--window", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
+        ["norm", "--rows", "0:2", "--cols", f"0:{2**63 - 2}", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
         ["check", "slant-h", "--expr", "V(phi)", "--window", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
         # a section of 2**63 + 1 rows: exited 2 with numpy's words
         ["build", "--expr", "M(phi)", "--window", "0:0", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
@@ -490,6 +579,18 @@ def test_window_past_numpy_size_limit_is_a_window_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("window error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("far", [2**40, 2**59])
+def test_sparse_symbol_builds_on_a_small_window(capsys, far):
+    # the coefficient table spans the symbol's degrees on the window, not its support: this exited 3
+    assert main(["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi=0:1, {far}:1"]) == 0
+    captured = capsys.readouterr()
+    assert np.array_equal(load_matrix(captured.out).data, np.eye(3)) and captured.err == ""
+    assert main(["norm", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi={-far}:1, 0:1, {far}:1"]) == 0
+    captured = capsys.readouterr()
+    # z**far on the grid is z**(far mod grid) = 1: the sup norm is 3, not a power drifted off the circle
+    assert captured.out.splitlines()[1:3] == ["# section_norm=1.0", "# sup_norm=3.0"] and captured.err == ""
 
 
 def test_deep_nesting_is_a_usage_error(capsys):

@@ -70,17 +70,20 @@ def test_gather_matches_scalar_entries(phi, row_span, col_span):
 @example(LaurentSymbol({-(2**63): 1}), IndexWindow(2**62, 2**62), IndexWindow(0, 1))
 # and 2**63 + 1 at (2**62 + 1, 1) to -(2**63 - 1)
 @example(LaurentSymbol({-(2**63 - 1): 1}), IndexWindow(2**62 + 1, 2**62 + 1), IndexWindow(0, 1))
+# a table over the whole support would hold 2**63 + 2 slots; the window's degrees need 3
+@example(LaurentSymbol({-(2**62): 1, 0: 2, 2**62: 3}), IndexWindow(0, 1), IndexWindow(0, 1))
 def test_gather_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, cols):
     # the gather equals the scalar loop bit for bit, or raises WindowError where a
-    # window is out of the family's range, a degree leaves int64 or no table can span the symbol
+    # window is out of the family's range, a degree leaves int64 or no table can span
+    # the symbol's degrees between the window's least and greatest degree
     for kind in all_kinds:
         degrees = [kind.degree(i, j) for i in rows.indices() for j in cols.indices()]
-        lo, hi = phi.support or (0, 0)
+        inside = [n for n, _ in phi.items() if min(degrees) <= n <= max(degrees)]
         refusable = (
             rows.lo < -kind.depth
             or cols.lo < 0
             or not all(INT64.min <= d <= INT64.max for d in degrees)
-            or 16 * (hi - lo + 2) > INT64.max
+            or (inside and 16 * (inside[-1] - inside[0] + 2) > INT64.max)
         )
         try:
             got = build_family(kind, phi, rows, cols)
@@ -88,6 +91,19 @@ def test_gather_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, col
             assert refusable, kind.name
             continue
         assert got.data.tobytes() == scalar_section(kind, phi, rows, cols).tobytes(), kind.name
+
+
+@PROPERTY
+@given(symbols, windows, windows, st.sampled_from([2**40, 2**59, 2**62, 2**63 - 1]))
+def test_sparse_symbol_gathers_only_the_window_degrees(phi, row_span, col_span, far):
+    # a small symbol with terms at +-far: their table over the support would not fit in memory
+    sparse = LaurentSymbol({**dict(phi.items()), far: 1.5, -far: -2j})
+    cols = IndexWindow(col_span[0], col_span[0] + col_span[1])
+    for kind in all_kinds:
+        lo = row_span[0] - kind.depth
+        rows = IndexWindow(lo, lo + row_span[1])
+        got = build_family(kind, sparse, rows, cols)
+        assert got.data.tobytes() == scalar_section(kind, sparse, rows, cols).tobytes(), kind.name
 
 
 @PROPERTY
@@ -107,8 +123,8 @@ def test_oracle_suite_compares_bits(monkeypatch):
     # writes +0: no entry deviates, yet the two routes differ in their bits
     gather = families._coefficients
 
-    def conjugated_after(phi, degrees, conj=False):
-        return np.conj(gather(phi, degrees)) if conj else gather(phi, degrees)
+    def conjugated_after(phi, degrees, bounds, conj=False):
+        return np.conj(gather(phi, degrees, bounds)) if conj else gather(phi, degrees, bounds)
 
     monkeypatch.setattr(families, "_coefficients", conjugated_after)
     assert check_oracle() == (False, "max_dev=0.0 combos=80")
