@@ -40,7 +40,6 @@ from .structure import (
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,
     extract_symbol,
-    slant_hankel_perp_check,
 )
 from .symbol import (
     ONE,

@@ -127,18 +127,19 @@ def extension(depth: int) -> Family:
                   lambda phi: [bilateral_shift(-depth), P, bilateral_shift(depth), W, mult(phi), K], depth=depth)
 
 
-def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, bounds: tuple, conj: bool = False) -> np.ndarray:
-    """Coefficient of phi, conjugated when `conj` is set, at every degree of a grid whose degrees lie in `bounds`."""
-    items = [(n, a) for n, a in phi.items() if bounds[0] <= n <= bounds[1]]  # the table spans only these terms
-    lo, hi = (items[0][0], items[-1][0]) if items else (0, -1)  # with no degree in bounds, the table is its zero slot
-    _check_int64([16 * (hi - lo + 2)], f"the bytes of a coefficient table on degrees {lo}:{hi} reach")
-    table = np.zeros(hi - lo + 2, dtype=complex)  # the last slot is the zero off the support
-    for n, a in items:
-        table[n - lo] = a
+def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, conj: bool = False) -> np.ndarray:
+    """Coefficient of phi, conjugated when `conj` is set, at every degree of a grid.
+
+    Each degree is looked up among phi's sorted degrees, so no table spans the degrees between two terms.
+    """
+    items = phi.items() or [(0, 0)]  # the zero symbol reads as one zero term
+    keys = np.array([n for n, _ in items], dtype=np.int64)
+    values = np.array([a for _, a in items] + [0], dtype=complex)  # the last slot is the zero off the support
     # + 0.0: every zero part reads +0, as the oracle's densify writes it
-    table = (np.conj(table) if conj else table) + 0.0
-    # degrees - lo is read only on the support, where it cannot wrap
-    return table[np.where((degrees >= lo) & (degrees <= hi), degrees - lo, -1)]
+    values = (np.conj(values) if conj else values) + 0.0
+    slot = np.searchsorted(keys, degrees)
+    slot[keys.take(slot, mode="clip") != degrees] = keys.size
+    return values.take(slot)
 
 
 def _degree_bounds(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
@@ -158,9 +159,9 @@ def _degree_bounds(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
 
 def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
     """Section of the closed form on caller-chosen row/column windows."""
-    bounds = _degree_bounds(kind, rows, cols)
+    _degree_bounds(kind, rows, cols)
     degrees = kind.degree(rows.index_array()[:, None], cols.index_array())
-    return WindowedMatrix._of(rows, cols, _coefficients(phi, degrees, bounds, kind.conj))
+    return WindowedMatrix._of(rows, cols, _coefficients(phi, degrees, kind.conj))
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:

@@ -16,12 +16,10 @@ tuple of instance p, formed for witnesses only. The witnesses are the first
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .families import (SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, Family, _coefficients, _degree_bounds,
-                       build_family, extension)
+from .families import SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, Family, _degree_bounds, build_family, extension
 from .symbol import LaurentSymbol, SymbolParseError
 from .windowed import (
     U,
@@ -47,7 +45,6 @@ __all__ = [
     "check_slant_hankel_matrix",
     "check_slant_toeplitz_matrix",
     "extract_symbol",
-    "slant_hankel_perp_check",
 ]
 
 WITNESS_CAP = 16
@@ -123,45 +120,51 @@ def _collect(groups, tol: float) -> CheckReport:
     return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), checked)
 
 
-def _group(relation: str, counts, at, pair) -> tuple:
-    """Group of a ragged scan with `counts[o]` instances at outer step o.
+def _anchors(kind: Family, m: WindowedMatrix) -> tuple:
+    """The least degree `lo` of `kind` on the windows, each degree's anchor, and a lazy scan of the row blocks.
 
-    `at(o, t)` is the index tuple of instance t of step o and `pair(*at(o, t))`
-    its (lhs, rhs); both take Python ints and numpy index arrays alike.
-    """
-    o, t = np.nonzero(np.arange(max(counts, default=0)) < np.reshape(counts, (-1, 1)))
-    return relation, *pair(*at(o, t)), lambda p: at(int(o[p]), int(t[p]))
-
-
-def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
-    """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
-
-    Each entry is compared with its degree's first entry in C order, which a
-    witness (i,j,p,q) names first. Rows are read in blocks of about `_BLOCK`
-    cells; each block records the first position of every degree it meets by
-    np.minimum.at, which, unlike a fancy-index store, keeps the least of repeated writes.
+    The anchor of degree lo + d is its first entry in C order, as a flat
+    position `first[d]`, m.data.size where the windows hold no entry of it.
+    Rows are read in blocks of about `_BLOCK` cells; the scan yields, per
+    block, the anchors and positions (head, later) of the entries that are
+    not their degree's anchor, and `first` is complete once it is exhausted.
+    Each block records the first position of every degree it meets by
+    np.minimum.at, which, unlike a fancy-index store, keeps the least of
+    repeated writes.
     """
     lo, hi = _degree_bounds(kind, m.rows, m.cols)
-    flat, width = m.data.ravel(), m.cols.size
-    first = np.full(hi - lo + 1, flat.size)  # each degree's least position so far; flat.size is none yet
+    width = m.cols.size
+    first = np.full(hi - lo + 1, m.data.size)
     rows, cols = m.rows.index_array(), m.cols.index_array()
     step = max(1, _BLOCK // max(1, width))
 
-    def at(p):
-        return m.rows.lo + p // width, m.cols.lo + p % width
-
-    def groups():  # lazily, so one block's arrays are alive at a time
+    def blocks():  # lazily, so one block's arrays are alive at a time
         for top in range(0, m.rows.size if width else 0, step):
             slot = np.ravel(kind.degree(rows[top : top + step, None], cols) - lo)
             position = np.arange(top * width, top * width + slot.size)
             np.minimum.at(first, slot, position)
             head = first.take(slot)
             later = np.flatnonzero(head != position)
-            head, later = head.take(later), later + top * width
-            yield ("a[i,j]=a[p,q]", flat.take(head), flat.take(later),
-                   lambda p, head=head, later=later: (*at(int(head[p])), *at(int(later[p]))))
+            yield head.take(later), later + top * width
 
-    return _collect(groups(), tol)
+    return lo, first, blocks()
+
+
+def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+    """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
+
+    Each entry is compared with its degree's anchor (see _anchors), which a
+    witness (i,j,p,q) names first.
+    """
+    flat, width = m.data.ravel(), m.cols.size
+
+    def at(p):
+        return m.rows.lo + p // width, m.cols.lo + p % width
+
+    groups = (("a[i,j]=a[p,q]", flat.take(head), flat.take(later),
+               lambda p, head=head, later=later: (*at(int(head[p])), *at(int(later[p]))))
+              for head, later in _anchors(kind, m)[2])
+    return _collect(groups, tol)
 
 
 def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
@@ -180,20 +183,16 @@ def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckRep
 
 
 def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
-    """Read the inducing symbol back from a slant-h section with windows anchored at 0.
+    """Read the inducing symbol back from a slant-h section: each degree the windows hold, at its anchor.
 
-    Degree 2i comes from column 0, degree 2i+1 from column 1, and negative
-    degree k from row 0 at column -2k; every degree recoverable inside the
-    windows is read, and the support is trimmed to the nonzero coefficients.
-    The matrix is expected to pass check_slant_h_matrix, which also checks
-    sections not anchored at 0; those are a WindowError here, and no
-    cross-validation is repeated.
+    The support is trimmed to the nonzero coefficients. The matrix is
+    expected to pass check_slant_h_matrix; no cross-validation is repeated.
     """
-    if m.rows.is_empty or m.cols.is_empty or m.rows.lo != 0 or m.cols.lo != 0:
-        raise WindowError(f"symbol readback needs windows anchored at 0, got {m.rows} x {m.cols}")
-    coeffs = {2 * i + odd: a for odd, column in enumerate(m.data.T[:2].tolist()) for i, a in enumerate(column)}
-    coeffs.update((-k, a) for k, a in enumerate(m.data[0, 2::2].tolist(), 1))
-    return LaurentSymbol(coeffs)
+    lo, first, blocks = _anchors(SLANT_H_TOEPLITZ, m)
+    for _ in blocks:  # the scan completes `first`
+        pass
+    held = np.flatnonzero(first < m.data.size)
+    return LaurentSymbol(dict(zip((held + lo).tolist(), m.data.ravel().take(first[held]).tolist())))
 
 
 def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
@@ -271,27 +270,3 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0")
     groups = _shift_identities(tags, am, a, IndexWindow(0, p_hi), bilateral_shift(-depth), 2 * depth)
     return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol)
-
-
-def slant_hankel_perp_check(phi: LaurentSymbol, idx_max: int, tol: float = 1e-12) -> CheckReport:
-    """Conditions for a slant-Hankel operator to carry the slant-h pattern.
-
-    Two sub-results folded into one report: (i) the coefficient shift
-    relations, checked for all parameters whose coefficient indices stay
-    within idx_max; (ii) membership, phi = sum_{n<=0} a_n z^n + a_2 z^2,
-    i.e. the coefficients at degree 1 and at every degree >= 3 vanish.
-    """
-    if idx_max < 0:
-        raise ValueError("idx_max must be >= 0")
-    c = partial(_coefficients, phi, bounds=phi.support or (0, -1))  # the degrees read include phi's own
-    j = np.arange(max(0, (idx_max - 4) // 2 + 1))
-    odd = [n for n, _ in phi.items() if n == 1 or n >= 3]
-    groups = [
-        _group("a[2m+2j+7]=a[2m+2j+1]", (idx_max - 7 - 2 * np.arange((idx_max - 7) // 2 + 1)) // 2 + 1,
-               lambda m, j: (m, j), lambda m, j: (c(2 * m + 2 * j + 7), c(2 * m + 2 * j + 1))),
-        _group("a[4m+2j+6]=a[4m+2j+8]", (idx_max - 8 - 4 * np.arange((idx_max - 8) // 4 + 1)) // 2 + 1,
-               lambda m, j: (m, j), lambda m, j: (c(4 * m + 2 * j + 6), c(4 * m + 2 * j + 8))),
-        ("a[2j+4]=a[2j+3]", c(2 * j + 4), c(2 * j + 3), lambda p: (p,)),
-        ("a[n]=0(n=1|n>=3)", c(np.array(odd, dtype=int)), np.zeros(len(odd), complex), lambda p: (odd[p],)),
-    ]
-    return _collect(groups, tol)

@@ -62,7 +62,7 @@ def test_criterion_07_nonzero_symbols_produce_violations():
 
 
 def test_criterion_08_slant_hankel_membership():
-    # membership symbol passes; z^3 fails with a step-relation witness
+    # the zero section L(z^-1) passes the slant-h pattern; L(z^-1+z^2) fails it with a witness
     _run_suite("criterion-08-perp", "perp")
 
 

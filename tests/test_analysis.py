@@ -31,7 +31,6 @@ from slanth import (
     partial_isometry_identity,
     section_norm,
     self_adjoint_distance,
-    slant_hankel_perp_check,
     sup_norm,
 )
 
@@ -278,24 +277,6 @@ class TestNormBound:
             assert section - sup <= 1e-9, label
             assert section == section_norm(build_family(SLANT_H_TOEPLITZ, phi, rows, cols)), label
             assert sup == sup_norm(phi), label
-
-
-class TestSlantHankelPerp:
-    def test_member_passes(self):
-        report = slant_hankel_perp_check(parse_symbol("-1:1, 2:1"), 16)
-        assert report.passed
-
-    def test_zero_passes(self):
-        assert slant_hankel_perp_check(ZERO, 16).passed
-
-    def test_cubed_monomial_fails_step_and_membership(self):
-        report = slant_hankel_perp_check(monomial(3), 16)
-        assert not report.passed
-        relations = {w.relation for w in report.witnesses}
-        assert "a[2j+4]=a[2j+3]" in relations
-        assert "a[n]=0(n=1|n>=3)" in relations
-        step = [w for w in report.witnesses if w.relation == "a[2j+4]=a[2j+3]"][0]
-        assert step.indices == (0,) and step.lhs == 0 and step.rhs == 1
 
 
 class TestColumnNormFloor:

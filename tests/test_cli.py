@@ -293,14 +293,14 @@ class TestCheck:
         assert capsys.readouterr().out == "#fmt 1\nPASS max_residual=0.0 vacuous=1\n"
 
     def test_columns_past_0_are_checked(self, tmp_path, capsys):
-        # slant-h exited 3 on columns not starting at 0; symbol readback still needs them anchored at 0
+        # slant-h exited 3 on columns not starting at 0, and extract too: it reads the degrees -16..33 held there
         path = tmp_path / "cols.mat"
         assert main(["build", "--family", "slant-h-toeplitz", "--symbol", f"phi={GENERIC_INLINE}",
                      "--rows", "0:8", "--cols", "3:33", "--out", str(path)]) == 0
         assert main(["check", "slant-h", "--matrix", str(path)]) == 0
         capsys.readouterr()
-        assert main(["extract", "--matrix", str(path)]) == 3
-        assert capsys.readouterr().err.startswith("window error: symbol readback needs windows anchored at 0")
+        assert main(["extract", "--matrix", str(path)]) == 0
+        assert load_symbol_file(capsys.readouterr().out) == parse_symbol(GENERIC_INLINE)
         path.write_text(dump_matrix(perturbed(load_matrix(path.read_text()), 1, 3)))
         assert main(["check", "slant-h", "--matrix", str(path)]) == 1
 
@@ -583,7 +583,7 @@ def test_window_past_numpy_size_limit_is_a_window_error(capsys, argv):
 
 @pytest.mark.parametrize("far", [2**40, 2**59])
 def test_sparse_symbol_builds_on_a_small_window(capsys, far):
-    # the coefficient table spans the symbol's degrees on the window, not its support: this exited 3
+    # the gather looks the window's degrees up among the symbol's, with no table over its support: this exited 3
     assert main(["build", "--family", "toeplitz", "--rows", "0:2", "--cols", "0:2", "--symbol", f"phi=0:1, {far}:1"]) == 0
     captured = capsys.readouterr()
     assert np.array_equal(load_matrix(captured.out).data, np.eye(3)) and captured.err == ""

@@ -3,12 +3,15 @@
 windows and degrees near int64's ends included, and the closed form against
 the compositional oracle, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slanth import (
     COMPOSITIONAL_KINDS,
+    SLANT_H_TOEPLITZ,
     IndexWindow,
     LaurentSymbol,
     WindowError,
@@ -72,19 +75,14 @@ def test_gather_matches_scalar_entries(phi, row_span, col_span):
 @example(LaurentSymbol({-(2**63 - 1): 1}), IndexWindow(2**62 + 1, 2**62 + 1), IndexWindow(0, 1))
 # a table over the whole support would hold 2**63 + 2 slots; the window's degrees need 3
 @example(LaurentSymbol({-(2**62): 1, 0: 2, 2**62: 3}), IndexWindow(0, 1), IndexWindow(0, 1))
+# h-toeplitz reads degrees 0 and 2**62 + 1 here: a table between the two terms was refused (2**62 slots)
+@example(LaurentSymbol({0: 1j, 2**62: 1j}), IndexWindow(2**61, 2**61), IndexWindow(2**62, 2**62 + 1))
 def test_gather_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, cols):
     # the gather equals the scalar loop bit for bit, or raises WindowError where a
-    # window is out of the family's range, a degree leaves int64 or no table can span
-    # the symbol's degrees between the window's least and greatest degree
+    # window is out of the family's range or a degree leaves int64
     for kind in all_kinds:
         degrees = [kind.degree(i, j) for i in rows.indices() for j in cols.indices()]
-        inside = [n for n, _ in phi.items() if min(degrees) <= n <= max(degrees)]
-        refusable = (
-            rows.lo < -kind.depth
-            or cols.lo < 0
-            or not all(INT64.min <= d <= INT64.max for d in degrees)
-            or (inside and 16 * (inside[-1] - inside[0] + 2) > INT64.max)
-        )
+        refusable = rows.lo < -kind.depth or cols.lo < 0 or not all(INT64.min <= d <= INT64.max for d in degrees)
         try:
             got = build_family(kind, phi, rows, cols)
         except WindowError:
@@ -106,6 +104,19 @@ def test_sparse_symbol_gathers_only_the_window_degrees(phi, row_span, col_span, 
         assert got.data.tobytes() == scalar_section(kind, sparse, rows, cols).tobytes(), kind.name
 
 
+def test_gather_allocates_by_the_window_not_the_columns():
+    # a 1 x 2 slant-h section on columns 2**20: its table spanned the 2**20 degrees between its two terms (33.6 MB)
+    phi = LaurentSymbol({-(2**19): 1, 2**19 + 1: 2})
+    tracemalloc.start()
+    try:
+        got = build_family(SLANT_H_TOEPLITZ, phi, IndexWindow(0, 0), IndexWindow(2**20, 2**20 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.data.tolist() == [[1, 2]]
+    assert peak < 2**20
+
+
 @PROPERTY
 @given(symbols, windows)
 def test_closed_form_matches_oracle(phi, col_span):
@@ -123,8 +134,8 @@ def test_oracle_suite_compares_bits(monkeypatch):
     # writes +0: no entry deviates, yet the two routes differ in their bits
     gather = families._coefficients
 
-    def conjugated_after(phi, degrees, bounds, conj=False):
-        return np.conj(gather(phi, degrees, bounds)) if conj else gather(phi, degrees, bounds)
+    def conjugated_after(phi, degrees, conj=False):
+        return np.conj(gather(phi, degrees)) if conj else gather(phi, degrees)
 
     monkeypatch.setattr(families, "_coefficients", conjugated_after)
     assert check_oracle() == (False, "max_dev=0.0 combos=80")
