@@ -34,9 +34,9 @@ from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
-_PATTERNS = {"slant-h": check_slant_h_matrix, "slant-toeplitz": check_slant_toeplitz_matrix,
-             "slant-hankel": check_slant_hankel_matrix}
-_PREDICATES = (*_PATTERNS, "characterization", "extension")
+_CHECKS = {"slant-h": check_slant_h_matrix, "slant-toeplitz": check_slant_toeplitz_matrix,
+           "slant-hankel": check_slant_hankel_matrix, "characterization": check_characterization}
+_PREDICATES = (*_CHECKS, "extension")
 
 
 def _parse_window(text: str) -> IndexWindow:
@@ -118,17 +118,10 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     symbols = _symbol_table(args.symbol)
     matrix = _matrix_from_args(args, symbols)
-    tol = args.tol
-    if args.predicate in _PATTERNS:
-        report = _PATTERNS[args.predicate](matrix, tol)
-    elif args.predicate == "characterization":
-        if args.cols is not None:
-            dom = _parse_window(args.cols)
-        else:
-            dom = IndexWindow(0, max(0, (matrix.cols.hi - 7) // 4))
-        report = check_characterization(matrix, dom, tol)
+    if args.predicate == "extension":
+        report = check_extension_conditions(matrix, args.m, args.tol)
     else:
-        report = check_extension_conditions(matrix, args.m, tol)
+        report = _CHECKS[args.predicate](matrix, args.tol)
     _write_output("#fmt 1\n" + report.render(), args.out)
     return 0 if report.passed else 1
 
@@ -201,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--matrix", metavar="FILE")
     check.add_argument("--expr", metavar="TEXT")
     check.add_argument("--window", metavar="LO:HI")
-    check.add_argument("--cols", metavar="LO:HI", help="identity domain for characterization")
     check.add_argument("--m", type=int, default=1, help="depth for the extension predicate")
     check.set_defaults(func=_cmd_check)
 

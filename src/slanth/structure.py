@@ -203,45 +203,43 @@ def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
 
 
 def _shift_identities(tags, left: WindowedMatrix, a: WindowedMatrix, dom: IndexWindow, shift, power: int):
-    """Groups of (a) left.Cz2 = shift.A.Cz2.Mz(power), (b) U*.left.Mz3.Cz4 = A.Mz3.Cz4.U
-    and (c) U*.left.e0 = A.Mz3.e0, with A = `a`; (a) and (b) on `dom`, (c) on e0."""
+    """Groups of the identities (a)-(e) of check_extension_conditions with `left` for Am, `a` for A, `shift` for
+    S(-m) and `power` for 2m: (c) and (e) on e0, the others on `dom`."""
     e0 = IndexWindow(0, 0)
     chains = [
         ([left, compose_z(2)], [shift, a, compose_z(2), mult_z(power)], dom),
         ([USTAR, left, mult_z(3), compose_z(4)], [a, mult_z(3), compose_z(4), U], dom),
         ([USTAR, left.restrict(left.rows, e0)], [a, mult_z(3)], e0),
+        ([USTAR, left, mult_z(1), compose_z(4)], [a, mult_z(1), compose_z(4), U], dom),
+        ([USTAR, left, mult_z(2)], [a, mult_z(1)], e0),
     ]
     for tag, (lhs, rhs, cols) in zip(tags, chains):
         yield _identity(tag, compose_chain(lhs, cols), compose_chain(rhs, cols))
 
 
-def _identity_windows(m: WindowedMatrix, what: str) -> None:
-    """An identity check reads rows 0..R, R >= 1, and columns from 0."""
-    if m.rows.is_empty or m.rows.lo != 0 or m.rows.hi < 1:
-        raise WindowError(f"{what} needs rows 0..R with R >= 1, got {m.rows}")
-    if m.cols.is_empty or m.cols.lo != 0:
-        raise WindowError(f"{what} needs columns from 0, got {m.cols}")
+def _identity_domain(m: WindowedMatrix, power: int, what: str) -> IndexWindow:
+    """0:p, the widest domain on which the identities, with Mz(power) in (a), read only the section's columns 0..C:
+    p = min((C-7)//4, (C-2*power)//2), as (b) reads column 4p+7 and (a) column 2p+2*power. Rows are 0..R, R >= 1."""
+    p = min((m.cols.hi - 7) // 4, (m.cols.hi - 2 * power) // 2)
+    if m.rows.lo != 0 or m.rows.hi < 1 or m.cols.lo != 0 or p < 0:  # an empty window is 0:-1
+        raise WindowError(f"{what} needs rows 0..R, R >= 1, and columns 0..C, C >= {max(7, 2 * power)};"
+                          f" got rows {m.rows} and columns {m.cols}")
+    return IndexWindow(0, p)
 
 
-def check_characterization(m: WindowedMatrix, cols: IndexWindow, tol: float = 1e-12) -> CheckReport:
-    """Check the three shift identities characterizing slant-h sections.
+def check_characterization(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+    """Check the five shift identities characterizing slant-h sections on the domain 0:(C-7)//4 of columns 0..C.
 
         (a) A.Cz2 = U*.A.Cz2.U2
         (b) U*.A.Mz3.Cz4 = A.Mz3.Cz4.U
         (c) U*.A.e0 = A.Mz3.e0
-
-    `cols` is the identity domain window; the matrix must cover every row and
-    column the identities touch for it, which the checker computes and
-    enforces up front.
+        (d) U*.A.Mz.Cz4 = A.Mz.Cz4.U
+        (e) U*.A.Mz2.e0 = A.Mz.e0
     """
-    _identity_windows(m, "characterization")
-    if cols.is_empty or cols.lo < 0:
-        raise WindowError(f"identity domain must be an analytic window, got {cols}")
-    needed = 4 * cols.hi + 7
-    if m.cols.hi < needed:
-        raise WindowError(f"matrix columns must reach {needed} for identity domain {cols}, got {m.cols}")
-    tags = ("A.Cz2=U*.A.Cz2.U2", "U*.A.Mz3.Cz4=A.Mz3.Cz4.U", "U*.A.e0=A.Mz3.e0")
-    return _collect(_shift_identities(tags, m, m, cols, USTAR, 2), tol)
+    dom = _identity_domain(m, 2, "characterization")
+    tags = ("A.Cz2=U*.A.Cz2.U2", "U*.A.Mz3.Cz4=A.Mz3.Cz4.U", "U*.A.e0=A.Mz3.e0",
+            "U*.A.Mz.Cz4=A.Mz.Cz4.U", "U*.A.Mz2.e0=A.Mz.e0")
+    return _collect(_shift_identities(tags, m, m, dom, USTAR, 2), tol)
 
 
 def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12) -> CheckReport:
@@ -253,20 +251,20 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
         (a) Am.Cz2 = S(-m).A.Cz2.Mz(2m)
         (b) U*.Am.Mz3.Cz4 = A.Mz3.Cz4.U
         (c) U*.Am.e0 = A.Mz3.e0
+        (d) U*.Am.Mz.Cz4 = A.Mz.Cz4.U
+        (e) U*.Am.Mz2.e0 = A.Mz.e0
 
-    and agree with the original section on every shared nonnegative row.
+    on the domain _identity_domain derives, and agree with the original section
+    on every shared nonnegative row.
     """
     if depth < 0:
         raise ValueError("extension depth must be >= 0")
-    _identity_windows(a, "extension check")
-    p_hi = min((a.cols.hi - 7) // 4, (a.cols.hi - 4 * depth) // 2)
-    if p_hi < 0:
-        raise WindowError(f"matrix columns {a.cols} too narrow for the identities at depth {depth}")
-
+    dom = _identity_domain(a, 2 * depth, "extension check")
     try:
         am = build_family(extension(depth), extract_symbol(a), IndexWindow(-depth, a.rows.hi), a.cols)
     except SymbolParseError:  # a non-finite entry read back leaves A_m, and so every identity, undefined
         return CheckReport(False, math.nan, ())
-    tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0")
-    groups = _shift_identities(tags, am, a, IndexWindow(0, p_hi), bilateral_shift(-depth), 2 * depth)
+    tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0",
+            "U*.Am.Mz.Cz4=A.Mz.Cz4.U", "U*.Am.Mz2.e0=A.Mz.e0")
+    groups = _shift_identities(tags, am, a, dom, bilateral_shift(-depth), 2 * depth)
     return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol)

@@ -266,8 +266,13 @@ class TestCheck:
             "--cols", "0:39",
             "--out", str(path),
         ).returncode == 0
-        result = run_cli("check", "characterization", "--matrix", str(path), "--cols", "0:8")
+        # the identity domain is derived from the columns: 0:(39-7)//4 = 0:8
+        result = run_cli("check", "characterization", "--matrix", str(path))
         assert result.returncode == 0
+
+    def test_identity_domain_is_not_an_option(self, section_file):
+        result = run_cli("check", "characterization", "--matrix", str(section_file), "--cols", "0:8")
+        assert result.returncode == 2 and "unrecognized arguments: --cols" in result.stderr
 
     def test_expression_input(self):
         result = run_cli(
@@ -313,9 +318,14 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("window error: ") and captured.err.count("\n") == 1
 
-    def test_insufficient_window_exit_code(self, section_file):
-        result = run_cli("check", "characterization", "--matrix", str(section_file), "--cols", "0:20")
-        assert result.returncode == 3
+    def test_insufficient_window_exit_code(self, tmp_path, capsys):
+        # below 7 columns past 0 the derived identity domain 0:(C-7)//4 is empty
+        path = tmp_path / "narrow.mat"
+        assert main(["build", "--family", "slant-h-toeplitz", "--symbol", f"phi={GENERIC_INLINE}",
+                     "--rows", "0:8", "--cols", "0:5", "--out", str(path)]) == 0
+        assert main(["check", "characterization", "--matrix", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("window error: ") and captured.err.count("\n") == 1
 
 
 class TestExtract:
@@ -762,8 +772,8 @@ def argvs(draw, tmp):
                                                  "extension"]), st.just("bogus")))
         source = (["--matrix", matrix_path()] if draw(st.booleans())
                   else ["--expr", draw(expressions()), *often("--window", draw(window_texts))])
-        argv = ["check", predicate, *source, *symbol_args(), *maybe("--cols", draw(window_texts)),
-                *maybe("--m", str(draw(ints))), *maybe("--tol", draw(st.sampled_from(["0", "-1", "nan", "inf", "x"])))]
+        argv = ["check", predicate, *source, *symbol_args(), *maybe("--m", str(draw(ints))),
+                *maybe("--tol", draw(st.sampled_from(["0", "-1", "nan", "inf", "x"])))]
     elif command == "extract":
         argv = ["extract", "--matrix", matrix_path(), *maybe("--tol", "0")]
     elif command == "norm":

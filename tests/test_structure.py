@@ -186,32 +186,44 @@ class TestExtractSymbol:
 
 class TestCharacterization:
     def test_sections_pass(self, rng):
-        dom = IndexWindow(0, 6)
         symbols = [phi for _, phi in CORPUS] + [random_symbol(rng, span=6) for _ in range(3)]
         for phi in symbols:
             section = build_family(SLANT_H_TOEPLITZ, phi, IndexWindow(0, 9), IndexWindow(0, 31))
-            report = check_characterization(section, dom)
+            report = check_characterization(section)
             assert report.passed and report.max_residual <= 1e-12
 
     def test_agreement_with_pattern_predicate(self, rng):
         # both checks accept clean sections and both reject perturbed ones
-        dom = IndexWindow(0, 6)
         for spot in ((0, 0), (1, 4), (0, 4)):
             section = build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 9), IndexWindow(0, 31))
             bad = perturbed(section, *spot)
             pattern = check_slant_h_matrix(bad)
-            identity = check_characterization(bad, dom)
+            identity = check_characterization(bad)
             assert not pattern.passed and pattern.witnesses
             assert not identity.passed and identity.witnesses
 
     def test_zero_matrix_passes(self):
         section = build_family(SLANT_H_TOEPLITZ, ZERO, IndexWindow(0, 9), IndexWindow(0, 31))
-        assert check_characterization(section, IndexWindow(0, 6)).passed
+        assert check_characterization(section).passed
 
     def test_rejects_insufficient_windows(self):
-        section = build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 9), IndexWindow(0, 20))
+        # the identity domain is derived from the columns: 0:(C-7)//4 is empty below 7 columns past 0
+        section = build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 9), IndexWindow(0, 5))
         with pytest.raises(WindowError):
-            check_characterization(section, IndexWindow(0, 6))
+            check_characterization(section)
+
+    def test_every_change_in_a_column_1_mod_4_fails(self):
+        # (a)-(c) never read a column = 1 (mod 4), and passed all 255 changes there whose degree occurs twice;
+        # (d) and (e) read them
+        rows, cols = IndexWindow(0, 15), IndexWindow(0, 64)
+        section = build_family(SLANT_H_TOEPLITZ, GENERIC, rows, cols)
+        degrees = collections.Counter(SLANT_H_TOEPLITZ.degree(i, j) for i in rows.indices() for j in cols.indices())
+        spots = [(i, j) for i in rows.indices() for j in range(1, cols.hi + 1, 4)
+                 if degrees[SLANT_H_TOEPLITZ.degree(i, j)] > 1]
+        assert len(spots) == 255
+        for i, j in spots:
+            report = check_characterization(perturbed(section, i, j))
+            assert not report.passed and report.witnesses, (i, j)
 
 
 class TestNonFinite:
@@ -225,7 +237,7 @@ class TestNonFinite:
 
     def test_nan_entry_fails_characterization(self):
         bad = perturbed(v_section(GENERIC), 1, 4, float("nan"))
-        report = check_characterization(bad, IndexWindow(0, 6))
+        report = check_characterization(bad)
         assert not report.passed and report.witnesses
 
     def test_infinite_entry_fails(self):
@@ -379,8 +391,8 @@ def identity_instances(tag, lhs, rhs):
             yield tag, (i, j), lhs.entry(i, j), rhs.entry(i, j)
 
 
-def characterization_instances(m, cols):
-    e0 = IndexWindow(0, 0)
+def characterization_instances(m):
+    cols, e0 = IndexWindow(0, (m.cols.hi - 7) // 4), IndexWindow(0, 0)
     yield from identity_instances(
         "A.Cz2=U*.A.Cz2.U2",
         compose_chain([m, compose_z(2)], cols),
@@ -395,6 +407,16 @@ def characterization_instances(m, cols):
         "U*.A.e0=A.Mz3.e0",
         compose_chain([USTAR, m.restrict(m.rows, e0)], e0),
         compose_chain([m, mult_z(3)], e0),
+    )
+    yield from identity_instances(
+        "U*.A.Mz.Cz4=A.Mz.Cz4.U",
+        compose_chain([USTAR, m, mult_z(1), compose_z(4)], cols),
+        compose_chain([m, mult_z(1), compose_z(4), U], cols),
+    )
+    yield from identity_instances(
+        "U*.A.Mz2.e0=A.Mz.e0",
+        compose_chain([USTAR, m, mult_z(2)], e0),
+        compose_chain([m, mult_z(1)], e0),
     )
 
 
@@ -416,6 +438,16 @@ def extension_instances(a, depth):
         "U*.Am.e0=A.Mz3.e0",
         compose_chain([USTAR, am.restrict(am.rows, e0)], e0),
         compose_chain([a, mult_z(3)], e0),
+    )
+    yield from identity_instances(
+        "U*.Am.Mz.Cz4=A.Mz.Cz4.U",
+        compose_chain([USTAR, am, mult_z(1), compose_z(4)], dom),
+        compose_chain([a, mult_z(1), compose_z(4), U], dom),
+    )
+    yield from identity_instances(
+        "U*.Am.Mz2.e0=A.Mz.e0",
+        compose_chain([USTAR, am, mult_z(2)], e0),
+        compose_chain([a, mult_z(1)], e0),
     )
     yield from identity_instances("Am[i,j]=A[i,j]", am, a)
 
@@ -479,11 +511,10 @@ class TestDifferential:
             assert reference_fold(step_instances(m, relation, di)).passed or not report.passed
 
     @DIFFERENTIAL
-    @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(11, 30)), caps, st.data())
-    def test_characterization(self, m, cap, data):
-        dom = IndexWindow(0, data.draw(st.integers(0, (m.cols.hi - 7) // 4)))
+    @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(7, 30)), caps)
+    def test_characterization(self, m, cap):
         with mock.patch.object(structure, "WITNESS_CAP", cap):
-            assert_same(check_characterization(m, dom), reference_fold(characterization_instances(m, dom), cap=cap))
+            assert_same(check_characterization(m), reference_fold(characterization_instances(m), cap=cap))
 
     @DIFFERENTIAL
     @given(sections(st.just(0), st.integers(2, 8), st.just(0), st.integers(11, 30)), st.integers(0, 2), caps)
@@ -573,8 +604,27 @@ class TestPattern:
         report = check_slant_h_matrix(m)
         assert report.witnesses and report.witnesses[0].render() == "a[i,j]=a[p,q] (0,1,1,2) lhs=1.0:0.0 rhs=0.0:0.0"
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: identities (a)-(c) never read a column = 1 mod 4")
     @pytest.mark.parametrize("text", ["2:1", "-1:1, 2:1"])
     def test_characterization_rejects_the_slant_hankel_sections(self, text):
+        # (a)-(c) passed both: they never read a column = 1 (mod 4), and z^2 sits at (0, 1); (e) reads it
         m = build_family(SLANT_HANKEL, parse_symbol(text), IndexWindow(0, 10), IndexWindow(0, 39))
-        assert not check_characterization(m, IndexWindow(0, 8)).passed
+        report = check_characterization(m)
+        assert not report.passed and report.witnesses
+        assert report.witnesses[0].render() == "U*.A.Mz2.e0=A.Mz.e0 (0,0) lhs=0.0:0.0 rhs=1.0:0.0"
+
+    @DIFFERENTIAL
+    @given(symbols, st.integers(1, 8), st.integers(7, 30), st.data())
+    def test_the_pattern_implies_the_identities(self, phi, rows_hi, cols_hi, data):
+        # every identity instance compares two entries of one degree, so a section with the slant-h pattern passes
+        # them all, at every depth; entries of degrees held once are free and are changed to finite values here
+        rows, cols = IndexWindow(0, rows_hi), IndexWindow(0, cols_hi)
+        m = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
+        degrees = collections.Counter(SLANT_H_TOEPLITZ.degree(i, j) for i in rows.indices() for j in cols.indices())
+        free = [(i, j) for i in rows.indices() for j in cols.indices() if degrees[SLANT_H_TOEPLITZ.degree(i, j)] == 1]
+        for i, j in data.draw(st.lists(st.sampled_from(free), max_size=4)) if free else []:
+            m = perturbed(m, i, j, data.draw(st.sampled_from([1.0, 1j, -2.5])))
+        assert check_pattern(SLANT_H_TOEPLITZ, m).passed
+        assert check_characterization(m).passed
+        for depth in range(4):
+            if cols_hi >= 4 * depth:
+                assert check_extension_conditions(m, depth).passed, depth
