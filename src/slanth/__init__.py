@@ -39,6 +39,7 @@ from .structure import (
     check_slant_h_matrix,
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,
+    extract_checked,
     extract_symbol,
 )
 from .symbol import (
@@ -60,6 +61,7 @@ from .symbol import (
 )
 from .windowed import (
     IndexWindow,
+    RowBlocks,
     WindowError,
     WindowedMatrix,
     adjoint,
@@ -67,6 +69,8 @@ from .windowed import (
     compose,
     dump_matrix,
     load_matrix,
+    row_blocks,
+    stream_matrix,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .structure import (
     check_slant_h_matrix,
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,
-    extract_symbol,
+    extract_checked,
 )
 from .symbol import (
     SymbolParseError,
@@ -30,13 +30,15 @@ from .symbol import (
     load_symbol_file,
     parse_symbol,
 )
-from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix
+from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix, stream_matrix
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
 _CHECKS = {"slant-h": check_slant_h_matrix, "slant-toeplitz": check_slant_toeplitz_matrix,
            "slant-hankel": check_slant_hankel_matrix, "characterization": check_characterization}
 _PREDICATES = (*_CHECKS, "extension")
+# Predicates that scan a file's rows as they are read; the others load the section.
+_STREAMED = ("slant-h", "slant-toeplitz", "slant-hankel")
 
 
 def _parse_window(text: str) -> IndexWindow:
@@ -88,10 +90,16 @@ def _expr_section(args, symbols):
     return eval_expr(parse_expr(args.expr), _parse_window(args.window), symbols)
 
 
+def _read_matrix(path: str, streamed: bool):
+    """The matrix file at path, read as bytes: its row blocks when streamed, else its section."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return stream_matrix(data) if streamed else load_matrix(data)
+
+
 def _matrix_from_args(args, symbols):
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            return load_matrix(handle.read())
+        return _read_matrix(args.matrix, args.predicate in _STREAMED)
     if args.expr:
         return _expr_section(args, symbols)
     raise SymbolParseError("supply --matrix FILE or --expr TEXT")
@@ -127,13 +135,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    with open(args.matrix, "r", encoding="utf-8") as handle:
-        matrix = load_matrix(handle.read())
-    report = check_slant_h_matrix(matrix, args.tol)
+    report, phi = extract_checked(_read_matrix(args.matrix, streamed=True), args.tol)
     if not report.passed:
         _stdout().write("#fmt 1\n" + report.render())
         return 1
-    _write_output(dump_symbol_file(extract_symbol(matrix)), args.out)
+    _write_output(dump_symbol_file(phi), args.out)
     return 0
 
 

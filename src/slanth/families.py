@@ -142,24 +142,30 @@ def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, conj: bool = False) -
     return values.take(slot)
 
 
-def _degree_bounds(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
-    """The least and greatest degree of `kind` on rows x cols, (0, -1) on an empty window.
+def _degree_pieces(kind: Family, rows: IndexWindow, cols: IndexWindow) -> dict:
+    """The least and greatest degree of `kind` on each (row parity, column parity) piece of rows x cols that holds
+    an entry.
 
     A WindowError on columns below 0, rows below -depth or a degree past int64,
     where numpy's arithmetic would wrap. Each degree map is monotone on each
-    parity of i and of j, so the windows' ends bound it."""
+    parity of i and of j, so a piece's first and last row and column bound it,
+    and the windows' first two and last two indices hold those."""
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     if not rows.is_empty and rows.lo < -kind.depth:
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
-    degrees = [kind.degree(r, c) for r in _ends(rows) for c in _ends(cols)]
-    _check_int64(degrees, f"{kind.name} degrees on {rows} x {cols} reach")
-    return min(degrees, default=0), max(degrees, default=-1)
+    degrees = {(r, c): kind.degree(r, c) for r in _ends(rows) for c in _ends(cols)}
+    _check_int64(degrees.values(), f"{kind.name} degrees on {rows} x {cols} reach")
+    pieces = {}
+    for (r, c), d in degrees.items():
+        lo, hi = pieces.get((r % 2, c % 2), (d, d))
+        pieces[r % 2, c % 2] = (min(lo, d), max(hi, d))
+    return pieces
 
 
 def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
     """Section of the closed form on caller-chosen row/column windows."""
-    _degree_bounds(kind, rows, cols)
+    _degree_pieces(kind, rows, cols)
     degrees = kind.degree(rows.index_array()[:, None], cols.index_array())
     return WindowedMatrix._of(rows, cols, _coefficients(phi, degrees, kind.conj))
 
@@ -171,5 +177,5 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
     every nonzero row of the true operator restricted to `cols`; it may be
     empty, in which case the operator vanishes on those columns.
     """
-    _degree_bounds(kind, IndexWindow.empty(), cols)
+    _degree_pieces(kind, IndexWindow.empty(), cols)
     return compose_chain(kind.chain(phi), cols)

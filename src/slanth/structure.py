@@ -2,7 +2,11 @@
 
 A family's pattern, read from its record, is that entries of one degree
 `Family.degree(i, j)` are equal; the slant-h and slant step predicates are
-`check_pattern` of their family.
+`check_pattern` of their family. The pattern checks and the readback scan a
+section's row blocks once, in order (see windowed.RowBlocks): a dense
+section's are slices of its data, and a file's are tokenized as they are
+read, so no dense section of the file is built. Their scratch is one block
+and a table of the degrees the windows hold.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
@@ -14,24 +18,29 @@ tuple of instance p, formed for witnesses only. The witnesses are the first
 `WITNESS_CAP` (16) violations in that order, read when a report is folded.
 """
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, Family, _degree_bounds, build_family, extension
+from .families import SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, Family, _degree_pieces, build_family, extension
 from .symbol import LaurentSymbol, SymbolParseError
 from .windowed import (
     U,
     USTAR,
     IndexWindow,
+    RowBlocks,
     WindowedMatrix,
     WindowError,
+    _triplets,
     bilateral_shift,
     compose_chain,
     compose_z,
     format_entry,
     mult_z,
+    row_blocks,
 )
 
 __all__ = [
@@ -44,13 +53,11 @@ __all__ = [
     "check_slant_h_matrix",
     "check_slant_hankel_matrix",
     "check_slant_toeplitz_matrix",
+    "extract_checked",
     "extract_symbol",
 ]
 
 WITNESS_CAP = 16
-
-# Cells per row block of check_pattern, in whole rows (at least one): its scratch stays a few hundred KB.
-_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,18 +107,19 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _collect(groups, tol: float) -> CheckReport:
-    """Fold (relation, lhs, rhs, at) groups into a report.
+    """Fold (relation, lhs, rhs, at[, count]) groups into a report.
 
     An instance's residual is |lhs - rhs| (see _residual). A non-finite
     residual is a violation, and a NaN one sticks as the maximum, so
-    non-finite input can never pass.
+    non-finite input can never pass. A group with a count stands for that
+    many instances: its own, and others of residual 0 that pass.
     """
     max_residual, witnesses, checked = 0.0, [], 0
-    for relation, lhs, rhs, at in groups:
+    for relation, lhs, rhs, at, *count in groups:
         residual = _residual(lhs, rhs)
+        checked += count[0] if count else residual.size
         if not residual.size:
             continue
-        checked += residual.size
         peak = float(residual.max())
         if peak > max_residual or math.isnan(peak):
             max_residual = peak
@@ -120,79 +128,152 @@ def _collect(groups, tol: float) -> CheckReport:
     return CheckReport(max_residual <= tol, max_residual, tuple(witnesses), checked)
 
 
-def _anchors(kind: Family, m: WindowedMatrix) -> tuple:
-    """The least degree `lo` of `kind` on the windows, each degree's anchor, and a lazy scan of the row blocks.
+def _slots(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
+    """The anchor table's layout on the windows: its runs of degrees (lo, hi), laid end to end, and the offset that
+    takes a degree to its slot, one int, or a 2 x 2 table by (row parity, column parity).
 
-    The anchor of degree lo + d is its first entry in C order, as a flat
-    position `first[d]`, m.data.size where the windows hold no entry of it.
-    Rows are read in blocks of about `_BLOCK` cells; the scan yields, per
-    block, the anchors and positions (head, later) of the entries that are
-    not their degree's anchor, and `first` is complete once it is exhausted.
-    Each block records the first position of every degree it meets by
-    np.minimum.at, which, unlike a fancy-index store, keeps the least of
-    repeated writes.
+    The runs are the parity pieces' degree intervals (see _degree_pieces)
+    merged, so a window on far columns, whose even and odd columns hold
+    degrees far apart, gets a table of about the degrees it holds.
     """
-    lo, hi = _degree_bounds(kind, m.rows, m.cols)
-    width = m.cols.size
-    first = np.full(hi - lo + 1, m.data.size)
-    rows, cols = m.rows.index_array(), m.cols.index_array()
-    step = max(1, _BLOCK // max(1, width))
-
-    def blocks():  # lazily, so one block's arrays are alive at a time
-        for top in range(0, m.rows.size if width else 0, step):
-            slot = np.ravel(kind.degree(rows[top : top + step, None], cols) - lo)
-            position = np.arange(top * width, top * width + slot.size)
-            np.minimum.at(first, slot, position)
-            head = first.take(slot)
-            later = np.flatnonzero(head != position)
-            yield head.take(later), later + top * width
-
-    return lo, first, blocks()
+    pieces = _degree_pieces(kind, rows, cols)
+    runs = []
+    for lo, hi in sorted(pieces.values()):
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    shift, size = np.zeros((2, 2), dtype=np.int64), 0
+    for lo, hi in runs:
+        for piece, (low, _) in pieces.items():
+            if lo <= low <= hi:  # wrapped into int64: a degree plus it, in int64, is the slot
+                shift[piece] = (size - lo + 2**63) % 2**64 - 2**63
+        size += hi - lo + 1
+    return runs, shift[next(iter(pieces))] if len(runs) == 1 else shift
 
 
-def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+# A pattern scan: the anchor table's runs of degrees; per slot, its anchor's
+# flat position (`absent` where the windows hold no entry of it) and value;
+# and the lazy scan of the row blocks, which completes the table.
+_Scan = namedtuple("_Scan", "runs first anchor absent blocks")
+
+
+def _anchors(kind: Family, m) -> _Scan:
+    """The pattern scan of `kind` over a section or its row blocks.
+
+    The anchor of a degree is its first entry in C order. Per block the scan
+    finds the first entry of each degree that no earlier block held, records
+    its position and value, and yields the block's first flat position, its
+    entries' slots and values, and where its new anchors are.
+    """
+    rows, cols, blocks = m if isinstance(m, RowBlocks) else row_blocks(m)
+    # the first block is read before the tables are made, so that a file too short for the windows it names
+    # fails as it did when it was loaded, before tables sized by those windows are filled
+    read = list(itertools.islice(blocks, 1))
+    try:
+        runs, shift = _slots(kind, rows, cols)
+        row_index, col_index = rows.index_array(), cols.index_array()
+    except WindowError:
+        for _ in blocks:  # a malformed or non-finite cell of a file is reported first, as when it is loaded
+            pass
+        raise
+    width, absent, size = cols.size, rows.size * cols.size, sum(hi - lo + 1 for lo, hi in runs)
+    first, anchor = np.full(size, absent), np.zeros(size, dtype=complex)
+
+    def scan():  # lazily, so one block's arrays are alive at a time
+        seen = 0
+        for top, block in itertools.chain(read, blocks):
+            seen += block.shape[0]
+            i = row_index[top : top + block.shape[0], None]
+            offset = shift if np.ndim(shift) == 0 else shift[i % 2, col_index % 2]
+            slot = np.ravel(kind.degree(i, col_index) + offset)
+            values = np.ravel(block)
+            fresh = np.flatnonzero(first.take(slot) == absent)  # entries of degrees no earlier block held
+            held, at = np.unique(slot[fresh], return_index=True)  # and each such degree's first entry here
+            new = fresh[at]
+            first[held], anchor[held] = new + top * width, values[new]
+            yield top * width, slot, values, new
+        if seen != (rows.size if width else 0):  # an iterator read before yields nothing: never a vacuous pass
+            raise ValueError(f"row blocks of {rows} x {cols} hold {seen} rows; they are read once")
+
+    return _Scan(runs, first, anchor, absent, scan())
+
+
+def _pattern_groups(scan: _Scan, rows: IndexWindow, cols: IndexWindow, tol: float):
+    """The scan's blocks as groups of one relation, each entry but the anchors against its degree's anchor.
+
+    Where tol >= 0 an entry equal to its anchor, whose residual is 0, passes,
+    and only the others are folded; the group counts them all.
+    """
+    def at(p):
+        return rows.lo + p // cols.size, cols.lo + p % cols.size
+
+    for base, slot, values, new in scan.blocks:
+        lhs = scan.anchor.take(slot)
+        if tol >= 0:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, kept
+                parts = values.view(float) - lhs.view(float) != 0
+            keep = parts.view(np.uint16) != 0  # either part of an entry differs: its two bools as one word
+        else:
+            keep = np.ones(slot.size, dtype=bool)
+        keep[new] = False
+        later = np.flatnonzero(keep)
+        yield ("a[i,j]=a[p,q]", lhs.take(later), values.take(later),
+               lambda p, base=base, later=later, slot=slot: (*at(int(scan.first[slot[later[p]]])),
+                                                            *at(base + int(later[p]))),
+               slot.size - new.size)
+
+
+def check_pattern(kind: Family, m, tol: float = 1e-12) -> CheckReport:
     """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
 
-    Each entry is compared with its degree's anchor (see _anchors), which a
-    witness (i,j,p,q) names first.
+    m is a section, or the row blocks of one (a file's, see
+    windowed.stream_matrix). Each entry is compared with its degree's anchor
+    (see _anchors), which a witness (i,j,p,q) names first.
     """
-    flat, width = m.data.ravel(), m.cols.size
-
-    def at(p):
-        return m.rows.lo + p // width, m.cols.lo + p % width
-
-    groups = (("a[i,j]=a[p,q]", flat.take(head), flat.take(later),
-               lambda p, head=head, later=later: (*at(int(head[p])), *at(int(later[p]))))
-              for head, later in _anchors(kind, m)[2])
-    return _collect(groups, tol)
+    return _collect(_pattern_groups(_anchors(kind, m), m.rows, m.cols, tol), tol)
 
 
-def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+def check_slant_h_matrix(m, tol: float = 1e-12) -> CheckReport:
     """check_pattern of the slant-h-toeplitz family."""
     return check_pattern(SLANT_H_TOEPLITZ, m, tol)
 
 
-def check_slant_toeplitz_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+def check_slant_toeplitz_matrix(m, tol: float = 1e-12) -> CheckReport:
     """check_pattern of the slant-toeplitz family."""
     return check_pattern(SLANT_TOEPLITZ, m, tol)
 
 
-def check_slant_hankel_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
+def check_slant_hankel_matrix(m, tol: float = 1e-12) -> CheckReport:
     """check_pattern of the slant-hankel family."""
     return check_pattern(SLANT_HANKEL, m, tol)
 
 
-def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
-    """Read the inducing symbol back from a slant-h section: each degree the windows hold, at its anchor.
+def _readback(scan: _Scan) -> LaurentSymbol:
+    """Each degree the windows hold, at its anchor, from an exhausted scan; trimmed to the nonzero coefficients."""
+    degrees = np.concatenate([np.arange(hi - lo + 1, dtype=np.int64) + lo for lo, hi in scan.runs] or [[]])
+    held = scan.first < scan.absent
+    return LaurentSymbol(dict(zip(degrees[held].tolist(), scan.anchor[held].tolist())))
 
-    The support is trimmed to the nonzero coefficients. The matrix is
-    expected to pass check_slant_h_matrix; no cross-validation is repeated.
+
+def extract_symbol(m) -> LaurentSymbol:
+    """Read the inducing symbol back from a slant-h section, or its row blocks: each degree the windows hold, at
+    its anchor.
+
+    The matrix is expected to pass check_slant_h_matrix; no cross-validation
+    is repeated.
     """
-    lo, first, blocks = _anchors(SLANT_H_TOEPLITZ, m)
-    for _ in blocks:  # the scan completes `first`
+    scan = _anchors(SLANT_H_TOEPLITZ, m)
+    for _ in scan.blocks:  # the scan completes the anchor table
         pass
-    held = np.flatnonzero(first < m.data.size)
-    return LaurentSymbol(dict(zip((held + lo).tolist(), m.data.ravel().take(first[held]).tolist())))
+    return _readback(scan)
+
+
+def extract_checked(m, tol: float = 1e-12) -> tuple:
+    """check_slant_h_matrix of a section or its row blocks, and extract_symbol where it passes, else None: one scan."""
+    scan = _anchors(SLANT_H_TOEPLITZ, m)
+    report = _collect(_pattern_groups(scan, m.rows, m.cols, tol), tol)
+    return report, _readback(scan) if report.passed else None
 
 
 def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
@@ -204,14 +285,17 @@ def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
 
 def _shift_identities(tags, left: WindowedMatrix, a: WindowedMatrix, dom: IndexWindow, shift, power: int):
     """Groups of the identities (a)-(e) of check_extension_conditions with `left` for Am, `a` for A, `shift` for
-    S(-m) and `power` for 2m: (c) and (e) on e0, the others on `dom`."""
+    S(-m) and `power` for 2m: (c) and (e) on e0, the others on `dom`. Each section enters the chains as its
+    triplets, formed once; (c) reads Am's column 0 alone."""
     e0 = IndexWindow(0, 0)
+    at = _triplets(a)
+    lt = at if left is a else _triplets(left)
     chains = [
-        ([left, compose_z(2)], [shift, a, compose_z(2), mult_z(power)], dom),
-        ([USTAR, left, mult_z(3), compose_z(4)], [a, mult_z(3), compose_z(4), U], dom),
-        ([USTAR, left.restrict(left.rows, e0)], [a, mult_z(3)], e0),
-        ([USTAR, left, mult_z(1), compose_z(4)], [a, mult_z(1), compose_z(4), U], dom),
-        ([USTAR, left, mult_z(2)], [a, mult_z(1)], e0),
+        ([lt, compose_z(2)], [shift, at, compose_z(2), mult_z(power)], dom),
+        ([USTAR, lt, mult_z(3), compose_z(4)], [at, mult_z(3), compose_z(4), U], dom),
+        ([USTAR, left.restrict(left.rows, e0)], [at, mult_z(3)], e0),
+        ([USTAR, lt, mult_z(1), compose_z(4)], [at, mult_z(1), compose_z(4), U], dom),
+        ([USTAR, lt, mult_z(2)], [at, mult_z(1)], e0),
     ]
     for tag, (lhs, rhs, cols) in zip(tags, chains):
         yield _identity(tag, compose_chain(lhs, cols), compose_chain(rhs, cols))

@@ -17,6 +17,12 @@ Empty windows are first class: a projection applied to a wholly anti-analytic
 window, or multiplication by the zero symbol, legitimately produces a section
 with no rows, and such sections compose to zero blocks.
 
+A matrix file is read from its bytes by one tokenizer, a block of whole rows
+at a time (RowBlocks): stream_matrix yields the blocks as they are read, and
+load_matrix fills the dense section with them. Bytes that are not canonical
+(see _index), and text that is not ASCII, are rewritten once as canonical
+bytes by str.splitlines() and str.split(), as a text reader splits them.
+
 All values are immutable after construction and all functions are pure.
 """
 
@@ -50,6 +56,9 @@ __all__ = [
     "compose_chain",
     "dump_matrix",
     "load_matrix",
+    "RowBlocks",
+    "row_blocks",
+    "stream_matrix",
 ]
 
 
@@ -287,7 +296,9 @@ def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
 def _triplets(m: "WindowedMatrix", cols: np.ndarray | None = None) -> _Triplets:
     """Nonzero entries of a dense section; only on the ascending absolute `cols` when given."""
     block = m.data if cols is None else m.data[:, cols - m.cols.lo]
-    c, r = np.nonzero(block.T)
+    r, c = np.divmod(np.flatnonzero(block != 0), max(1, block.shape[1]))  # in C order, which a stable sort
+    order = np.argsort(c, kind="stable")  # by column turns column-major: faster than nonzero of the transpose
+    r, c = r[order], c[order]
     return _Triplets(m.rows, m.cols, r + m.rows.lo, c + m.cols.lo if cols is None else cols[c], block[r, c])
 
 
@@ -366,10 +377,11 @@ def _scaled(x, factor: float):
 
 
 def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
-    """Compose elementary kinds and ready sections listed leftmost-first, starting from `domain`."""
+    """Compose elementary kinds and ready sections, dense or as triplets, listed leftmost-first, starting from
+    `domain`."""
     result = None
     for stage in reversed(stages):  # products stay triplets until the end
-        if not isinstance(stage, WindowedMatrix):
+        if isinstance(stage, Elementary):
             stage = _images(stage, domain if result is None else result.rows)
         result = stage if result is None else _product(stage, result)
     if result is None:
@@ -476,93 +488,234 @@ def _data_lines(m: WindowedMatrix) -> list:
 # 7 bytes (so a cell's word is masked to 7).
 _ZERO_WORD = int.from_bytes(_ZERO_CELL.encode(), "little")
 _SEVEN_BYTES = (1 << 56) - 1
-# Cells tokenized at once, in whole lines (at least one): 7 lines at 2049
-# columns, about 130 KB of text, so the tokenizer's scratch stays a small part
-# of the section it fills however wide the lines are.
-_BLOCK = 1 << 14
+# The eight rotations of a zero cell and its space, `0.0:0.0 `, as little-endian
+# words, ascending, and the place of the space in each.
+_UNIT = (_ZERO_CELL + " ").encode()
+_ROTATIONS = np.array(sorted(int.from_bytes(_UNIT[r:] + _UNIT[:r], "little") for r in range(8)), dtype=np.uint64)
+_SPACES = np.array([int(word).to_bytes(8, "little").index(b" ") for word in _ROTATIONS])
+# Cells per row block, in whole rows (at least one): 15 rows at 2049 columns,
+# about 260 KB of text, so a block's scratch, in the tokenizer and in the
+# pattern scan, stays within a few MB however wide the rows are.
+_BLOCK = 1 << 15
+# Bytes of a file searched at once for line ends and irregular bytes.
+_CHUNK = 1 << 20
+
+# A section read once as row blocks: its windows, and `blocks`, an iterator of
+# (top, block) in row order, block being the dense rows top, top + 1, ... of
+# the section (whole rows, about _BLOCK cells).
+RowBlocks = namedtuple("RowBlocks", "rows cols blocks")
 
 
-def _cells(text: str) -> tuple:
-    """The UTF-8 bytes of text and 7 zero bytes, and where each cell starts and ends; b' ' and b'\\n' end cells."""
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass") + bytes(7), np.uint8)
-    ends = np.flatnonzero((buf == 32) | (buf == 10))
-    return buf, np.concatenate(([0], ends[:-1] + 1)), ends
+def row_blocks(m: WindowedMatrix) -> RowBlocks:
+    """A dense section as row blocks: slices of its data."""
+    step = max(1, _BLOCK // max(1, m.cols.size))
+    tops = range(0, m.rows.size if m.cols.size else 0, step)
+    return RowBlocks(m.rows, m.cols, ((top, m.data[top : top + step]) for top in tops))
 
 
-def _read_block(out: np.ndarray, lines: list, width: int, first: int) -> None:
-    """Parse data lines `first` + 1, `first` + 2, ... of `width` cells each into the flat `out`.
+def _parse_window(line: str, tag: str) -> IndexWindow:
+    parts = line.split()
+    if len(parts) != 3 or parts[0] != tag:
+        raise ValueError(f"expected '{tag} lo hi' header, got {line!r}")
+    return IndexWindow(int(parts[1]), int(parts[2]))
 
-    A block that is not canonical (ASCII, one space between cells, no blank
-    at either end of a line) is first rewritten as its cells joined by single
-    spaces, which splits it exactly as str.split() does. Every cell is then
-    ended by b' ' or b'\\n'. The `0.0:0.0` cells are found by comparing each
-    cell's first word with that cell's, and only the others are decoded and
-    parsed; `0.0:-0.0` is parsed like any other cell. A malformed cell raises
-    before a wrong cell count on a later line, as a line-by-line reader would.
+
+def _rewritten(text: str) -> bytes:
+    """The canonical bytes of a file read as text: its window headers, then each data line split as str.split()
+    splits it and joined by single spaces. Lines are split as str.splitlines() splits them, and blank and `#` lines
+    are dropped."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if len(lines) < 2:
+        raise ValueError("matrix file is missing its window headers")
+    rows, cols = _parse_window(lines[0], "rows"), _parse_window(lines[1], "cols")
+    body = [f"rows {rows.lo} {rows.hi}", f"cols {cols.lo} {cols.hi}", *(" ".join(ln.split()) for ln in lines[2:]), ""]
+    return "\n".join(body).encode("utf-8", "surrogatepass")
+
+
+# A matrix file's bytes, canonical, by its windows and its data lines: where
+# each starts and ends (its b'\n' or b'\r\n', or the end of the bytes), and
+# the byte `term` that ends its lines, 10 or 13 for a b'\r\n' file.
+_Index = namedtuple("_Index", "rows cols data starts ends term")
+
+
+def _index(data: bytes, rewritten: bool = False) -> _Index | None:
+    """The index of a matrix file's bytes, or None when they are not canonical.
+
+    Canonical bytes are ASCII, with no byte below 32 but the line ends, all
+    b'\\n' or all b'\\r\\n', and no blank, `#` or empty-celled data line: one
+    space between cells and none at either end. Rewritten bytes are canonical
+    by construction, and are not tested. Line ends are found in one search
+    for the bytes below 32, a _CHUNK of bytes at a time.
     """
-    text = "\n".join(lines) + "\n"
-    canonical = text.isascii() and "\t" not in text and "\x1f" not in text
-    if canonical:
-        buf, starts, ends = _cells(text)
-    if not canonical or np.any(starts == ends):  # an empty cell: a blank at either end of a line, or two in a row
-        buf, starts, ends = _cells("\n".join(" ".join(line.split()) for line in lines) + "\n")
-    counts = np.diff(np.flatnonzero(buf[ends] == 10), prepend=-1)
+    if not (rewritten or data.isascii()):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    controls, pairs = [], 0  # the bytes below 32, and the places where two spaces meet
+    for at in range(0, buf.size, _CHUNK):
+        chunk = buf[at : at + _CHUNK + 1]  # a byte on, for the pair across the cut
+        controls.append(np.flatnonzero(chunk[:_CHUNK] < 32) + at)
+        if not rewritten:
+            for words in (chunk, chunk[1:]):
+                pairs += np.count_nonzero(words[: words.size // 2 * 2].view("<u2") == 0x2020)
+    controls = np.concatenate([*controls, np.zeros(0, np.int64)])
+    newlines = controls[buf[controls] == 10]
+    real = newlines.size
+    if buf.size and buf[-1] != 10:  # a last line without b'\n' ends where the bytes do
+        newlines = np.append(newlines, buf.size)
+    term = 13 if real and np.all(buf.take(newlines[:real] - 1, mode="clip") == 13) else 10
+    # two spaces in a row, a b'\r' not before b'\n', or another byte below 32
+    if not rewritten and (pairs or controls.size != (2 * real if term == 13 else real)):
+        return None
+    starts = np.concatenate(([0], newlines + 1))[: newlines.size].astype(np.int64)
+    ends = newlines.copy()
+    ends[:real] -= term == 13
+    headers, first = [], 0
+    while len(headers) < 2 and first < starts.size:
+        line = data[starts[first] : ends[first]].decode("ascii")
+        first += 1
+        if line.strip() and not line.lstrip().startswith("#"):
+            headers.append(line)
+    if len(headers) < 2:
+        raise ValueError("matrix file is missing its window headers")
+    rows, cols = _parse_window(headers[0], "rows"), _parse_window(headers[1], "cols")
+    starts, ends = starts[first:], ends[first:]
+    if not rewritten and (np.any(ends <= starts) or np.any(buf.take(starts, mode="clip") == 32)
+                          or np.any(buf.take(starts, mode="clip") == 35) or np.any(buf.take(ends - 1) == 32)):
+        return None
+    # the rows of an empty column window are dumped as blank lines, which are dropped
+    expected = rows.size if cols.size else 0
+    if starts.size != expected:
+        raise ValueError(f"expected {expected} data lines, found {starts.size}")
+    return _Index(rows, cols, data, starts, ends, term)
+
+
+def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
+    """Parse data lines `first` + 1, `first` + 2, ... (`lines` of the index) into the flat `out`;
+    the flat index of the first non-finite cell parsed, or None.
+
+    The block is read as 8-byte words from a multiple of 8: a run of two or
+    more equal words that are a rotation of `0.0:0.0 ` is a run of `0.0:0.0`
+    cells, counted and skipped. The bytes between runs, each piece whole
+    cells, are cut into cells at b' ' and at the line ends (in a b'\\r\\n'
+    file a line's first cell keeps the b'\\n' before it, which str.split()
+    drops when it is parsed); of these, the `0.0:0.0` cells are found by
+    comparing each cell's first word with that cell's, and only the others
+    are decoded and parsed (`0.0:-0.0` too). A malformed cell raises before
+    a wrong cell count on a later line, as a line-by-line reader would.
+    """
+    data, term, width = index.data, index.term, index.cols.size
+    lo, end = int(index.starts[lines][0]), int(index.ends[lines][-1]) + 1  # through the last line's end
+    skip = lo % 8  # the block's bytes from `skip` on; every word holding a line end is not a zero run
+    count = (end - lo + skip + 7) // 8
+    if lo - skip + 8 * count <= len(data):
+        buf = np.frombuffer(data, np.uint8, 8 * count, lo - skip)
+    else:  # the file's last lines: its end, or the line end that is not there, and zero bytes
+        tail = data[lo - skip : end - 1] + bytes([term])
+        buf = np.frombuffer(tail.ljust(8 * count, b"\0"), np.uint8)
+    words = buf.view("<u8")
+    opens = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
+    runs = np.diff(opens, append=words.size)
+    rotation = np.minimum(np.searchsorted(_ROTATIONS, words[opens]), 7)
+    zero_run = (runs > 1) & (_ROTATIONS[rotation] == words[opens])
+    opens, runs, space = opens[zero_run], runs[zero_run], _SPACES[rotation[zero_run]]
+    # a run's cells lie between its first and last space; the pieces of bytes around the runs are whole cells
+    runs_cells = np.stack([8 * opens + space + 1, 8 * (opens + runs - 1) + space + 1], axis=1).ravel()
+    bounds = np.concatenate(([skip], runs_cells, [end - lo + skip]))
+    piece_starts, piece_sizes = bounds[0::2], bounds[1::2] - bounds[0::2]
+    size, piece_firsts = int(piece_sizes.sum()), np.cumsum(piece_sizes) - piece_sizes  # where each piece lands
+    text = np.zeros(size + 8, dtype=np.uint8)  # 8 zero bytes on, for the words of the last cells
+    text[:size] = buf[np.arange(size) + np.repeat(piece_starts - piece_firsts, piece_sizes)]
+    cell_ends = np.flatnonzero((text[:size] == 32) | (text[:size] == term))
+    eol = np.flatnonzero(text[cell_ends] == term)  # each line's last cell
+    cell_starts = np.empty_like(cell_ends)
+    cell_starts[0], cell_starts[1:] = 0, cell_ends[:-1] + 1
+    # each cell's index in the block: the cells before it in the text and in the runs before its piece
+    piece = np.searchsorted(piece_firsts, cell_ends, side="right") - 1
+    cell = np.arange(cell_ends.size) + np.concatenate(([0], np.cumsum(runs - 1)))[piece]
+    counts = np.diff(cell[eol], prepend=-1)
     wrong = np.flatnonzero(counts != width)
-    cells = (wrong[0] if wrong.size else len(lines)) * width  # the cells before the first wrong line
-    starts, ends = starts[:cells], ends[:cells]
-    words = np.ndarray(buf.size - 7, "<u8", buf, strides=(1,))[starts]  # unaligned: the 8 bytes from each byte
-    size = ends - starts
-    zero = (size == 7) & (words & _SEVEN_BYTES == _ZERO_WORD)
-    at = np.flatnonzero(~zero)  # out starts at +0
+    kept = np.searchsorted(cell, (wrong[0] if wrong.size else counts.size) * width)  # cells before the first wrong line
+    cell_starts, cell_ends, cell = cell_starts[:kept], cell_ends[:kept], cell[:kept]
+    first_words = np.ndarray(size + 1, "<u8", text, strides=(1,))[cell_starts]  # unaligned: the 8 bytes from each byte
+    cell_size = cell_ends - cell_starts
+    zero = (cell_size == 7) & (first_words & _SEVEN_BYTES == _ZERO_WORD)
+    at = np.flatnonzero(~zero)
+    bad = None
     if at.size:
-        lengths = size[at] + 1  # each kept cell with its separator
-        chosen = np.arange(lengths.sum()) + np.repeat(starts[at] - (np.cumsum(lengths) - lengths), lengths)
-        kept_text = buf[chosen].tobytes().decode("utf-8", "surrogatepass")
+        lengths = cell_size[at] + 1  # each kept cell with its separator
+        chosen = np.arange(lengths.sum()) + np.repeat(cell_starts[at] - (np.cumsum(lengths) - lengths), lengths)
+        kept_text = text[chosen].tobytes().decode("utf-8", "surrogatepass")
         # the cells are exactly `re:im` iff the colons, split out as tokens
         # of their own, sit at every third place and nowhere else
         tokens = kept_text.replace(":", " : ").split()
         if len(tokens) != 3 * at.size or not kept_text.count(":") == tokens[1::3].count(":") == at.size:
-            for cell in kept_text.split():
-                parse_entry(cell)  # raises for the first malformed cell
+            for cell_text in kept_text.split():
+                parse_entry(cell_text)  # raises for the first malformed cell
         del tokens[1::3]
-        out[at] = np.fromiter(map(float, tokens), float, 2 * at.size).view(complex)
+        values = np.fromiter(map(float, tokens), float, 2 * at.size).view(complex)
+        out[cell[at]] = values
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(cell[at[np.argmin(finite)]])
     if wrong.size:
         line = int(wrong[0])
         raise ValueError(f"data line {first + line + 1}: expected {width} entries, found {counts[line]}")
+    return bad
 
 
-def load_matrix(text: str) -> WindowedMatrix:
-    """Parse the matrix file format produced by dump_matrix.
+def _blocks(index: _Index, out: np.ndarray | None = None):
+    """The row blocks of an indexed file, tokenized into rows of `out`, or of fresh zeros.
+
+    Non-finite cells are looked for in the parsed cells only, and the first
+    one is reported once every line has parsed.
+    """
+    width, bad = index.cols.size, None
+    step = max(1, _BLOCK // max(1, width))
+    for top in range(0, index.starts.size, step):
+        lines = slice(top, top + step)
+        block = np.zeros((index.starts[lines].size, width), dtype=complex) if out is None else out[lines]
+        found = _read_block(block.reshape(-1), index, lines, top)
+        if bad is None and found is not None:
+            bad = top * width + found
+        yield top, block
+    if bad is not None:
+        r, c = divmod(bad, width)
+        raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
+
+
+def _indexed(data: bytes | str) -> _Index:
+    """The index (see _index) of a matrix file given as bytes or text; bytes that are not canonical, and text
+    that is not ASCII, are first rewritten as canonical bytes, once."""
+    if isinstance(data, str) and data.isascii():
+        data = data.encode("ascii")
+    index = _index(data) if isinstance(data, bytes) else None
+    if index is None:
+        index = _index(_rewritten(data if isinstance(data, str) else data.decode("utf-8")), rewritten=True)
+    return index
+
+
+def stream_matrix(data: bytes | str) -> RowBlocks:
+    """The row blocks of a matrix file, tokenized as they are read; see load_matrix.
+
+    The windows, the headers and the count of data lines are read at once; a
+    malformed cell raises in the block that holds it, and a non-finite one
+    after the last block.
+    """
+    index = _indexed(data)
+    return RowBlocks(index.rows, index.cols, _blocks(index))
+
+
+def load_matrix(data: bytes | str) -> WindowedMatrix:
+    """Parse the matrix file format produced by dump_matrix, from its bytes or its text.
 
     Data lines are tokenized with numpy, about `_BLOCK` cells at a time, so the
     cost grows with the cells other than `0.0:0.0`; cells may be separated by
     any whitespace str.split() accepts. Errors name the first bad line, and
-    within it the first malformed cell; non-finite entries are looked for once
+    within it the first malformed cell; non-finite entries are reported once
     every line has parsed.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(lines) < 2:
-        raise ValueError("matrix file is missing its window headers")
-
-    def parse_window(line: str, tag: str) -> IndexWindow:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != tag:
-            raise ValueError(f"expected '{tag} lo hi' header, got {line!r}")
-        return IndexWindow(int(parts[1]), int(parts[2]))
-
-    rows = parse_window(lines[0], "rows")
-    cols = parse_window(lines[1], "cols")
-    body = lines[2:]
-    # the rows of an empty column window are dumped as blank lines, dropped above
-    expected = rows.size if cols.size else 0
-    if len(body) != expected:
-        raise ValueError(f"expected {expected} data lines, found {len(body)}")
-    data = np.zeros((rows.size, cols.size), dtype=complex)
-    flat, step = data.reshape(-1), max(1, _BLOCK // max(1, cols.size))
-    for r in range(0, len(body), step):
-        _read_block(flat[r * cols.size :], body[r : r + step], cols.size, r)
-    finite = np.isfinite(data)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
-    return WindowedMatrix._of(rows, cols, data)
+    index = _indexed(data)
+    out = np.zeros((index.rows.size, index.cols.size), dtype=complex)
+    for _ in _blocks(index, out):
+        pass
+    return WindowedMatrix._of(index.rows, index.cols, out)

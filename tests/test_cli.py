@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,20 @@ from hypothesis import strategies as st
 
 from slanth import (
     SLANT_H_TOEPLITZ,
+    SLANT_HANKEL,
+    SLANT_TOEPLITZ,
     IndexWindow,
+    LaurentSymbol,
+    WindowedMatrix,
     build_family,
+    check_pattern,
     dump_matrix,
+    dump_symbol_file,
+    extract_symbol,
     load_matrix,
     load_symbol_file,
     parse_symbol,
+    windowed,
 )
 from slanth.cli import main
 from slanth.verify import perturbed
@@ -807,3 +816,114 @@ def test_no_input_yields_a_traceback(data):
         lines = stderr.splitlines(keepends=True) or [""]
         argparse_error = lines[0].startswith("usage: ") and ": error: " in lines[-1]
         assert len(lines) == 1 and lines[0].endswith("\n") or argparse_error, (argv, stderr)
+
+
+def cli(argv):
+    """(exit code, stdout, stderr) of main(argv), in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def loader_error(text):
+    """The stderr line of a file that load_matrix rejects."""
+    with pytest.raises(ValueError) as error:
+        load_matrix(text)
+    return f"error: {error.value}\n"
+
+
+class TestFileBytes:
+    """Matrix files are read as bytes; CRLF files and files that are not UTF-8 read as they did as text."""
+
+    @pytest.mark.parametrize("argv", [["check", "slant-h"], ["check", "characterization"], ["extract"]])
+    def test_invalid_utf8_is_the_decode_error(self, tmp_path, argv):
+        data = (DATA / "build_oracle.mat").read_bytes()
+        at = data.index(b"0.0:0.0") + 4
+        path = tmp_path / "bad.mat"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        message = f"error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+        assert cli([*argv, "--matrix", str(path)]) == (2, "", message)
+
+    def test_crlf_check_matches_the_pinned_report(self, tmp_path):
+        path = tmp_path / "crlf.mat"
+        path.write_bytes((DATA / "perturbed_oracle.mat").read_bytes().replace(b"\n", b"\r\n"))
+        assert cli(["check", "slant-h", "--matrix", str(path)]) == (1, (DATA / "check_perturbed.txt").read_text(), "")
+
+    @pytest.mark.parametrize("argv", [["check", "slant-h"], ["check", "characterization"], ["extract"]])
+    def test_crlf_reads_as_lf(self, tmp_path, argv):
+        lf, crlf = tmp_path / "lf.mat", tmp_path / "crlf.mat"
+        lf.write_bytes((DATA / "build_oracle.mat").read_bytes())
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert cli([*argv, "--matrix", str(crlf)]) == cli([*argv, "--matrix", str(lf)])
+
+    def test_far_columns(self, tmp_path):
+        # row 0 on columns 2**40 and 2**40 + 1 holds degrees -2**39 and 2**39 + 1: the anchor table of `check`
+        # and `extract` spanned both, 8 TiB; a size probe first, so that a larger table is never made
+        from slanth.structure import _slots
+
+        window = ["--rows", "0:0", "--cols", "1099511627776:1099511627777"]
+        assert len(_slots(SLANT_H_TOEPLITZ, IndexWindow(0, 0), IndexWindow(2**40, 2**40 + 1))[0]) == 2
+        path = tmp_path / "far.mat"
+        assert cli(["build", "--family", "slant-h-toeplitz", "--symbol", "phi=0:1", *window, "--out", str(path)])[0] == 0
+        assert cli(["check", "slant-h", "--matrix", str(path)]) == (0, "#fmt 1\nPASS max_residual=0.0 vacuous=1\n", "")
+        assert cli(["extract", "--matrix", str(path)]) == (0, dump_symbol_file(LaurentSymbol({})), "")
+
+
+small_parts = st.integers(-2, 2).map(float)
+section_symbols = st.dictionaries(st.integers(-8, 10), st.builds(complex, small_parts, small_parts), max_size=6)
+
+
+@st.composite
+def sections(draw):
+    """A slant-h section, the same with one entry changed, or random entries, on rows 0.. and columns from 0 to 3."""
+    rows = IndexWindow(0, draw(st.integers(0, 9)))
+    lo = draw(st.integers(0, 3))
+    cols = IndexWindow(lo, lo + draw(st.integers(0, 40)))
+    kind = draw(st.sampled_from(["clean", "perturbed", "random"]))
+    if kind == "random":
+        cells = st.sampled_from([0j, 1 + 0j, -2j, complex(0.0, -0.0), 3.5 - 1j])
+        values = draw(st.lists(cells, min_size=rows.size * cols.size, max_size=rows.size * cols.size))
+        return WindowedMatrix(rows, cols, np.array(values, dtype=complex).reshape(rows.size, cols.size))
+    m = build_family(SLANT_H_TOEPLITZ, LaurentSymbol(draw(section_symbols)), rows, cols)
+    if kind == "perturbed":
+        m = perturbed(m, draw(st.integers(rows.lo, rows.hi)), draw(st.integers(cols.lo, cols.hi)),
+                      draw(st.sampled_from([1.0, 1j, -0.5])))
+    return m
+
+
+class TestStreamedFiles:
+    """`check` of a pattern and `extract` scan a file's rows as they are read: they report what the dense
+    check_pattern and extract_symbol report on the section the file holds."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(sections(), st.sampled_from([1, 7, 1 << 15]), st.sampled_from(["\n", "\r\n"]))
+    def test_streamed_check_and_readback_match_the_dense_ones(self, m, block, newline):
+        with tempfile.TemporaryDirectory() as name, mock.patch.object(windowed, "_BLOCK", block):
+            path = Path(name) / "section.mat"
+            path.write_bytes(dump_matrix(m).replace("\n", newline).encode())
+            for predicate, kind in (("slant-h", SLANT_H_TOEPLITZ), ("slant-toeplitz", SLANT_TOEPLITZ),
+                                    ("slant-hankel", SLANT_HANKEL)):
+                report = check_pattern(kind, m)
+                assert cli(["check", predicate, "--matrix", str(path)]) == (1 - report.passed,
+                                                                            "#fmt 1\n" + report.render(), "")
+            report = check_pattern(SLANT_H_TOEPLITZ, m)
+            readback = dump_symbol_file(extract_symbol(m)) if report.passed else "#fmt 1\n" + report.render()
+            assert cli(["extract", "--matrix", str(path)]) == (1 - report.passed, readback, "")
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data(), st.sampled_from(["1:2:3", "x", "1.0", "nan:0.0", "1.0:inf"]), st.sampled_from([1, 7, 1 << 15]))
+    def test_a_bad_cell_after_a_violation_is_the_loader_error(self, data, cell, block):
+        # entry (1, 4) shares degree 0 with (0, 0): the first rows fail the pattern, then the file is found bad,
+        # malformed on its last line or non-finite (reported once every line has parsed); nothing is printed
+        rows, cols = IndexWindow(0, data.draw(st.integers(2, 9))), IndexWindow(0, data.draw(st.integers(4, 40)))
+        m = perturbed(build_family(SLANT_H_TOEPLITZ, parse_symbol(GENERIC_INLINE), rows, cols), 1, 4)
+        lines = dump_matrix(m).splitlines()
+        last = lines[-1].split(" ")
+        last[data.draw(st.integers(0, cols.hi))] = cell
+        text = "\n".join([*lines[:-1], " ".join(last)]) + "\n"
+        with tempfile.TemporaryDirectory() as name, mock.patch.object(windowed, "_BLOCK", block):
+            path = Path(name) / "section.mat"
+            path.write_text(text)
+            for argv in (["check", "slant-h"], ["check", "slant-toeplitz"], ["extract"]):
+                assert cli([*argv, "--matrix", str(path)]) == (2, "", loader_error(text))

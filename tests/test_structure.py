@@ -28,11 +28,12 @@ from slanth import (
     check_slant_hankel_matrix,
     check_slant_toeplitz_matrix,
     compose,
+    dump_matrix,
     extension,
     extract_symbol,
     parse_symbol,
 )
-from slanth import structure
+from slanth import structure, windowed
 from slanth.structure import WITNESS_CAP, CheckReport, Witness, _collect
 from slanth.verify import perturbed
 from slanth.windowed import (
@@ -170,11 +171,11 @@ class TestExtractSymbol:
     @settings(deadline=None, max_examples=60)
     @given(st.dictionaries(st.integers(-30, 60), st.sampled_from([1.0, -2j, 3 + 1j]), max_size=8).map(LaurentSymbol),
            st.integers(0, 5), st.integers(-1, 10), st.integers(0, 10), st.integers(-1, 40),
-           st.sampled_from([1, 13, structure._BLOCK]))
+           st.sampled_from([1, 13, windowed._BLOCK]))
     def test_reads_every_degree_the_windows_hold(self, phi, row_lo, row_size, col_lo, col_size, block):
         rows, cols = IndexWindow(row_lo, row_lo + row_size), IndexWindow(col_lo, col_lo + col_size)
         held = {SLANT_H_TOEPLITZ.degree(i, j) for i in rows.indices() for j in cols.indices()}
-        with mock.patch.object(structure, "_BLOCK", block):
+        with mock.patch.object(windowed, "_BLOCK", block):
             got = extract_symbol(build_family(SLANT_H_TOEPLITZ, phi, rows, cols))
         assert got == LaurentSymbol({n: a for n, a in phi.items() if n in held})
 
@@ -584,9 +585,20 @@ class TestPattern:
         m = perturbed(v_section(GENERIC, 9, 5), 4, 1)
         whole = check_slant_h_matrix(m)
         for cells in (1, 13, 40):
-            with mock.patch.object(structure, "_BLOCK", cells):
+            with mock.patch.object(windowed, "_BLOCK", cells):
                 assert_same(check_slant_h_matrix(m), whole)
         assert [w.indices for w in whole.witnesses] == [(3, 5, 4, 1)]
+
+    @DIFFERENTIAL
+    @given(family_windows(), spikes, st.sampled_from([0.0, 1e-12, 2.0, float("inf"), -1.0, float("nan")]), st.data())
+    def test_every_tolerance_folds_as_the_reference(self, case, spike, tol, data):
+        # at tol >= 0 the scan folds only the entries that differ from their anchor; a negative or NaN tol fails
+        # the equal ones too, so every instance is then folded
+        kind, phi, rows, cols = case
+        m = build_family(kind, phi, rows, cols)
+        if not (rows.is_empty or cols.is_empty):
+            m = perturbed(m, data.draw(st.integers(rows.lo, rows.hi)), data.draw(st.integers(cols.lo, cols.hi)), spike)
+        assert_same(check_pattern(kind, m, tol), reference_fold(degree_class_instances(kind, m), tol=tol))
 
     @pytest.mark.parametrize("text", ["2:1", "-1:1, 2:1"])
     def test_slant_hankel_sections_lack_the_slant_h_pattern(self, text):
@@ -628,3 +640,54 @@ class TestPattern:
         for depth in range(4):
             if cols_hi >= 4 * depth:
                 assert check_extension_conditions(m, depth).passed, depth
+
+
+class TestAnchorTable:
+    """The anchor table holds a slot per degree near the degrees the windows hold, even on far columns."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(ALL_KINDS), st.integers(0, 3), st.integers(-1, 9),
+           st.one_of(st.integers(0, 6), st.integers(0, 2**40), st.sampled_from([2**40, 2**40 + 1, 2**60])),
+           st.integers(-1, 12))
+    def test_slots_are_few_and_each_holds_its_degree(self, kind, row_lo, row_size, col_lo, col_size):
+        rows = IndexWindow(row_lo - kind.depth, row_lo - kind.depth + row_size)
+        cols = IndexWindow(col_lo, col_lo + col_size)
+        try:
+            runs, shift = structure._slots(kind, rows, cols)
+        except WindowError:  # a degree past int64
+            return
+        # a size probe, read from the runs before any table is made: the far columns of a slant-h window hold
+        # degrees about a column index apart
+        assert sum(hi - lo + 1 for lo, hi in runs) <= rows.size * cols.size + 2 * (rows.size + cols.size)
+        degrees = np.array([n for lo, hi in runs for n in range(lo, hi + 1)], dtype=np.int64)
+        i, j = rows.index_array()[:, None], cols.index_array()
+        offset = shift if np.ndim(shift) == 0 else shift[i % 2, j % 2]
+        slot = kind.degree(i, j) + offset
+        assert np.array_equal(degrees[slot], np.broadcast_to(kind.degree(i, j), slot.shape))
+
+    @DIFFERENTIAL
+    @given(st.sampled_from(ALL_KINDS), st.integers(0, 3), st.integers(0, 5), st.sampled_from([2**20, 2**20 + 1, 2**33 + 3]),
+           st.integers(0, 9), spikes, st.data())
+    def test_far_windows_fold_as_the_reference(self, kind, row_lo, row_size, col_lo, col_size, spike, data):
+        # several runs of degrees, so each parity piece has an offset of its own
+        rows = IndexWindow(row_lo - kind.depth, row_lo - kind.depth + row_size)
+        cols = IndexWindow(col_lo, col_lo + col_size)
+        phi = LaurentSymbol({kind.degree(rows.lo, cols.lo): 1.5, kind.degree(rows.hi, cols.hi): -2j})
+        m = perturbed(build_family(kind, phi, rows, cols), data.draw(st.integers(rows.lo, rows.hi)),
+                      data.draw(st.integers(cols.lo, cols.hi)), spike)
+        assert_same(check_pattern(kind, m), reference_fold(degree_class_instances(kind, m)))
+
+    def test_row_blocks_are_read_once(self):
+        m = v_section(GENERIC)
+        blocks = windowed.stream_matrix(dump_matrix(m))
+        assert check_slant_h_matrix(blocks).render() == check_slant_h_matrix(m).render()
+        with pytest.raises(ValueError, match="read once"):
+            extract_symbol(blocks)
+
+    def test_far_columns(self):
+        # columns 2**40 and 2**40 + 1 of row 0 hold degrees -2**39 and 2**39 + 1: the table spanned both, 8 TiB
+        rows, cols = IndexWindow(0, 0), IndexWindow(2**40, 2**40 + 1)
+        assert structure._slots(SLANT_H_TOEPLITZ, rows, cols)[0] == [[-(2**39), -(2**39)], [2**39 + 1, 2**39 + 1]]
+        m = build_family(SLANT_H_TOEPLITZ, parse_symbol(f"{-(2**39)}:2, 0:1"), rows, cols)
+        assert check_slant_h_matrix(m).render() == "PASS max_residual=0.0 vacuous=1\n"
+        assert extract_symbol(m) == parse_symbol(f"{-(2**39)}:2")

@@ -400,8 +400,23 @@ odd_cells = st.sampled_from(["1.0", "1.0:", ":2", "1:2:3", "a:0", "1.0 :2.0", "0
                              "-inf:1.0", "\u0661:0.0", "\uff11:\uff12", "1_0:2"])
 
 
+def streamed(data):
+    """The section the row blocks of stream_matrix hold, gathered."""
+    rows, cols, blocks = windowed.stream_matrix(data)
+    out = np.zeros((rows.size, cols.size), dtype=complex)
+    for top, block in blocks:
+        out[top : top + block.shape[0]] = block
+    return WindowedMatrix(rows, cols, out)
+
+
+def from_bytes(read):
+    """A reader of a file's bytes that decodes them first, as a text read does."""
+    return lambda data: read(data.decode("utf-8"))
+
+
 class TestBlockTokenizer:
-    """load_matrix against the per-cell reader on canonical and irregular files."""
+    """load_matrix and stream_matrix, on bytes and on text, against the per-cell reader on canonical and irregular
+    files."""
 
     @settings(deadline=None, max_examples=300)
     @given(st.data(), st.sampled_from([1, 4, 9, 1 << 14]))  # cells a block: one line, a few, all
@@ -424,9 +439,36 @@ class TestBlockTokenizer:
             for k, cell in enumerate(cells):
                 line += (data.draw(gap) if k else "") + cell
             lines.append(line + data.draw(end))
-        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+        # a lone b'\r' ends a line for str.splitlines() too
+        text = data.draw(st.sampled_from(["\n", "\r\n", "\r"] + ["\n", "\r\n"] * 4)).join(lines)
+        text += data.draw(st.sampled_from(["\n", "\r\n", ""]))
+        raw = text.encode("utf-8", "surrogatepass")
+        if data.draw(st.integers(0, 19)) == 0:  # a byte that is not UTF-8, which the text read rejects
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\xff" + raw[at:]
         with mock.patch.object(windowed, "_BLOCK", block):
-            assert outcome(load_matrix, text) == outcome(reference_load, text)
+            want = outcome(from_bytes(reference_load), raw)
+            for read in (load_matrix, streamed):
+                assert outcome(read, raw) == want
+                if want[0] is not UnicodeDecodeError:
+                    assert outcome(read, text) == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data(), st.sampled_from([1, 9, 64, 1 << 15]))
+    def test_zero_runs_around_cells_of_zero_bytes(self, data, block):
+        # wide lines of 0.0:0.0 with cells made of the same bytes put in: valid zeros that are not 0.0:0.0, which
+        # shift the runs' phase, and malformed ones; a comment of any length first moves the lines' 8-byte phase
+        width, n_rows = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+        odd = st.sampled_from(["00.0:0.0", "0.0:0.00", "0.:0.0", "0:0", "0.0:-0.0", "0.0:0:0", ":0.0", "0.0.0:0",
+                               "0.0:0.0:", "1.0:0.0", "0.0:0.1"])
+        cell = st.integers(0, 30).flatmap(lambda k: odd if k == 0 else st.just("0.0:0.0"))
+        lines = ["#" * data.draw(st.integers(0, 15)), f"rows 0 {n_rows - 1}", f"cols 0 {width - 1}"]
+        lines += [" ".join(data.draw(st.lists(cell, min_size=width, max_size=width))) for _ in range(n_rows)]
+        raw = "\n".join(lines).encode() + data.draw(st.sampled_from([b"\n", b""]))
+        with mock.patch.object(windowed, "_BLOCK", block):
+            want = outcome(from_bytes(reference_load), raw)
+            assert outcome(load_matrix, raw) == want
+            assert outcome(streamed, raw.replace(b"\n", b"\r\n")) == want
 
     def test_load_and_check_memory_stay_near_the_section(self, rng):
         # the 512 x 2049 closed form the benchmark reads; a tokenizer of the whole
