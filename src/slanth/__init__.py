@@ -37,8 +37,6 @@ from .structure import (
     check_extension_conditions,
     check_pattern,
     check_slant_h_matrix,
-    check_slant_hankel_matrix,
-    check_slant_toeplitz_matrix,
     extract_checked,
     extract_symbol,
 )

@@ -15,15 +15,8 @@ import sys
 from . import verify as verify_mod
 from .analysis import norm_bound_check
 from .expr import eval_expr, parse_expr
-from .families import COMPOSITIONAL_KINDS, build_family, extension
-from .structure import (
-    check_characterization,
-    check_extension_conditions,
-    check_slant_h_matrix,
-    check_slant_hankel_matrix,
-    check_slant_toeplitz_matrix,
-    extract_checked,
-)
+from .families import COMPOSITIONAL_KINDS, SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, build_family, extension
+from .structure import check_characterization, check_extension_conditions, check_pattern, extract_checked
 from .symbol import (
     SymbolParseError,
     dump_symbol_file,
@@ -34,11 +27,10 @@ from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix, stream
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
-_CHECKS = {"slant-h": check_slant_h_matrix, "slant-toeplitz": check_slant_toeplitz_matrix,
-           "slant-hankel": check_slant_hankel_matrix, "characterization": check_characterization}
-_PREDICATES = (*_CHECKS, "extension")
-# Predicates that scan a file's rows as they are read; the others load the section.
-_STREAMED = ("slant-h", "slant-toeplitz", "slant-hankel")
+# The pattern predicates, each the pattern of its family: they scan a file's rows as they are read, and the
+# identity checks load the section.
+_CHECKS = {"slant-h": SLANT_H_TOEPLITZ, "slant-toeplitz": SLANT_TOEPLITZ, "slant-hankel": SLANT_HANKEL}
+_PREDICATES = (*_CHECKS, "characterization", "extension")
 
 
 def _parse_window(text: str) -> IndexWindow:
@@ -99,7 +91,7 @@ def _read_matrix(path: str, streamed: bool):
 
 def _matrix_from_args(args, symbols):
     if args.matrix:
-        return _read_matrix(args.matrix, args.predicate in _STREAMED)
+        return _read_matrix(args.matrix, args.predicate in _CHECKS)
     if args.expr:
         return _expr_section(args, symbols)
     raise SymbolParseError("supply --matrix FILE or --expr TEXT")
@@ -128,8 +120,10 @@ def _cmd_check(args) -> int:
     matrix = _matrix_from_args(args, symbols)
     if args.predicate == "extension":
         report = check_extension_conditions(matrix, args.m, args.tol)
+    elif args.predicate == "characterization":
+        report = check_characterization(matrix, args.tol)
     else:
-        report = _CHECKS[args.predicate](matrix, args.tol)
+        report = check_pattern(_CHECKS[args.predicate], matrix, args.tol)
     _write_output("#fmt 1\n" + report.render(), args.out)
     return 0 if report.passed else 1
 

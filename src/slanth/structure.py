@@ -6,16 +6,19 @@ A family's pattern, read from its record, is that entries of one degree
 section's row blocks once, in order (see windowed.RowBlocks): a dense
 section's are slices of its data, and a file's are tokenized as they are
 read, so no dense section of the file is built. Their scratch is one block
-and a table of the degrees the windows hold.
+and a table of the degrees the windows hold. The shift identities are pairs
+of index maps (see _identities), read from a dense section in row blocks.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
 too small to contain a single relation instance is flagged vacuous. Checks
-run array-at-a-time, one group (relation, lhs, rhs, at) per relation or row
-block: equal-shape arrays holding its instances in scan order (relations in
-a fixed order, indices ascending, C order), and `at(p)` giving the index
-tuple of instance p, formed for witnesses only. The witnesses are the first
-`WITNESS_CAP` (16) violations in that order, read when a report is folded.
+run array-at-a-time, one group (relation, lhs, rhs, at, count) per relation
+or row block: equal-shape arrays holding its instances in scan order
+(relations in a fixed order, indices ascending, C order), where tol >= 0
+only those whose residual is not 0; `at(p)` giving the index tuple of
+instance p, formed for witnesses only; and the count of instances the group
+stands for. The witnesses are the first `WITNESS_CAP` (16) violations in
+that order, read when a report is folded.
 """
 
 import itertools
@@ -25,23 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, Family, _degree_pieces, build_family, extension
+from .families import SLANT_H_TOEPLITZ, Family, _degree_pieces, build_family, extension
 from .symbol import LaurentSymbol, SymbolParseError
-from .windowed import (
-    U,
-    USTAR,
-    IndexWindow,
-    RowBlocks,
-    WindowedMatrix,
-    WindowError,
-    _triplets,
-    bilateral_shift,
-    compose_chain,
-    compose_z,
-    format_entry,
-    mult_z,
-    row_blocks,
-)
+from . import windowed
+from .windowed import IndexWindow, RowBlocks, WindowedMatrix, WindowError, format_entry, row_blocks
 
 __all__ = [
     "CheckReport",
@@ -51,8 +41,6 @@ __all__ = [
     "check_extension_conditions",
     "check_pattern",
     "check_slant_h_matrix",
-    "check_slant_hankel_matrix",
-    "check_slant_toeplitz_matrix",
     "extract_checked",
     "extract_symbol",
 ]
@@ -107,17 +95,17 @@ def _residual(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _collect(groups, tol: float) -> CheckReport:
-    """Fold (relation, lhs, rhs, at[, count]) groups into a report.
+    """Fold (relation, lhs, rhs, at, count) groups into a report.
 
     An instance's residual is |lhs - rhs| (see _residual). A non-finite
     residual is a violation, and a NaN one sticks as the maximum, so
-    non-finite input can never pass. A group with a count stands for that
-    many instances: its own, and others of residual 0 that pass.
+    non-finite input can never pass. A group stands for `count` instances:
+    its own, and others of residual 0 that pass.
     """
     max_residual, witnesses, checked = 0.0, [], 0
-    for relation, lhs, rhs, at, *count in groups:
+    for relation, lhs, rhs, at, count in groups:
         residual = _residual(lhs, rhs)
-        checked += count[0] if count else residual.size
+        checked += count
         if not residual.size:
             continue
         peak = float(residual.max())
@@ -199,23 +187,30 @@ def _anchors(kind: Family, m) -> _Scan:
     return _Scan(runs, first, anchor, absent, scan())
 
 
+def _kept(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The instances a check folds: all of them, but where tol >= 0 those whose residual is 0 pass and are left out.
+
+    An instance is kept when a part of lhs - rhs is nonzero: NaN too, so two
+    equal infinite entries (inf - inf is nan) are kept, and fail.
+    """
+    if not tol >= 0:
+        return np.ones(lhs.shape, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ((lhs - rhs).view(float) != 0).view(np.uint16) != 0  # either part differs: its two bools as one word
+
+
 def _pattern_groups(scan: _Scan, rows: IndexWindow, cols: IndexWindow, tol: float):
     """The scan's blocks as groups of one relation, each entry but the anchors against its degree's anchor.
 
     Where tol >= 0 an entry equal to its anchor, whose residual is 0, passes,
-    and only the others are folded; the group counts them all.
+    and only the others are folded (see _kept); the group counts them all.
     """
     def at(p):
         return rows.lo + p // cols.size, cols.lo + p % cols.size
 
     for base, slot, values, new in scan.blocks:
         lhs = scan.anchor.take(slot)
-        if tol >= 0:
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, kept
-                parts = values.view(float) - lhs.view(float) != 0
-            keep = parts.view(np.uint16) != 0  # either part of an entry differs: its two bools as one word
-        else:
-            keep = np.ones(slot.size, dtype=bool)
+        keep = _kept(lhs, values, tol)
         keep[new] = False
         later = np.flatnonzero(keep)
         yield ("a[i,j]=a[p,q]", lhs.take(later), values.take(later),
@@ -237,16 +232,6 @@ def check_pattern(kind: Family, m, tol: float = 1e-12) -> CheckReport:
 def check_slant_h_matrix(m, tol: float = 1e-12) -> CheckReport:
     """check_pattern of the slant-h-toeplitz family."""
     return check_pattern(SLANT_H_TOEPLITZ, m, tol)
-
-
-def check_slant_toeplitz_matrix(m, tol: float = 1e-12) -> CheckReport:
-    """check_pattern of the slant-toeplitz family."""
-    return check_pattern(SLANT_TOEPLITZ, m, tol)
-
-
-def check_slant_hankel_matrix(m, tol: float = 1e-12) -> CheckReport:
-    """check_pattern of the slant-hankel family."""
-    return check_pattern(SLANT_HANKEL, m, tol)
 
 
 def _readback(scan: _Scan) -> LaurentSymbol:
@@ -276,43 +261,61 @@ def extract_checked(m, tol: float = 1e-12) -> tuple:
     return report, _readback(scan) if report.passed else None
 
 
-def _identity(tag: str, lhs: WindowedMatrix, rhs: WindowedMatrix) -> tuple:
-    """Group comparing two sections entry by entry on their shared windows."""
-    rows, cols = lhs.rows.intersect(rhs.rows), lhs.cols.intersect(rhs.cols)
-    return (tag, lhs.restrict(rows, cols).data, rhs.restrict(rows, cols).data,
-            lambda p: (rows.lo + p // cols.size, cols.lo + p % cols.size))
+# The shift identities as entry pairs, one row each: its tag in check_characterization (None: the extension
+# check's alone) and in check_extension_conditions, then each side's index map as (row offset r, column step s,
+# column offset c). Instance (i, j) compares L[i + r, s*j + c] with A[i + r', s'*j + c'], where L is A_m in the
+# extension check at depth m and A in the characterization, which is the depth-1 form (U* is S(-1) on rows >= 0).
+# Every (i, j), j >= 0, whose two entries lie in the windows is an instance; a column step 0 reads one column.
+def _identities(m: int) -> tuple:
+    return (
+        ("A.Cz2=U*.A.Cz2.U2", "Am.Cz2=S(-m).A.Cz2.U2m", (0, 2, 0), (m, 2, 4 * m)),
+        ("U*.A.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", (1, 4, 3), (0, 4, 7)),
+        ("U*.A.e0=A.Mz3.e0", "U*.Am.e0=A.Mz3.e0", (1, 0, 0), (0, 0, 3)),
+        ("U*.A.Mz.Cz4=A.Mz.Cz4.U", "U*.Am.Mz.Cz4=A.Mz.Cz4.U", (1, 4, 1), (0, 4, 5)),
+        ("U*.A.Mz2.e0=A.Mz.e0", "U*.Am.Mz2.e0=A.Mz.e0", (1, 0, 2), (0, 0, 1)),
+        (None, "Am[i,j]=A[i,j]", (0, 1, 0), (0, 1, 0)),
+    )
 
 
-def _shift_identities(tags, left: WindowedMatrix, a: WindowedMatrix, dom: IndexWindow, shift, power: int):
-    """Groups of the identities (a)-(e) of check_extension_conditions with `left` for Am, `a` for A, `shift` for
-    S(-m) and `power` for 2m: (c) and (e) on e0, the others on `dom`. Each section enters the chains as its
-    triplets, formed once; (c) reads Am's column 0 alone."""
-    e0 = IndexWindow(0, 0)
-    at = _triplets(a)
-    lt = at if left is a else _triplets(left)
-    chains = [
-        ([lt, compose_z(2)], [shift, at, compose_z(2), mult_z(power)], dom),
-        ([USTAR, lt, mult_z(3), compose_z(4)], [at, mult_z(3), compose_z(4), U], dom),
-        ([USTAR, left.restrict(left.rows, e0)], [at, mult_z(3)], e0),
-        ([USTAR, lt, mult_z(1), compose_z(4)], [at, mult_z(1), compose_z(4), U], dom),
-        ([USTAR, lt, mult_z(2)], [at, mult_z(1)], e0),
-    ]
-    for tag, (lhs, rhs, cols) in zip(tags, chains):
-        yield _identity(tag, compose_chain(lhs, cols), compose_chain(rhs, cols))
+def _pair_groups(pairs, left: WindowedMatrix, a: WindowedMatrix, tol: float):
+    """One group per (tag, left map, right map) of `pairs` (see _identities): its instances in C order of (i, j).
+
+    The instances are read in row blocks of about `_BLOCK` cells, each block
+    by every pair while it is in cache. Where tol >= 0 only the instances
+    whose residual is not 0 are kept (see _kept); each group counts them all.
+    """
+    spans = []  # per pair: its sides (section, r, s, c), its instances' rows top..bottom and columns 0..n-1
+    for _, *maps in pairs:
+        sides = [(m, *f) for m, f in zip((left, a), maps)]
+        top, bottom = max(m.rows.lo - r for m, r, _, _ in sides), min(m.rows.hi - r for m, r, _, _ in sides)
+        n = min((m.cols.hi - c) // s + 1 if s else 1 for m, _, s, c in sides)
+        spans.append((sides, top, bottom, n, ([], [], [])))
+    step = max(1, windowed._BLOCK // a.cols.size)
+    for t in range(min(span[1] for span in spans), max(span[2] for span in spans) + 1, step):
+        for sides, top, bottom, n, kept in spans:
+            rows = range(max(t, top), min(t + step, bottom + 1))
+            if rows:
+                l, r = (m.data[rows.start + r - m.rows.lo : rows.stop + r - m.rows.lo, c : c + s * (n - 1) + 1 : s or 1]
+                        for m, r, s, c in sides)
+                keep = _kept(l, r, tol)
+                for part, new in zip(kept, (l[keep], r[keep], np.flatnonzero(keep) + (rows.start - top) * n)):
+                    part.append(new)
+    for (tag, *_), (_, top, bottom, n, kept) in zip(pairs, spans):
+        lhs, rhs, at = map(np.concatenate, kept)
+        yield (tag, lhs, rhs, lambda p, at=at, top=top, n=n: (top + int(at[p]) // n, int(at[p]) % n),
+               (bottom - top + 1) * n)
 
 
-def _identity_domain(m: WindowedMatrix, power: int, what: str) -> IndexWindow:
-    """0:p, the widest domain on which the identities, with Mz(power) in (a), read only the section's columns 0..C:
-    p = min((C-7)//4, (C-2*power)//2), as (b) reads column 4p+7 and (a) column 2p+2*power. Rows are 0..R, R >= 1."""
-    p = min((m.cols.hi - 7) // 4, (m.cols.hi - 2 * power) // 2)
-    if m.rows.lo != 0 or m.rows.hi < 1 or m.cols.lo != 0 or p < 0:  # an empty window is 0:-1
+def _identity_windows(m: WindowedMatrix, power: int, what: str) -> None:
+    """Refuse a section whose rows are not 0..R, R >= 1, or whose columns are not 0..C with C >= 7 and C >= 2*power,
+    where power is the power of U in identity (a): 2 in the characterization, 2m in the extension check."""
+    if m.rows.lo != 0 or m.rows.hi < 1 or m.cols.lo != 0 or m.cols.hi < max(7, 2 * power):  # empty is 0:-1
         raise WindowError(f"{what} needs rows 0..R, R >= 1, and columns 0..C, C >= {max(7, 2 * power)};"
                           f" got rows {m.rows} and columns {m.cols}")
-    return IndexWindow(0, p)
 
 
 def check_characterization(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
-    """Check the five shift identities characterizing slant-h sections on the domain 0:(C-7)//4 of columns 0..C.
+    """Check the five shift identities characterizing slant-h sections, as entry pairs (see _identities).
 
         (a) A.Cz2 = U*.A.Cz2.U2
         (b) U*.A.Mz3.Cz4 = A.Mz3.Cz4.U
@@ -320,10 +323,9 @@ def check_characterization(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport
         (d) U*.A.Mz.Cz4 = A.Mz.Cz4.U
         (e) U*.A.Mz2.e0 = A.Mz.e0
     """
-    dom = _identity_domain(m, 2, "characterization")
-    tags = ("A.Cz2=U*.A.Cz2.U2", "U*.A.Mz3.Cz4=A.Mz3.Cz4.U", "U*.A.e0=A.Mz3.e0",
-            "U*.A.Mz.Cz4=A.Mz.Cz4.U", "U*.A.Mz2.e0=A.Mz.e0")
-    return _collect(_shift_identities(tags, m, m, dom, USTAR, 2), tol)
+    _identity_windows(m, 2, "characterization")
+    pairs = [(tag, *maps) for tag, _, *maps in _identities(1) if tag]
+    return _collect(_pair_groups(pairs, m, m, tol), tol)
 
 
 def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12) -> CheckReport:
@@ -338,17 +340,15 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
         (d) U*.Am.Mz.Cz4 = A.Mz.Cz4.U
         (e) U*.Am.Mz2.e0 = A.Mz.e0
 
-    on the domain _identity_domain derives, and agree with the original section
-    on every shared nonnegative row.
+    as entry pairs (see _identities), and agree with the original section on
+    every shared nonnegative row.
     """
     if depth < 0:
         raise ValueError("extension depth must be >= 0")
-    dom = _identity_domain(a, 2 * depth, "extension check")
+    _identity_windows(a, 2 * depth, "extension check")
     try:
         am = build_family(extension(depth), extract_symbol(a), IndexWindow(-depth, a.rows.hi), a.cols)
     except SymbolParseError:  # a non-finite entry read back leaves A_m, and so every identity, undefined
         return CheckReport(False, math.nan, ())
-    tags = ("Am.Cz2=S(-m).A.Cz2.U2m", "U*.Am.Mz3.Cz4=A.Mz3.Cz4.U", "U*.Am.e0=A.Mz3.e0",
-            "U*.Am.Mz.Cz4=A.Mz.Cz4.U", "U*.Am.Mz2.e0=A.Mz.e0")
-    groups = _shift_identities(tags, am, a, dom, bilateral_shift(-depth), 2 * depth)
-    return _collect([*groups, _identity("Am[i,j]=A[i,j]", am, a)], tol)
+    pairs = [(tag, *maps) for _, tag, *maps in _identities(depth)]
+    return _collect(_pair_groups(pairs, am, a, tol), tol)

@@ -275,9 +275,22 @@ class TestCheck:
             "--cols", "0:39",
             "--out", str(path),
         ).returncode == 0
-        # the identity domain is derived from the columns: 0:(39-7)//4 = 0:8
+        # each identity reads every instance the columns 0..39 hold: (a) up to j = (39-4)//2 = 17
         result = run_cli("check", "characterization", "--matrix", str(path))
         assert result.returncode == 0
+
+    def test_characterization_reads_every_instance(self, section_file, capsys):
+        # entry (5,20) of the 9 x 34 section, 3.0:0.0 -> 4.0:0.0, as `awk 'NR==9{$21="4.0:0.0"}1'` writes it: its
+        # degree 0 is held 9 times, and (a), which read only columns up to 2*((33-7)//4)+4 = 16, passed it (exit 0)
+        lines = section_file.read_text().splitlines(keepends=True)
+        cells = lines[8].split()
+        assert cells[20] == "3.0:0.0"
+        cells[20] = "4.0:0.0"
+        lines[8] = " ".join(cells) + "\n"
+        section_file.write_text("".join(lines))
+        for predicate in ("slant-h", "characterization"):
+            assert main(["check", predicate, "--matrix", str(section_file)]) == 1
+        assert "A.Cz2=U*.A.Cz2.U2 (5,10) lhs=4.0:0.0 rhs=3.0:0.0\n" in capsys.readouterr().out
 
     def test_identity_domain_is_not_an_option(self, section_file):
         result = run_cli("check", "characterization", "--matrix", str(section_file), "--cols", "0:8")
@@ -328,7 +341,7 @@ class TestCheck:
         assert captured.out == "" and captured.err.startswith("window error: ") and captured.err.count("\n") == 1
 
     def test_insufficient_window_exit_code(self, tmp_path, capsys):
-        # below 7 columns past 0 the derived identity domain 0:(C-7)//4 is empty
+        # the characterization needs columns 0..C with C >= 7, as (b) reads column 7
         path = tmp_path / "narrow.mat"
         assert main(["build", "--family", "slant-h-toeplitz", "--symbol", f"phi={GENERIC_INLINE}",
                      "--rows", "0:8", "--cols", "0:5", "--out", str(path)]) == 0
