@@ -22,11 +22,11 @@ them, so subtraction zero-embeds both operands on the hull of their row windows.
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .families import COMPOSITIONAL_KINDS, build_compositional, extension
+from .families import COMPOSITIONAL_KINDS, _oracle, extension
 from .windowed import (
     Elementary,
     IndexWindow,
@@ -63,26 +63,34 @@ class UnknownSymbolError(ValueError):
     """A named symbol was not supplied in the evaluation table."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    args: tuple = ()
+class _Node(tuple):
+    """A node equals only a node of its own class: a Compose and a Diff of the same terms differ."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Scaled:
-    factor: float
-    node: Atom
+class Atom(_Node, namedtuple("Atom", "name args", defaults=((),))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Compose:
-    terms: tuple
+class Scaled(_Node, namedtuple("Scaled", "factor node")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diff:
-    terms: tuple
+class Compose(_Node, namedtuple("Compose", "terms")):
+    __slots__ = ()
+
+
+class Diff(_Node, namedtuple("Diff", "terms")):
+    __slots__ = ()
 
 
 _FAMILY_ATOMS = {kind.atom: kind for kind in COMPOSITIONAL_KINDS}
@@ -265,7 +273,8 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf - inf is left to the checks, as in _product
 def _eval(node, window: IndexWindow, symbols: dict):
-    """`eval_expr` before the final densify: chains of elementaries are triplets, all else dense."""
+    """`eval_expr` before the final densify: chains and family atoms are triplets, unless a join is dense, and
+    differences are dense."""
     if isinstance(node, Diff):
         first, *rest = node.terms
         total = _dense(_eval(first, window, symbols))
@@ -288,9 +297,9 @@ def _eval(node, window: IndexWindow, symbols: dict):
         if node.name == "M":
             return _images(mult(_resolve(symbols, node.args[0])), window)
         if node.name in _FAMILY_ATOMS:
-            return build_compositional(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
+            return _oracle(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
         if node.name == _EXTENSION:
             depth, name = node.args
-            return build_compositional(extension(depth), _resolve(symbols, name), window)
+            return _oracle(extension(depth), _resolve(symbols, name), window)
         return _images(Elementary(node.name, *node.args), window)
     raise TypeError(f"not an expression node: {node!r}")

@@ -11,18 +11,18 @@ The entry at row i, column j of each family is one symbol coefficient:
     slant-h-adjoint     conj of the slant-h form with (i, j) swapped
     extension(m)        the slant-h form continued to rows i >= -m
 
-`build_family` gathers whole sections of that closed form, and every reader
-takes sections; `build_compositional` assembles the same operators from
-elementary sections with exact window propagation and serves as the
-independent oracle the closed forms are tested against. The two agree bit for
-bit: every zero of either reads +0. Each family, extension(m) too, is one
-`Family` record holding both routes, its CLI name and its expression atom;
-the CLI and the expression language build their tables from
-`COMPOSITIONAL_KINDS` and `extension`.
+`build_family` scatters each support degree of the symbol to the entries
+that hold it, and every reader takes sections; `build_compositional`
+assembles the same operators from elementary sections with exact window
+propagation and serves as the independent oracle the closed forms are tested
+against. The two agree bit for bit: every zero of either reads +0. Each
+family, extension(m) too, is one `Family` record holding both routes, its CLI
+name and its expression atom; the CLI and the expression language build their
+tables from `COMPOSITIONAL_KINDS` and `extension`.
 """
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,13 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
+    _Triplets,
+    _chain,
     _check_int64,
+    _check_size,
+    _dense,
     _ends,
     bilateral_shift,
-    compose_chain,
     mult,
 )
 
@@ -60,24 +63,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "name atom degree chain conj depth", defaults=(False, 0))):
     """One operator family: the single record every layer reads.
 
     `name` is also the CLI `--family` name and `atom` the expression atom.
     The entry at row i, column j is the symbol coefficient of degree
     `degree(i, j)`, conjugated when `conj` is set; `degree` takes Python ints
-    or numpy index grids alike. `chain(phi)` lists the elementary maps of the
-    compositional oracle, leftmost applied last, and `depth` is how far rows
-    extend below zero.
+    or numpy index grids alike, and on each column parity it moves by one
+    step per two columns, the same on every row. `chain(phi)` lists the
+    elementary maps of the compositional oracle, leftmost applied last, and
+    `depth` is how far rows extend below zero.
     """
 
-    name: str
-    atom: str
-    degree: Callable
-    chain: Callable
-    conj: bool = False
-    depth: int = 0
+    __slots__ = ()
 
 
 def _h_shuffle(step: int) -> Callable:
@@ -127,21 +125,6 @@ def extension(depth: int) -> Family:
                   lambda phi: [bilateral_shift(-depth), P, bilateral_shift(depth), W, mult(phi), K], depth=depth)
 
 
-def _coefficients(phi: LaurentSymbol, degrees: np.ndarray, conj: bool = False) -> np.ndarray:
-    """Coefficient of phi, conjugated when `conj` is set, at every degree of a grid.
-
-    Each degree is looked up among phi's sorted degrees, so no table spans the degrees between two terms.
-    """
-    items = phi.items() or [(0, 0)]  # the zero symbol reads as one zero term
-    keys = np.array([n for n, _ in items], dtype=np.int64)
-    values = np.array([a for _, a in items] + [0], dtype=complex)  # the last slot is the zero off the support
-    # + 0.0: every zero part reads +0, as the oracle's densify writes it
-    values = (np.conj(values) if conj else values) + 0.0
-    slot = np.searchsorted(keys, degrees)
-    slot[keys.take(slot, mode="clip") != degrees] = keys.size
-    return values.take(slot)
-
-
 def _degree_pieces(kind: Family, rows: IndexWindow, cols: IndexWindow) -> dict:
     """The least and greatest degree of `kind` on each (row parity, column parity) piece of rows x cols that holds
     an entry.
@@ -163,11 +146,52 @@ def _degree_pieces(kind: Family, rows: IndexWindow, cols: IndexWindow) -> dict:
     return pieces
 
 
+def _scatter(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> _Triplets:
+    """The entries of the closed form on rows x cols that hold a term of phi, as triplets.
+
+    On row i the columns c, c + 2, ... of one parity hold the degrees d0,
+    d0 + s, ..., s the family's step, so a degree d lands on at most one of
+    them, at k = (d - d0) / s. Each row takes, by searchsorted, the terms
+    between its first and last degree on each parity, and only the terms in
+    the window's degree hull are read: the work grows with the rows, the
+    terms each row holds and the entries written, not with the cells.
+    """
+    pieces = _degree_pieces(kind, rows, cols).values()
+    _check_size(rows, cols)  # before the per-row arrays: each reader of the triplets takes 16 bytes a cell
+    if not pieces:  # an empty window
+        none = np.zeros(0, dtype=np.int64)
+        return _Triplets(rows, cols, none, none, np.zeros(0, dtype=complex))
+    terms = phi.items_between(min(lo for lo, _ in pieces), max(hi for _, hi in pieces))
+    keys = np.array([n for n, _ in terms], dtype=np.int64)
+    values = np.array([a for _, a in terms], dtype=complex)
+    values = np.conj(values) if kind.conj else values  # _dense and the dump add each into +0: -0.0 parts read 0.0
+    firsts = cols.indices()[:2]  # the first column of each parity
+    parities = len(firsts)
+    # each parity's step, in Python ints, and each row's first and last degree on each parity, in int64, which
+    # may wrap inside `degree` but not in its results (see _degree_pieces)
+    steps = np.array([kind.degree(rows.lo, c + 2) - kind.degree(rows.lo, c) for c in firsts], dtype=np.int64)
+    ends = np.array([list(firsts), [c + (cols.hi - c) // 2 * 2 for c in firsts]], dtype=np.int64)
+    degrees = kind.degree(rows.index_array()[:, None, None], ends)  # by row, first or last, parity
+    first, last = degrees[:, 0], degrees[:, 1]
+    lo = np.searchsorted(keys, np.minimum(first, last).ravel())
+    count = np.searchsorted(keys, np.maximum(first, last).ravel(), "right") - lo
+    line = np.repeat(np.arange(count.size), count)  # each candidate term's line: one row's columns of one parity
+    term = np.arange(line.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    row, parity = np.divmod(line, parities)
+    k, off = np.divmod(keys[term] - first.ravel()[line], steps[parity])
+    hit = off == 0
+    return _Triplets(rows, cols, row[hit] + rows.lo, ends[0, parity[hit]] + 2 * k[hit], values[term[hit]])
+
+
 def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
     """Section of the closed form on caller-chosen row/column windows."""
-    _degree_pieces(kind, rows, cols)
-    degrees = kind.degree(rows.index_array()[:, None], cols.index_array())
-    return WindowedMatrix._of(rows, cols, _coefficients(phi, degrees, kind.conj))
+    return _dense(_scatter(kind, phi, rows, cols))
+
+
+def _oracle(kind: Family, phi: LaurentSymbol, cols: IndexWindow):
+    """`build_compositional` before the densify: triplets, or a section where a join is dense."""
+    _degree_pieces(kind, IndexWindow.empty(), cols)
+    return _chain(kind.chain(phi), cols)
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
@@ -177,5 +201,4 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
     every nonzero row of the true operator restricted to `cols`; it may be
     empty, in which case the operator vanishes on those columns.
     """
-    _degree_pieces(kind, IndexWindow.empty(), cols)
-    return compose_chain(kind.chain(phi), cols)
+    return _dense(_oracle(kind, phi, cols))

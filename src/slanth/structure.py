@@ -24,7 +24,6 @@ that order, read when a report is folded.
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +47,18 @@ __all__ = [
 WITNESS_CAP = 16
 
 
-@dataclass(frozen=True)
-class Witness:
-    relation: str
-    indices: tuple
-    lhs: complex
-    rhs: complex
+class Witness(namedtuple("Witness", "relation indices lhs rhs")):
+    __slots__ = ()
 
     def render(self) -> str:
         idx = ",".join(str(i) for i in self.indices)
         return f"{self.relation} ({idx}) lhs={format_entry(self.lhs)} rhs={format_entry(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "passed max_residual witnesses checked", defaults=(0,))):
     """Outcome of a predicate or identity check."""
 
-    passed: bool
-    max_residual: float
-    witnesses: tuple
-    checked: int = 0
+    __slots__ = ()
 
     @property
     def vacuous(self) -> bool:

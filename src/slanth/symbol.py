@@ -62,6 +62,10 @@ class LaurentSymbol:
         """Nonzero (degree, coefficient) pairs in ascending degree order."""
         return sorted(self._coeffs.items())
 
+    def items_between(self, lo: int, hi: int):
+        """The pairs of `items` with lo <= degree <= hi; only those are sorted."""
+        return sorted((n, a) for n, a in self._coeffs.items() if lo <= n <= hi)
+
     @property
     def support(self):
         """(n_min, n_max) of the nonzero coefficients, or None for zero."""

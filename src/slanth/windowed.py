@@ -8,7 +8,8 @@ silently truncate) whenever that guarantee would be lost, which is the classic
 finite-section failure mode.
 
 Inside, elementaries and chains compose as triplets, the nonzero entries as
-(row, column, value) arrays, and are densified once at the API boundary; a
+(row, column, value) arrays, and are densified once at the API boundary, or
+dumped as they are (dump_matrix reads only the cells other than 0.0:0.0); a
 dense section inside a chain becomes triplets only on the columns it is fed.
 A product whose operands meet in many products per output entry is a dense
 matrix product, and it is done as one, by BLAS.
@@ -27,7 +28,6 @@ All values are immutable after construction and all functions are pure.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,18 +70,14 @@ class WindowError(ValueError):
 _INT64 = np.iinfo(np.int64)
 
 
-@dataclass(frozen=True)
-class IndexWindow:
+class IndexWindow(namedtuple("IndexWindow", "lo hi")):
     """Contiguous inclusive interval of basis indices; hi < lo means empty."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.hi < self.lo:
-            # canonical empty representation so empties compare equal
-            object.__setattr__(self, "lo", 0)
-            object.__setattr__(self, "hi", -1)
+    def __new__(cls, lo: int, hi: int):
+        # canonical empty representation so empties compare equal
+        return super().__new__(cls, 0, -1) if hi < lo else super().__new__(cls, lo, hi)
 
     @classmethod
     def empty(cls) -> "IndexWindow":
@@ -130,31 +126,22 @@ class IndexWindow:
         return "empty" if self.is_empty else f"{self.lo}:{self.hi}"
 
 
-@dataclass(frozen=True)
-class WindowedMatrix:
+class WindowedMatrix(namedtuple("WindowedMatrix", "rows cols data")):
     """Dense complex section addressed by absolute row/column indices."""
 
-    rows: IndexWindow
-    cols: IndexWindow
-    data: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.shape != (self.rows.size, self.cols.size):
-            raise WindowError(
-                f"data shape {data.shape} does not match windows {self.rows} x {self.cols}"
-            )
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+    def __new__(cls, rows: IndexWindow, cols: IndexWindow, data):
+        data = np.asarray(data, dtype=complex)
+        if data.shape != (rows.size, cols.size):
+            raise WindowError(f"data shape {data.shape} does not match windows {rows} x {cols}")
+        return cls._of(rows, cols, data.copy())
 
     @classmethod
     def _of(cls, rows: IndexWindow, cols: IndexWindow, data: np.ndarray) -> "WindowedMatrix":
         """Section on a complex array of the right shape that nothing else writes: frozen, not copied."""
         data.setflags(write=False)
-        section = object.__new__(cls)
-        section.__dict__.update(rows=rows, cols=cols, data=data)  # what a frozen __init__ would set
-        return section
+        return tuple.__new__(cls, (rows, cols, data))
 
     def entry(self, i: int, j: int) -> complex:
         if i not in self.rows or j not in self.cols:
@@ -190,17 +177,15 @@ class WindowedMatrix:
         return WindowedMatrix._of(rows, cols, data)
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(namedtuple("Elementary", "name power symbol", defaults=(0, None))):
     """One of the closed-form basis maps a section can be built from."""
 
-    name: str
-    power: int = 0
-    symbol: LaurentSymbol | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name == "Cz" and self.power < 1:
+    def __new__(cls, name: str, power: int = 0, symbol: LaurentSymbol | None = None):
+        if name == "Cz" and power < 1:
             raise ValueError("composition power must be >= 1")
+        return super().__new__(cls, name, power, symbol)
 
 
 W = Elementary("W")  # dyadic decimation: e_{2n} -> e_n, odd -> 0
@@ -253,8 +238,9 @@ _INDEX_MAPS = {
 }
 
 
-# Entries (i[t], j[t]) = v[t] of a section on rows x cols, column-major with
-# rows ascending and no (row, column) pair twice; all others are zero.
+# Entries (i[t], j[t]) = v[t] of a section on rows x cols, no (row, column)
+# pair twice; all others are zero. A product's are column-major with rows
+# ascending, as _images and _product leave them.
 _Triplets = namedtuple("_Triplets", "rows cols i j v")
 
 
@@ -358,11 +344,18 @@ def _product(a, b):
     return _Triplets(a.rows, b.cols, *(pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))))
 
 
+def _check_size(rows: IndexWindow, cols: IndexWindow) -> None:
+    """A WindowError past int64, or a MemoryError where the system cannot give 16 bytes a cell of rows x cols, as
+    the section, or the dump's lines and their joined text, take: raised before any of it is touched."""
+    _check_int64([rows.size * cols.size * 16], f"the bytes of a section on {rows} x {cols} reach")
+    np.empty(rows.size * cols.size * 16, dtype=np.uint8)
+
+
 def _dense(x) -> "WindowedMatrix":
     """The section of triplets; a dense section is returned as it is."""
     if isinstance(x, WindowedMatrix):
         return x
-    _check_int64([x.rows.size * x.cols.size * 16], f"the bytes of a section on {x.rows} x {x.cols} reach")
+    _check_size(x.rows, x.cols)
     data = np.zeros((x.rows.size, x.cols.size), dtype=complex)
     data[x.i - x.rows.lo, x.j - x.cols.lo] += x.v  # into zeros, as a dense product sums: -0.0 reads 0.0
     return WindowedMatrix._of(x.rows, x.cols, data)
@@ -376,9 +369,8 @@ def _scaled(x, factor: float):
     return x._replace(v=factor * x.v)
 
 
-def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
-    """Compose elementary kinds and ready sections, dense or as triplets, listed leftmost-first, starting from
-    `domain`."""
+def _chain(stages: list, domain: IndexWindow):
+    """`compose_chain` before the densify: its triplets, or its section where a join is dense."""
     result = None
     for stage in reversed(stages):  # products stay triplets until the end
         if isinstance(stage, Elementary):
@@ -386,7 +378,13 @@ def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
         result = stage if result is None else _product(stage, result)
     if result is None:
         raise ValueError("empty chain")
-    return _dense(result)
+    return result
+
+
+def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
+    """Compose elementary kinds and ready sections, dense or as triplets, listed leftmost-first, starting from
+    `domain`."""
+    return _dense(_chain(stages, domain))
 
 
 def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
@@ -430,35 +428,56 @@ def parse_entry(text: str) -> complex:
     return complex(float(head), float(tail))
 
 
-def dump_matrix(m: WindowedMatrix) -> str:
-    """Render the windowed matrix file format (bit-exact round trip); entries must be finite.
+def dump_matrix(m) -> str:
+    """Render the windowed matrix file format (bit-exact round trip) of a section, or of triplets as `_dense`
+    writes them; entries must be finite.
 
-    Each run of `0.0:0.0` cells within a row is written as one slice of a
-    row of them, and each distinct other cell, told apart by its 128 bits
-    (so `3.0:0.0` and `3.0:-0.0` are two), is formatted once.
+    Only the cells other than `0.0:0.0` are read: each run of `0.0:0.0`
+    cells within a row is written as one slice of a row of them, and each
+    distinct other cell, told apart by its 128 bits (so `3.0:0.0` and
+    `3.0:-0.0` are two), is formatted once.
     """
     header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
-    return "\n".join([*header, *_data_lines(m), ""])  # the lines' pieces are freed before this join
+    # the lines' pieces are freed before this join
+    return "\n".join([*header, *_data_lines(m.rows, m.cols, *_cells(m)), ""])
 
 
-def _data_lines(m: WindowedMatrix) -> list:
-    """The dump's line of each row of m."""
-    data = np.ascontiguousarray(m.data)  # an adjoint's data is column-major
-    re, im = data.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
-    background = (re == 0) & (im == 0)
-    # a token is one other cell or one run of background cells within a row
-    grid = background.reshape(data.shape)
-    opens = ~grid
-    opens[:, 1:] |= ~grid[:, :-1]  # a run opens after an other cell
-    opens[:, :1] = True
-    starts = np.flatnonzero(opens)
-    run = background[starts]
-    cells = starts[~run]  # every other cell, in reading order; only these can be non-finite
-    values = data.reshape(-1)[cells]
-    finite = np.isfinite(values)
+def _cells(m) -> tuple:
+    """The flat positions in reading order and the values of the cells of a section or triplets that are not
+    `0.0:0.0`; a dense section's are found in one pass over its words."""
+    if isinstance(m, WindowedMatrix):
+        data = np.ascontiguousarray(m.data)  # an adjoint's data is column-major
+        re, im = data.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
+        at = np.flatnonzero(re | im)
+        return at, data.reshape(-1)[at]
+    _check_size(m.rows, m.cols)  # not once the lines have filled the memory
+    at = (m.i - m.rows.lo) * m.cols.size + (m.j - m.cols.lo)
+    order = np.argsort(at, kind="stable")
+    at, values = at[order], m.v[order] + 0.0  # + 0.0: a stored -0.0 part reads 0.0, as _dense writes it
+    kept = values != 0  # so a stored zero is 0.0:0.0
+    return at[kept], values[kept]
+
+
+def _data_lines(rows: IndexWindow, cols: IndexWindow, at: np.ndarray, values: np.ndarray) -> list:
+    """The dump's line of each row, from the flat positions `at`, ascending, and the values of the cells that
+    are not `0.0:0.0`."""
+    width = cols.size
+    finite = np.isfinite(values)  # only these cells can be non-finite
     if not finite.all():
-        r, c = divmod(int(cells[np.argmin(finite)]), m.cols.size)
-        raise ValueError(f"entry ({r + m.rows.lo}, {c + m.cols.lo}) is not finite and cannot be dumped")
+        r, c = divmod(int(at[np.argmin(finite)]), width)
+        raise ValueError(f"entry ({r + rows.lo}, {c + cols.lo}) is not finite and cannot be dumped")
+    if not (width and rows.size):
+        return [""] * rows.size
+    # a token is one cell or one run of 0.0:0.0 cells within a row: a run opens
+    # at a row start and after a cell, where no cell opens
+    row_starts = np.arange(rows.size, dtype=np.int64) * width
+    vacant = np.ones(rows.size, dtype=bool)
+    vacant[at[at % width == 0] // width] = False
+    after = at + 1
+    runs = after[(np.diff(at, append=-1) != 1) & (after % width != 0)]
+    starts = np.concatenate([at, row_starts[vacant], runs])
+    order = np.argsort(starts, kind="stable")  # three ascending runs, merged
+    starts, run = starts[order], order >= at.size
     # equal cells sort together; a group opens where the bits change
     words = values.view(np.uint64).reshape(-1, 2)
     order = np.argsort(words[:, 0] ^ (words[:, 1] * _MIX))
@@ -475,12 +494,12 @@ def _data_lines(m: WindowedMatrix) -> list:
     token[~run] = label
     texts = list(map(format_entry, values[chosen].tolist()))
     # a run of k background cells is the first k of a row of them, spaces between
-    lengths, token[run] = np.unique(np.diff(starts, append=data.size)[run], return_inverse=True)
+    lengths, token[run] = np.unique(np.diff(starts, append=rows.size * width)[run], return_inverse=True)
     token[run] += len(texts)
-    row = " ".join([_ZERO_CELL] * data.shape[1])
+    row = " ".join([_ZERO_CELL] * width)
     texts += [row[: (len(_ZERO_CELL) + 1) * k - 1] for k in lengths.tolist()]
     pieces = list(map(texts.__getitem__, token.tolist()))
-    ends = np.cumsum(np.count_nonzero(opens, axis=1)).tolist()
+    ends = [*np.searchsorted(starts, row_starts[1:]).tolist(), starts.size]
     return [" ".join(pieces[a:b]) for a, b in zip([0, *ends], ends)]
 
 

@@ -1,7 +1,7 @@
-"""Property tests for the family records: the vectorised gather in
-`build_family` against a scalar loop over `Family.degree` in Python ints,
-windows and degrees near int64's ends included, and the closed form against
-the compositional oracle, bit for bit."""
+"""Property tests for the family records: the scatter in `build_family`
+against a scalar loop over `Family.degree` in Python ints, windows and
+degrees near int64's ends included, and the closed form against the
+compositional oracle, bit for bit."""
 
 import tracemalloc
 
@@ -15,12 +15,15 @@ from slanth import (
     IndexWindow,
     LaurentSymbol,
     WindowError,
+    WindowedMatrix,
     build_compositional,
     build_family,
+    dump_matrix,
     extension,
 )
-from slanth import families
+from slanth import families, verify
 from slanth.verify import check_oracle
+from slanth.windowed import _dense
 
 PROPERTY = settings(deadline=None, max_examples=30)
 INT64 = np.iinfo(np.int64)
@@ -58,7 +61,7 @@ def scalar_section(kind, phi, rows, cols):
 
 @PROPERTY
 @given(symbols, windows, windows)
-def test_gather_matches_scalar_entries(phi, row_span, col_span):
+def test_scatter_matches_scalar_entries(phi, row_span, col_span):
     cols = IndexWindow(col_span[0], col_span[0] + col_span[1])
     for kind in all_kinds:
         lo = row_span[0] - kind.depth
@@ -77,8 +80,8 @@ def test_gather_matches_scalar_entries(phi, row_span, col_span):
 @example(LaurentSymbol({-(2**62): 1, 0: 2, 2**62: 3}), IndexWindow(0, 1), IndexWindow(0, 1))
 # h-toeplitz reads degrees 0 and 2**62 + 1 here: a table between the two terms was refused (2**62 slots)
 @example(LaurentSymbol({0: 1j, 2**62: 1j}), IndexWindow(2**61, 2**61), IndexWindow(2**62, 2**62 + 1))
-def test_gather_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, cols):
-    # the gather equals the scalar loop bit for bit, or raises WindowError where a
+def test_scatter_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, cols):
+    # the scatter equals the scalar loop bit for bit, or raises WindowError where a
     # window is out of the family's range or a degree leaves int64
     for kind in all_kinds:
         degrees = [kind.degree(i, j) for i in rows.indices() for j in cols.indices()]
@@ -104,7 +107,7 @@ def test_sparse_symbol_gathers_only_the_window_degrees(phi, row_span, col_span, 
         assert got.data.tobytes() == scalar_section(kind, sparse, rows, cols).tobytes(), kind.name
 
 
-def test_gather_allocates_by_the_window_not_the_columns():
+def test_scatter_allocates_by_the_window_not_the_columns():
     # a 1 x 2 slant-h section on columns 2**20: its table spanned the 2**20 degrees between its two terms (33.6 MB)
     phi = LaurentSymbol({-(2**19): 1, 2**19 + 1: 2})
     tracemalloc.start()
@@ -115,6 +118,31 @@ def test_gather_allocates_by_the_window_not_the_columns():
         tracemalloc.stop()
     assert got.data.tolist() == [[1, 2]]
     assert peak < 2**20
+
+
+@PROPERTY
+@given(symbols, windows, windows)
+def test_triplets_of_both_routes_dump_as_their_sections(phi, row_span, col_span):
+    cols = IndexWindow(col_span[0], col_span[0] + col_span[1])
+    for kind in all_kinds:
+        lo = row_span[0] - kind.depth
+        rows = IndexWindow(lo, lo + row_span[1])
+        for t in (families._scatter(kind, phi, rows, cols), families._oracle(kind, phi, cols)):
+            assert dump_matrix(t) == dump_matrix(_dense(t)), kind.name
+
+
+def test_scatter_memory_is_set_by_the_window():
+    # 10**5 terms, of which an 8 x 33 slant-h window holds the 48 of degrees -16..31: only those are read
+    phi = LaurentSymbol({n: 1 + n % 7 for n in range(-50_000, 50_000)})
+    rows, cols = IndexWindow(0, 7), IndexWindow(0, 32)
+    tracemalloc.start()
+    try:
+        got = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.data.tobytes() == scalar_section(SLANT_H_TOEPLITZ, phi, rows, cols).tobytes()
+    assert peak < 64 * got.data.nbytes  # 270 KB; reading every term took 10 MB
 
 
 @PROPERTY
@@ -130,12 +158,13 @@ def test_closed_form_matches_oracle(phi, col_span):
 
 
 def test_oracle_suite_compares_bits(monkeypatch):
-    # conjugating after the gather writes 0-0j off the support, where the oracle
-    # writes +0: no entry deviates, yet the two routes differ in their bits
-    gather = families._coefficients
+    # conjugating the closed form after it is densified writes 0-0j off the support,
+    # where the oracle writes +0: no entry deviates, yet the two routes differ in their bits
+    build = verify.build_family
 
-    def conjugated_after(phi, degrees, conj=False):
-        return np.conj(gather(phi, degrees)) if conj else gather(phi, degrees)
+    def conjugated_after(kind, phi, rows, cols):
+        section = build(kind._replace(conj=False), phi, rows, cols)
+        return WindowedMatrix._of(rows, cols, np.conj(section.data)) if kind.conj else section
 
-    monkeypatch.setattr(families, "_coefficients", conjugated_after)
+    monkeypatch.setattr(verify, "build_family", conjugated_after)
     assert check_oracle() == (False, "max_dev=0.0 combos=80")

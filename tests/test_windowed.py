@@ -281,6 +281,25 @@ class TestDumpFormat:
             assert text == per_cell_dump(m)
             assert load_matrix(text).data.tobytes() == m.data.tobytes()
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_triplets_dump_as_their_section(self, data):
+        # windows that may be empty or one column wide, rows that may hold no entry, stored signed zeros,
+        # and the entries in the order drawn, row-major or column-major
+        rows = IndexWindow(-1, data.draw(st.integers(0, 5)) - 2)
+        cols = IndexWindow(2, data.draw(st.integers(0, 6)) + 1)
+        cells = [(i, j) for i in rows.indices() for j in cols.indices()]
+        chosen = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells))) if cells else []
+        signed_zeros = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        value = st.one_of(st.sampled_from(signed_zeros), st.builds(complex, edge_floats, edge_floats))
+        entries = list(zip(chosen, data.draw(st.lists(value, min_size=len(chosen), max_size=len(chosen)))))
+        order = data.draw(st.sampled_from(["drawn", "row-major", "column-major"]))
+        if order != "drawn":
+            entries.sort(key=lambda e: e[0] if order == "row-major" else e[0][::-1])
+        i, j = (np.array([e[0][axis] for e in entries], dtype=np.int64) for axis in (0, 1))
+        t = windowed._Triplets(rows, cols, i, j, np.array([e[1] for e in entries], dtype=complex))
+        assert dump_matrix(t) == dump_matrix(windowed._dense(t))
+
     def test_cells_sharing_a_sort_key(self):
         # 1+0j and x+3j, x with the bits of 1.0 xor 3.0's times _MIX, get one sort key
         bits = [int(np.float64(f).view(np.uint64)) for f in (1.0, 3.0)]
