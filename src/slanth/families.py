@@ -42,7 +42,6 @@ from .windowed import (
     _check_int64,
     _check_size,
     _dense,
-    _ends,
     bilateral_shift,
     mult,
 )
@@ -69,8 +68,8 @@ class Family(namedtuple("Family", "name atom degree chain conj depth", defaults=
     `name` is also the CLI `--family` name and `atom` the expression atom.
     The entry at row i, column j is the symbol coefficient of degree
     `degree(i, j)`, conjugated when `conj` is set; `degree` takes Python ints
-    or numpy index grids alike, and on each column parity it moves by one
-    step per two columns, the same on every row. `chain(phi)` lists the
+    or numpy index grids alike, and on each parity piece (i, j) = (2u + p,
+    2v + q) it is affine in u and v (see _piece_table). `chain(phi)` lists the
     elementary maps of the compositional oracle, leftmost applied last, and
     `depth` is how far rows extend below zero.
     """
@@ -125,62 +124,74 @@ def extension(depth: int) -> Family:
                   lambda phi: [bilateral_shift(-depth), P, bilateral_shift(depth), W, mult(phi), K], depth=depth)
 
 
+def _piece_table(kind: Family) -> dict:
+    """{(p, q): (a_u, a_v, c)}, in Python ints: on the parity piece (i, j) = (2u + p, 2v + q) the degree is
+    a_u*u + a_v*v + c, and in every family the smaller of |a_u| and |a_v| divides the other."""
+    return {(p, q): (kind.degree(p + 2, q) - (c := kind.degree(p, q)), kind.degree(p, q + 2) - c, c)
+            for p in (0, 1) for q in (0, 1)}
+
+
+# A parity piece as a lattice: its cells (row + 2s, col + 2t) hold degree + a*(follow + k*run), lo to hi, where
+# (s, t) is (run, follow) when by_row and (follow, run) otherwise, run < runs and follow < follows.
+_Piece = namedtuple("_Piece", "lo hi row col degree a k follows runs by_row")
+
+
 def _degree_pieces(kind: Family, rows: IndexWindow, cols: IndexWindow) -> dict:
-    """The least and greatest degree of `kind` on each (row parity, column parity) piece of rows x cols that holds
-    an entry.
+    """The _Piece of each (row parity, column parity) of rows x cols that holds an entry, from the piece table.
 
     A WindowError on columns below 0, rows below -depth or a degree past int64,
-    where numpy's arithmetic would wrap. Each degree map is monotone on each
-    parity of i and of j, so a piece's first and last row and column bound it,
-    and the windows' first two and last two indices hold those."""
+    where numpy's arithmetic would wrap."""
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"{kind.name} has no columns below 0, got {cols}")
     if not rows.is_empty and rows.lo < -kind.depth:
         raise WindowError(f"{kind.name} has no rows below {-kind.depth}, got {rows}")
-    degrees = {(r, c): kind.degree(r, c) for r in _ends(rows) for c in _ends(cols)}
-    _check_int64(degrees.values(), f"{kind.name} degrees on {rows} x {cols} reach")
     pieces = {}
-    for (r, c), d in degrees.items():
-        lo, hi = pieces.get((r % 2, c % 2), (d, d))
-        pieces[r % 2, c % 2] = (min(lo, d), max(hi, d))
+    for (p, q), (a_u, a_v, c) in _piece_table(kind).items():
+        row, col = rows.lo + (rows.lo - p) % 2, cols.lo + (cols.lo - q) % 2
+        m, n = (rows.hi - row) // 2 + 1, (cols.hi - col) // 2 + 1
+        if m > 0 and n > 0:  # the affine degrees are least and greatest at the piece's first and last u and v
+            degree, du, dv = a_u * ((row - p) // 2) + a_v * ((col - q) // 2) + c, a_u * (m - 1), a_v * (n - 1)
+            lo, hi = degree + min(du, 0) + min(dv, 0), degree + max(du, 0) + max(dv, 0)
+            by_row = abs(a_u) > abs(a_v)  # the index of the larger step runs, and a divides it
+            a, k, follows, runs = (a_v, a_u // a_v, n, m) if by_row else (a_u, a_v // a_u, m, n)
+            pieces[p, q] = _Piece(lo, hi, row, col, degree, a, k, follows, runs, by_row)
+    _check_int64([d for x in pieces.values() for d in x[:2]], lambda: f"{kind.name} degrees on {rows} x {cols} reach")
     return pieces
 
 
 def _scatter(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> _Triplets:
     """The entries of the closed form on rows x cols that hold a term of phi, as triplets.
 
-    On row i the columns c, c + 2, ... of one parity hold the degrees d0,
-    d0 + s, ..., s the family's step, so a degree d lands on at most one of
-    them, at k = (d - d0) / s. Each row takes, by searchsorted, the terms
-    between its first and last degree on each parity, and only the terms in
-    the window's degree hull are read: the work grows with the rows, the
-    terms each row holds and the entries written, not with the cells.
+    On a piece (see _degree_pieces) the cells of one degree lie on a lattice
+    segment: of s and t, the index of the larger step runs over an interval
+    and the other follows it. Each piece reads the terms between its least
+    and greatest degree, counted from its first cell's, so no int64
+    intermediate passes the window's span: the work grows with the terms in
+    the window's degree hull and the entries written, not with the cells.
     """
-    pieces = _degree_pieces(kind, rows, cols).values()
-    _check_size(rows, cols)  # before the per-row arrays: each reader of the triplets takes 16 bytes a cell
+    pieces = list(_degree_pieces(kind, rows, cols).values())
+    _check_size(rows, cols)  # each reader of the triplets takes 16 bytes a cell
     if not pieces:  # an empty window
-        none = np.zeros(0, dtype=np.int64)
-        return _Triplets(rows, cols, none, none, np.zeros(0, dtype=complex))
-    terms = phi.items_between(min(lo for lo, _ in pieces), max(hi for _, hi in pieces))
+        return _Triplets(rows, cols, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, complex))
+    _check_int64([rows.lo, rows.hi, cols.hi], lambda: f"the indices of {rows} x {cols} reach")
+    terms = phi.items_between(min(piece.lo for piece in pieces), max(piece.hi for piece in pieces))
     keys = np.array([n for n, _ in terms], dtype=np.int64)
-    values = np.array([a for _, a in terms], dtype=complex)
-    values = np.conj(values) if kind.conj else values  # _dense and the dump add each into +0: -0.0 parts read 0.0
-    firsts = cols.indices()[:2]  # the first column of each parity
-    parities = len(firsts)
-    # each parity's step, in Python ints, and each row's first and last degree on each parity, in int64, which
-    # may wrap inside `degree` but not in its results (see _degree_pieces)
-    steps = np.array([kind.degree(rows.lo, c + 2) - kind.degree(rows.lo, c) for c in firsts], dtype=np.int64)
-    ends = np.array([list(firsts), [c + (cols.hi - c) // 2 * 2 for c in firsts]], dtype=np.int64)
-    degrees = kind.degree(rows.index_array()[:, None, None], ends)  # by row, first or last, parity
-    first, last = degrees[:, 0], degrees[:, 1]
-    lo = np.searchsorted(keys, np.minimum(first, last).ravel())
-    count = np.searchsorted(keys, np.maximum(first, last).ravel(), "right") - lo
-    line = np.repeat(np.arange(count.size), count)  # each candidate term's line: one row's columns of one parity
-    term = np.arange(line.size) + np.repeat(lo - (np.cumsum(count) - count), count)
-    row, parity = np.divmod(line, parities)
-    k, off = np.divmod(keys[term] - first.ravel()[line], steps[parity])
-    hit = off == 0
-    return _Triplets(rows, cols, row[hit] + rows.lo, ends[0, parity[hit]] + 2 * k[hit], values[term[hit]])
+    values = np.array([a.conjugate() if kind.conj else a for _, a in terms], dtype=complex)  # readers add into +0
+    lo, hi, row, col, degree, a, k, follows, runs, by_row = np.array(pieces, dtype=np.int64).T
+    first = np.searchsorted(keys, lo)
+    count = np.searchsorted(keys, hi, "right") - first
+    piece = np.repeat(np.arange(count.size), count)
+    term = np.arange(piece.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    w, off = np.divmod(keys[term] - degree[piece], a[piece])  # a term's follow + k*run, where a divides it
+    k, last = k[piece], follows[piece] - 1
+    start = np.maximum(0, -((last * (k > 0) - w) // k))  # the runs with 0 <= follow = w - k*run <= last
+    stop = np.minimum(runs[piece] - 1, (w - last * (k < 0)) // k)
+    count = np.maximum(stop - start + 1, 0) * (off == 0)
+    at = np.repeat(np.arange(count.size), count)
+    run = np.arange(at.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    follow, piece = w[at] - k[at] * run, piece[at]
+    s, t = np.where(by_row[piece], (run, follow), (follow, run))
+    return _Triplets(rows, cols, row[piece] + 2 * s, col[piece] + 2 * t, values[term[at]])
 
 
 def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:

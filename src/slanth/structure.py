@@ -115,20 +115,14 @@ def _slots(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
     merged, so a window on far columns, whose even and odd columns hold
     degrees far apart, gets a table of about the degrees it holds.
     """
-    pieces = _degree_pieces(kind, rows, cols)
-    runs = []
-    for lo, hi in sorted(pieces.values()):
-        if runs and lo <= runs[-1][1] + 1:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
-            runs.append([lo, hi])
-    shift, size = np.zeros((2, 2), dtype=np.int64), 0
-    for lo, hi in runs:
-        for piece, (low, _) in pieces.items():
-            if lo <= low <= hi:  # wrapped into int64: a degree plus it, in int64, is the slot
-                shift[piece] = (size - lo + 2**63) % 2**64 - 2**63
-        size += hi - lo + 1
-    return runs, shift[next(iter(pieces))] if len(runs) == 1 else shift
+    runs, shift = [], np.zeros((2, 2), dtype=np.int64)
+    for parities, piece in sorted(_degree_pieces(kind, rows, cols).items(), key=lambda item: item[1][:2]):
+        if not runs or piece.lo > runs[-1][1] + 1:  # a run opens after the slots of those before it
+            size = sum(hi - lo + 1 for lo, hi in runs)
+            runs.append([piece.lo, piece.hi])
+        runs[-1][1] = max(runs[-1][1], piece.hi)
+        shift[parities] = (size - runs[-1][0] + 2**63) % 2**64 - 2**63  # in int64: a degree plus it is the slot
+    return runs, shift[parities] if len(runs) == 1 else shift
 
 
 # A pattern scan: the anchor table's runs of degrees; per slot, its anchor's

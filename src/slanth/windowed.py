@@ -244,15 +244,10 @@ _INDEX_MAPS = {
 _Triplets = namedtuple("_Triplets", "rows cols i j v")
 
 
-def _ends(window: IndexWindow) -> list:
-    """The first two and last two indices of a window, as Python ints."""
-    return [*window.indices()[:2], *window.indices()[-2:]]
-
-
-def _check_int64(values, what: str) -> None:
-    """A WindowError unless every Python int of `values` lies in int64, where numpy's arithmetic would wrap."""
+def _check_int64(values, what) -> None:
+    """A WindowError unless each Python int of `values` is in int64, where numpy wraps; `what` or its call names it."""
     if any(not _INT64.min <= v <= _INT64.max for v in values):
-        raise WindowError(f"{what} past int64")
+        raise WindowError(f"{what() if callable(what) else what} past int64")
 
 
 def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
@@ -261,7 +256,7 @@ def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
         raise WindowError(f"{kind.name} requires an analytic domain (lo >= 0), got {domain}")
     j = domain.index_array()
     # each map is monotone on each parity and sign: the domain's ends' images, in Python ints, bound the rest
-    ends = np.array(_ends(domain), dtype=object)
+    ends = np.array([*domain.indices()[:2], *domain.indices()[-2:]], dtype=object)
     if kind.name == "M":
         degrees = np.array([n for n, _ in kind.symbol.items()], dtype=np.int64)
         coeffs = np.array([a for _, a in kind.symbol.items()], dtype=complex)
@@ -419,13 +414,6 @@ _ZERO_CELL = format_entry(0j)
 # Odd, so im -> im * _MIX is one to one: two distinct cells rarely share the
 # sort key re ^ (im * _MIX), and when they do, a cell may be formatted twice.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def parse_entry(text: str) -> complex:
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise ValueError(f"malformed matrix entry {text!r}")
-    return complex(float(head), float(tail))
 
 
 def dump_matrix(m) -> str:
@@ -664,14 +652,21 @@ def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
         lengths = cell_size[at] + 1  # each kept cell with its separator
         chosen = np.arange(lengths.sum()) + np.repeat(cell_starts[at] - (np.cumsum(lengths) - lengths), lengths)
         kept_text = text[chosen].tobytes().decode("utf-8", "surrogatepass")
-        # the cells are exactly `re:im` iff the colons, split out as tokens
-        # of their own, sit at every third place and nowhere else
+        # the cells are exactly `re:im` iff the colons, split out as tokens of
+        # their own, sit at every third place and nowhere else, and the other tokens are floats
         tokens = kept_text.replace(":", " : ").split()
-        if len(tokens) != 3 * at.size or not kept_text.count(":") == tokens[1::3].count(":") == at.size:
-            for cell_text in kept_text.split():
-                parse_entry(cell_text)  # raises for the first malformed cell
-        del tokens[1::3]
-        values = np.fromiter(map(float, tokens), float, 2 * at.size).view(complex)
+        try:
+            if len(tokens) != 3 * at.size or not kept_text.count(":") == tokens[1::3].count(":") == at.size:
+                raise ValueError
+            del tokens[1::3]
+            values = np.fromiter(map(float, tokens), float, 2 * at.size).view(complex)
+        except ValueError:  # the first malformed cell, named by its place
+            for cell_text, r, c in zip(kept_text.split(), *np.divmod(cell[at], width)):
+                try:
+                    real, imag = map(float, cell_text.split(":"))  # two floats about one colon
+                except ValueError:
+                    raise ValueError(f"data line {first + r + 1}: entry {c + 1}: malformed matrix entry {cell_text!r}")
+            raise
         out[cell[at]] = values
         finite = np.isfinite(values)
         if not finite.all():

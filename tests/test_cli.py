@@ -242,16 +242,16 @@ class TestCheck:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("0.0:0.0 1:2:3", "could not convert string to float: '2:3'"),
-            ("0.0:0.0 1.0", "malformed matrix entry '1.0'"),
-            ("0.0:0.0 :", "could not convert string to float: ''"),
-            ("a:b 0.0:0.0", "could not convert string to float: 'a'"),
+            ("0.0:0.0 1:2:3", "data line 1: entry 2: malformed matrix entry '1:2:3'"),
+            ("0.0:0.0 1.0", "data line 1: entry 2: malformed matrix entry '1.0'"),
+            ("0.0:0.0 :", "data line 1: entry 2: malformed matrix entry ':'"),
+            ("a:b 0.0:0.0", "data line 1: entry 1: malformed matrix entry 'a:b'"),
             ("0.0:0.0", "data line 1: expected 2 entries, found 1"),
             ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0", "expected 1 data lines, found 2"),
             ("nan:0 0.0:0.0", "data line 1: entry 1 is not finite"),
             # colon counts that cancel out across the line
-            ("1:2:3 4", "could not convert string to float: '2:3'"),
-            ("1 2:3:4", "malformed matrix entry '1'"),
+            ("1:2:3 4", "data line 1: entry 1: malformed matrix entry '1:2:3'"),
+            ("1 2:3:4", "data line 1: entry 1: malformed matrix entry '1'"),
             # a cell split by whitespace, whose colon tokens would line up
             ("1.0 :2.0 3:4", "data line 1: expected 2 entries, found 3"),
             ("cols 0 0\n1.0 : 2.0", "data line 1: expected 1 entries, found 3"),

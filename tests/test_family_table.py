@@ -49,6 +49,20 @@ far_symbols = st.dictionaries(
 ).map(LaurentSymbol)
 
 
+# windows one or two columns wide of up to 10**4 rows, near 0 or far out
+narrow_windows = st.builds(
+    lambda centre, offset, height, col, width: (IndexWindow(centre + offset, centre + offset + height - 1),
+                                                IndexWindow(centre + col, centre + col + width - 1)),
+    st.sampled_from([0, 0, 2**40, 2**61]), st.integers(-3, 3), st.one_of(st.sampled_from([1, 2, 10**4]), st.integers(1, 10**4)),
+    st.integers(0, 5), st.integers(1, 2),
+)
+# indices near 0 and near int64's ends, and past them
+far_indices = st.builds(
+    lambda centre, offset: centre + offset,
+    st.sampled_from([0, 2**40, 2**62, 2**63 - 1, 2**63, 2**64]), st.integers(-40, 40),
+)
+
+
 def scalar_section(kind, phi, rows, cols):
     """The closed form one entry at a time: the coefficient of `kind.degree(i, j)`, in Python ints."""
     data = np.zeros((rows.size, cols.size), dtype=complex)
@@ -92,6 +106,44 @@ def test_scatter_near_int64_ends_matches_scalar_entries_or_refuses(phi, rows, co
             assert refusable, kind.name
             continue
         assert got.data.tobytes() == scalar_section(kind, phi, rows, cols).tobytes(), kind.name
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(COMPOSITIONAL_KINDS + tuple(extension(depth) for depth in range(1, 9))), far_indices, far_indices)
+def test_piece_table_is_the_degree_map(kind, row, col):
+    # on (i, j) = (2u + p, 2v + q), rows from -depth, the table's a_u*u + a_v*v + c is `degree`, in Python ints
+    i = max(row, -kind.depth)
+    (u, p), (v, q) = divmod(i, 2), divmod(abs(col), 2)
+    a_u, a_v, c = families._piece_table(kind)[p, q]
+    assert a_u * u + a_v * v + c == kind.degree(i, abs(col)), kind.name
+    assert max(abs(a_u), abs(a_v)) % min(abs(a_u), abs(a_v)) == 0, kind.name  # the scatter's lattice segments
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data(), narrow_windows)
+def test_scatter_on_narrow_windows_matches_scalar_entries_or_refuses(data, window):
+    # each family's symbol holds terms at degrees of drawn cells, and next to them
+    for kind in all_kinds:
+        rows, cols = IndexWindow(max(window[0].lo, -kind.depth), max(window[0].hi, -kind.depth)), window[1]
+        cells = data.draw(st.lists(st.tuples(st.integers(0, rows.size - 1), st.integers(0, cols.size - 1)), max_size=4))
+        degrees = [kind.degree(rows.lo + r, cols.lo + c) + data.draw(st.integers(-2, 2)) for r, c in cells]
+        phi = LaurentSymbol({d: complex(k + 1, -k) for k, d in enumerate(degrees) if INT64.min <= d <= INT64.max})
+        try:
+            got = build_family(kind, phi, rows, cols)
+        except WindowError:
+            held = [kind.degree(i, j) for i in rows.indices() for j in cols.indices()]
+            assert not INT64.min <= min(held) <= max(held) <= INT64.max, kind.name
+            continue
+        assert got.data.tobytes() == scalar_section(kind, phi, rows, cols).tobytes(), kind.name
+
+
+def test_scatter_on_a_tall_narrow_window_reads_only_its_entries():
+    # column 0 of rows 0..3,000,000 holds degrees 0, 2, 4, ...: phi's terms 0 and 2, at rows 0 and 1; column 1 holds
+    # 1, 3, 5, ...: term 1, at row 0. The scatter walked each row (165 ms); each term's lattice segment is one cell
+    phi = LaurentSymbol({-1: 2, 0: 3, 1: 5, 2: 7})
+    for cols, entries in ((IndexWindow(0, 0), [(0, 0, 3), (1, 0, 7)]), (IndexWindow(0, 1), [(0, 0, 3), (0, 1, 5), (1, 0, 7)])):
+        t = families._scatter(SLANT_H_TOEPLITZ, phi, IndexWindow(0, 3_000_000), cols)
+        assert sorted(zip(t.i.tolist(), t.j.tolist(), t.v.tolist())) == entries
 
 
 @PROPERTY

@@ -311,16 +311,16 @@ class TestDumpFormat:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("0.0:0.0 1.0\n0.0:0.0", "malformed matrix entry '1.0'"),
+            ("0.0:0.0 1.0\n0.0:0.0", "data line 1: entry 2: malformed matrix entry '1.0'"),
             ("0.0:0.0\n0.0:0.0 1.0", "data line 1: expected 2 entries, found 1"),
             # non-finite values are looked for only once every line has parsed
-            ("nan:0.0 0.0:0.0\n0.0:0.0 a:0.0", "could not convert string to float: 'a'"),
+            ("nan:0.0 0.0:0.0\n0.0:0.0 a:0.0", "data line 2: entry 2: malformed matrix entry 'a:0.0'"),
             # two lines a block: a malformed cell in an early block wins over a wrong count in a later one
-            ("0.0:0.0 0.0:0.0\n0.0:0.0 1:2:3\n0.0:0.0 0.0:0.0\n0.0:0.0", "could not convert string to float: '2:3'"),
+            ("0.0:0.0 0.0:0.0\n0.0:0.0 1:2:3\n0.0:0.0 0.0:0.0\n0.0:0.0", "data line 2: entry 2: malformed matrix entry '1:2:3'"),
             # and a wrong count in an early block over a malformed cell in a later one
             ("0.0:0.0 0.0:0.0\n0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0 1.0", "data line 2: expected 2 entries, found 1"),
             # within one block as well
-            ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0 :2\n0.0:0.0", "could not convert string to float: ''"),
+            ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0 :2\n0.0:0.0", "data line 3: entry 2: malformed matrix entry ':2'"),
             ("0.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0\n0.0:0.0\n0.0:0.0 a:0", "data line 3: expected 2 entries, found 1"),
         ],
     )
@@ -385,14 +385,12 @@ def reference_load(text):
         cells = line.split()
         if len(cells) != cols.size:
             raise ValueError(f"data line {r + 1}: expected {cols.size} entries, found {len(cells)}")
-        at = [c for c, cell in enumerate(cells) if cell != "0.0:0.0"]
-        kept = " ".join([cells[c] for c in at])
-        tokens = kept.replace(":", " : ").split()
-        if len(tokens) != 3 * len(at) or not kept.count(":") == tokens[1::3].count(":") == len(at):
-            for c in at:
-                windowed.parse_entry(cells[c])
-        del tokens[1::3]
-        data[r, at] = np.fromiter(map(float, tokens), float, 2 * len(at)).view(complex)
+        for c, cell in enumerate(cells):
+            try:
+                real, imag = map(float, cell.split(":"))
+            except ValueError:
+                raise ValueError(f"data line {r + 1}: entry {c + 1}: malformed matrix entry {cell!r}") from None
+            data[r, c] = complex(real, imag)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]
