@@ -14,8 +14,8 @@ import sys
 
 from . import verify as verify_mod
 from .analysis import norm_bound_check
-from .expr import _eval, parse_expr
-from .families import COMPOSITIONAL_KINDS, SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, _scatter, extension
+from .expr import eval_expr, parse_expr
+from .families import COMPOSITIONAL_KINDS, SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, build_family, extension
 from .structure import check_characterization, check_extension_conditions, check_pattern, extract_checked
 from .symbol import (
     SymbolParseError,
@@ -23,7 +23,7 @@ from .symbol import (
     load_symbol_file,
     parse_symbol,
 )
-from .windowed import IndexWindow, WindowError, _dense, dump_matrix, load_matrix, stream_matrix
+from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix, stream_matrix
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
@@ -77,10 +77,9 @@ def _write_output(text: str, out_path):
 
 
 def _expr_section(args, symbols):
-    """The expression's section, as triplets where its last step left them (see expr._eval)."""
     if args.window is None:
         raise SymbolParseError("--expr requires --window lo:hi")
-    return _eval(parse_expr(args.expr), _parse_window(args.window), symbols)
+    return eval_expr(parse_expr(args.expr), _parse_window(args.window), symbols)
 
 
 def _read_matrix(path: str, streamed: bool):
@@ -94,7 +93,7 @@ def _matrix_from_args(args, symbols):
     if args.matrix:
         return _read_matrix(args.matrix, args.predicate in _CHECKS)
     if args.expr:
-        return _dense(_expr_section(args, symbols))
+        return _expr_section(args, symbols)
     raise SymbolParseError("supply --matrix FILE or --expr TEXT")
 
 
@@ -107,12 +106,12 @@ def _cmd_build(args) -> int:
         if len(symbols) != 1:
             raise SymbolParseError("--family requires exactly one --symbol")
         (phi,) = symbols.values()
-        matrix = _scatter(kind, phi, _parse_window(args.rows), _parse_window(args.cols))
+        matrix = build_family(kind, phi, _parse_window(args.rows), _parse_window(args.cols))
     elif args.expr:
         matrix = _expr_section(args, symbols)
     else:
         raise SymbolParseError("supply --family NAME or --expr TEXT")
-    _write_output(dump_matrix(matrix), args.out)  # triplets go to the dump as they are: no dense section
+    _write_output(dump_matrix(matrix), args.out)
     return 0
 
 
@@ -181,19 +180,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build a section and dump it")
     add_common(build, tol=False)
-    build.add_argument("--family", choices=sorted([*_FAMILIES, "extension"]))
+    source = build.add_mutually_exclusive_group()
+    source.add_argument("--family", choices=sorted([*_FAMILIES, "extension"]))
     build.add_argument("--m", type=int, default=1, help="extension depth for --family extension")
     build.add_argument("--rows", metavar="LO:HI")
     build.add_argument("--cols", metavar="LO:HI")
-    build.add_argument("--expr", metavar="TEXT")
+    source.add_argument("--expr", metavar="TEXT")
     build.add_argument("--window", metavar="LO:HI", help="input window for --expr")
     build.set_defaults(func=_cmd_build)
 
     check = sub.add_parser("check", help="run a predicate and report witnesses")
     check.add_argument("predicate", choices=_PREDICATES)
     add_common(check)
-    check.add_argument("--matrix", metavar="FILE")
-    check.add_argument("--expr", metavar="TEXT")
+    source = check.add_mutually_exclusive_group()
+    source.add_argument("--matrix", metavar="FILE")
+    source.add_argument("--expr", metavar="TEXT")
     check.add_argument("--window", metavar="LO:HI")
     check.add_argument("--m", type=int, default=1, help="depth for the extension predicate")
     check.set_defaults(func=_cmd_check)

@@ -12,8 +12,9 @@ L(name) Sh(name) V(name) V*(name) A(m,name). Names refer to symbols supplied
 in the evaluation table. Every family atom, A(m,name) too, is built by its
 family's compositional oracle. A chain is one n-ary `Compose` and a difference
 one n-ary `Diff`, each a tuple of at least 2 terms folded by one loop, left
-associative: ((a . b) . c) and ((a - b) - c). Only a parenthesised term nests
-a node, so evaluation recurses once per parenthesis level. Evaluation
+associative: ((a . b) . c) and ((a - b) - c); a chain is compose_chain of its
+terms, the fold of the library's chains. Only a parenthesised term nests a
+node, so evaluation recurses once per parenthesis level. Evaluation
 propagates windows from the user-supplied input window through the rightmost
 atom leftwards, refusing any composition that would lose exactness. Every
 operand has the input window as its columns and holds every nonzero row of
@@ -23,18 +24,18 @@ them, so subtraction zero-embeds both operands on the hull of their row windows.
 import math
 import re
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
-from .families import COMPOSITIONAL_KINDS, _oracle, extension
+from .families import COMPOSITIONAL_KINDS, build_compositional, extension
 from .windowed import (
     Elementary,
     IndexWindow,
     WindowedMatrix,
-    _dense,
-    _images,
-    _product,
     _scaled,
+    build_elementary,
+    compose_chain,
     mult,
 )
 
@@ -268,38 +269,26 @@ def _resolve(symbols: dict, name: str):
 
 def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
     """Exact section of the expression, windows propagated from `window`."""
-    return _dense(_eval(node, window, symbols))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # inf - inf is left to the checks, as in _product
-def _eval(node, window: IndexWindow, symbols: dict):
-    """`eval_expr` before the final densify: chains and family atoms are triplets, unless a join is dense, and
-    differences are dense."""
     if isinstance(node, Diff):
         first, *rest = node.terms
-        total = _dense(_eval(first, window, symbols))
+        total = eval_expr(first, window, symbols)
         for term in rest:  # ((a - b) - c), each term evaluated when it is reached
-            part = _dense(_eval(term, window, symbols))
+            part = eval_expr(term, window, symbols)
             rows = total.rows.hull(part.rows)
-            total = WindowedMatrix._of(rows, window, total.embed(rows, window).data - part.embed(rows, window).data)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is left to the checks, as in compose
+                total = WindowedMatrix._of(rows, window, total.embed(rows, window).data - part.embed(rows, window).data)
         return total
     if isinstance(node, Compose):
-        factors = []  # right to left, each term on the rows of the one to its right
-        for term in reversed(node.terms):
-            factors.append(_eval(term, factors[-1].rows if factors else window, symbols))
-        product = factors.pop()
-        while factors:  # ((a . b) . c), each factor released once it is multiplied
-            product = _product(product, factors.pop())
-        return product
+        return compose_chain([partial(eval_expr, term, symbols=symbols) for term in node.terms], window)
     if isinstance(node, Scaled):
-        return _scaled(_eval(node.node, window, symbols), node.factor)
+        return _scaled(eval_expr(node.node, window, symbols), node.factor)
     if isinstance(node, Atom):
         if node.name == "M":
-            return _images(mult(_resolve(symbols, node.args[0])), window)
+            return build_elementary(mult(_resolve(symbols, node.args[0])), window)
         if node.name in _FAMILY_ATOMS:
-            return _oracle(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
+            return build_compositional(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
         if node.name == _EXTENSION:
             depth, name = node.args
-            return _oracle(extension(depth), _resolve(symbols, name), window)
-        return _images(Elementary(node.name, *node.args), window)
+            return build_compositional(extension(depth), _resolve(symbols, name), window)
+        return build_elementary(Elementary(node.name, *node.args), window)
     raise TypeError(f"not an expression node: {node!r}")

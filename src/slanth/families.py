@@ -12,10 +12,10 @@ The entry at row i, column j of each family is one symbol coefficient:
     extension(m)        the slant-h form continued to rows i >= -m
 
 `build_family` scatters each support degree of the symbol to the entries
-that hold it, and every reader takes sections; `build_compositional`
+that hold it, and returns the section of those triplets; `build_compositional`
 assembles the same operators from elementary sections with exact window
-propagation and serves as the independent oracle the closed forms are tested
-against. The two agree bit for bit: every zero of either reads +0. Each
+propagation (compose_chain) and serves as the independent oracle the closed
+forms are tested against. The two agree bit for bit: every zero of either reads +0. Each
 family, extension(m) too, is one `Family` record holding both routes, its CLI
 name and its expression atom; the CLI and the expression language build their
 tables from `COMPOSITIONAL_KINDS` and `extension`.
@@ -37,12 +37,10 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
-    _Triplets,
-    _chain,
     _check_int64,
     _check_size,
-    _dense,
     bilateral_shift,
+    compose_chain,
     mult,
 )
 
@@ -159,8 +157,9 @@ def _degree_pieces(kind: Family, rows: IndexWindow, cols: IndexWindow) -> dict:
     return pieces
 
 
-def _scatter(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> _Triplets:
-    """The entries of the closed form on rows x cols that hold a term of phi, as triplets.
+def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
+    """Section of the closed form on caller-chosen row/column windows: the triplets of its entries that hold a term
+    of phi.
 
     On a piece (see _degree_pieces) the cells of one degree lie on a lattice
     segment: of s and t, the index of the larger step runs over an interval
@@ -172,7 +171,7 @@ def _scatter(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWin
     pieces = list(_degree_pieces(kind, rows, cols).values())
     _check_size(rows, cols)  # each reader of the triplets takes 16 bytes a cell
     if not pieces:  # an empty window
-        return _Triplets(rows, cols, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, complex))
+        return WindowedMatrix._of(rows, cols, triplets=(*np.zeros((2, 0), dtype=np.int64), np.zeros(0, complex)))
     _check_int64([rows.lo, rows.hi, cols.hi], lambda: f"the indices of {rows} x {cols} reach")
     terms = phi.items_between(min(piece.lo for piece in pieces), max(piece.hi for piece in pieces))
     keys = np.array([n for n, _ in terms], dtype=np.int64)
@@ -191,18 +190,7 @@ def _scatter(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWin
     run = np.arange(at.size) + np.repeat(start - (np.cumsum(count) - count), count)
     follow, piece = w[at] - k[at] * run, piece[at]
     s, t = np.where(by_row[piece], (run, follow), (follow, run))
-    return _Triplets(rows, cols, row[piece] + 2 * s, col[piece] + 2 * t, values[term[at]])
-
-
-def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> WindowedMatrix:
-    """Section of the closed form on caller-chosen row/column windows."""
-    return _dense(_scatter(kind, phi, rows, cols))
-
-
-def _oracle(kind: Family, phi: LaurentSymbol, cols: IndexWindow):
-    """`build_compositional` before the densify: triplets, or a section where a join is dense."""
-    _degree_pieces(kind, IndexWindow.empty(), cols)
-    return _chain(kind.chain(phi), cols)
+    return WindowedMatrix._of(rows, cols, triplets=(row[piece] + 2 * s, col[piece] + 2 * t, values[term[at]]))
 
 
 def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> WindowedMatrix:
@@ -212,4 +200,5 @@ def build_compositional(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> 
     every nonzero row of the true operator restricted to `cols`; it may be
     empty, in which case the operator vanishes on those columns.
     """
-    return _dense(_oracle(kind, phi, cols))
+    _degree_pieces(kind, IndexWindow.empty(), cols)
+    return compose_chain(kind.chain(phi), cols)

@@ -7,7 +7,7 @@ section's row blocks once, in order (see windowed.RowBlocks): a dense
 section's are slices of its data, and a file's are tokenized as they are
 read, so no dense section of the file is built. Their scratch is one block
 and a table of the degrees the windows hold. The shift identities are pairs
-of index maps (see _identities), read from a dense section in row blocks.
+of index maps (see _identities), read from a section's cells in row blocks.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were

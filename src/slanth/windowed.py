@@ -1,17 +1,19 @@
 """Exact finite sections of the elementary circle operators.
 
-A section is a dense complex block addressed by absolute row/column indices.
+A section is a complex block addressed by absolute row/column indices.
 Builders compute the codomain window themselves, as the hull of the images of
 the domain basis vectors, so a freshly built section always contains every
 nonzero entry of its columns. Composition refuses to proceed (rather than
 silently truncate) whenever that guarantee would be lost, which is the classic
 finite-section failure mode.
 
-Inside, elementaries and chains compose as triplets, the nonzero entries as
-(row, column, value) arrays, and are densified once at the API boundary, or
-dumped as they are (dump_matrix reads only the cells other than 0.0:0.0); a
-dense section inside a chain becomes triplets only on the columns it is fed.
-A product whose operands meet in many products per output entry is a dense
+A section holds its cells or its triplets, the nonzero entries as (row,
+column, value) arrays; this module alone decides which, and reads them.
+Elementaries and products hold triplets, and build their cells only when
+`data` is read; compose and dump_matrix read the triplets of a section that
+holds them (the dump only the cells other than 0.0:0.0), and a section of
+cells inside a product becomes triplets only on the columns it is fed. A
+product whose operands meet in many products per output entry is a dense
 matrix product, and it is done as one, by BLAS.
 
 Empty windows are first class: a projection applied to a wholly anti-analytic
@@ -126,22 +128,54 @@ class IndexWindow(namedtuple("IndexWindow", "lo hi")):
         return "empty" if self.is_empty else f"{self.lo}:{self.hi}"
 
 
-class WindowedMatrix(namedtuple("WindowedMatrix", "rows cols data")):
-    """Dense complex section addressed by absolute row/column indices."""
+# The entries (i[t], j[t]) = v[t] of a section, column-major with rows
+# ascending, so no cell twice; all others are zero.
+_Triplets = namedtuple("_Triplets", "i j v")
 
-    __slots__ = ()
+
+class WindowedMatrix:
+    """Complex section addressed by absolute row/column indices: its cells, or its triplets.
+
+    A triplet section builds its cells once, the first time `data` is read:
+    its entries are added into +0.0, so a stored -0.0 part reads 0.0, as a
+    dense product sums. The cells of every section are read-only.
+    """
+
+    __slots__ = ("rows", "cols", "_cells", "_triplets")
 
     def __new__(cls, rows: IndexWindow, cols: IndexWindow, data):
-        data = np.asarray(data, dtype=complex)
+        data = np.array(data, dtype=complex)
         if data.shape != (rows.size, cols.size):
             raise WindowError(f"data shape {data.shape} does not match windows {rows} x {cols}")
-        return cls._of(rows, cols, data.copy())
+        return cls._of(rows, cols, data)
 
     @classmethod
-    def _of(cls, rows: IndexWindow, cols: IndexWindow, data: np.ndarray) -> "WindowedMatrix":
-        """Section on a complex array of the right shape that nothing else writes: frozen, not copied."""
-        data.setflags(write=False)
-        return tuple.__new__(cls, (rows, cols, data))
+    def _of(cls, rows: IndexWindow, cols: IndexWindow, data=None, triplets=None) -> "WindowedMatrix":
+        """Section on a complex array of the right shape that nothing else writes, frozen, not copied; or on triplets
+        (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending, unless they are in it."""
+        if data is None:
+            i, j, v = triplets
+            if not np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))):
+                order = np.lexsort((i, j))
+                i, j, v = i[order], j[order], v[order]
+            triplets = _Triplets(i, j, v)
+        else:
+            data.setflags(write=False)
+        m = object.__new__(cls)
+        m.rows, m.cols, m._cells, m._triplets = rows, cols, data, triplets
+        return m
+
+    @property
+    def data(self) -> np.ndarray:
+        """The cells, read-only; a triplet section builds them on the first read and keeps them."""
+        if self._cells is None:
+            _check_size(self.rows, self.cols)
+            i, j, v = self._triplets
+            cells = np.zeros((self.rows.size, self.cols.size), dtype=complex)
+            cells[i - self.rows.lo, j - self.cols.lo] += v
+            cells.setflags(write=False)
+            self._cells = cells  # only once it is whole
+        return self._cells
 
     def entry(self, i: int, j: int) -> complex:
         if i not in self.rows or j not in self.cols:
@@ -238,20 +272,19 @@ _INDEX_MAPS = {
 }
 
 
-# Entries (i[t], j[t]) = v[t] of a section on rows x cols, no (row, column)
-# pair twice; all others are zero. A product's are column-major with rows
-# ascending, as _images and _product leave them.
-_Triplets = namedtuple("_Triplets", "rows cols i j v")
-
-
 def _check_int64(values, what) -> None:
     """A WindowError unless each Python int of `values` is in int64, where numpy wraps; `what` or its call names it."""
     if any(not _INT64.min <= v <= _INT64.max for v in values):
         raise WindowError(f"{what() if callable(what) else what} past int64")
 
 
-def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
-    """Triplets of the images of e_j, j in `domain`, by index arithmetic; the rows are their hull."""
+def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
+    """Exact section of an elementary operator on the given domain window: the triplets of the images of e_j, j in
+    `domain`, by index arithmetic.
+
+    The codomain window is the hull of the nonzero images of the domain basis
+    vectors and may be empty (the section then has no rows).
+    """
     if kind.name in _ANALYTIC_DOMAIN and not domain.is_empty and domain.lo < 0:
         raise WindowError(f"{kind.name} requires an analytic domain (lo >= 0), got {domain}")
     j = domain.index_array()
@@ -271,16 +304,19 @@ def _images(kind: Elementary, domain: IndexWindow) -> _Triplets:
         raise ValueError(f"unknown elementary kind {kind.name!r}")
     _check_int64(np.ravel(ends), f"{kind.name} maps {domain}")
     rows = IndexWindow(int(i.min()), int(i.max())) if i.size else IndexWindow.empty()
-    return _Triplets(rows, domain, i, j, v)
+    return WindowedMatrix._of(rows, domain, triplets=(i, j, v))
 
 
-def _triplets(m: "WindowedMatrix", cols: np.ndarray | None = None) -> _Triplets:
-    """Nonzero entries of a dense section; only on the ascending absolute `cols` when given."""
+def _entries(m: WindowedMatrix, cols: np.ndarray | None = None) -> _Triplets:
+    """The triplets a section holds, else those of its nonzero cells, only on the ascending absolute `cols` when
+    given."""
+    if m._triplets is not None:
+        return m._triplets
     block = m.data if cols is None else m.data[:, cols - m.cols.lo]
     r, c = np.divmod(np.flatnonzero(block != 0), max(1, block.shape[1]))  # in C order, which a stable sort
     order = np.argsort(c, kind="stable")  # by column turns column-major: faster than nonzero of the transpose
     r, c = r[order], c[order]
-    return _Triplets(m.rows, m.cols, r + m.rows.lo, c + m.cols.lo if cols is None else cols[c], block[r, c])
+    return _Triplets(r + m.rows.lo, c + m.cols.lo if cols is None else cols[c], block[r, c])
 
 
 # Past this many products per output entry a join is a dense matrix product,
@@ -292,41 +328,50 @@ _DENSE_JOIN = 8
 _SLICE = 1 << 18
 
 
+def _check_size(rows: IndexWindow, cols: IndexWindow) -> None:
+    """A WindowError past int64, or a MemoryError where the system cannot give 16 bytes a cell of rows x cols, as
+    the section, or the dump's lines and their joined text, take: raised before any of it is touched."""
+    _check_int64([rows.size * cols.size * 16], f"the bytes of a section on {rows} x {cols} reach")
+    np.empty(rows.size * cols.size * 16, dtype=np.uint8)
+
+
 # overflow and inf * 0 leave inf and nan, which the checks fail on, and write nothing to stderr
 @np.errstate(over="ignore", invalid="ignore")
-def _product(a, b):
-    """Triplets of a . b, or its section when the join is dense.
+def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
+    """Section of the operator product a . b: its triplets, or its cells when the join is dense.
 
-    Each entry of b in row r meets each entry of a in column r; a dense `a`
-    is read only on the columns that b reaches. The products are formed a
-    slice of b's columns at a time, and those landing on one entry are
-    summed in ascending r.
+    Exactness requires a's columns to cover b's rows; otherwise entries of
+    b's output would be consumed blindly, so such a composition is refused.
+    Each entry of b in row r meets each entry of a in column r; a section of
+    cells `a` is read only on the columns that b reaches. The products are
+    formed a slice of b's columns at a time, and those landing on one entry
+    are summed in ascending r.
     """
     if not a.cols.covers(b.rows):
         raise WindowError(f"composition loses exactness: left columns {a.cols} do not cover right rows {b.rows}")
     _check_int64([a.rows.size * b.cols.size], f"the keys of a product on {a.rows} x {b.cols} reach")
-    dense_b = isinstance(b, WindowedMatrix)
-    inner = np.count_nonzero(b.data, axis=1) if dense_b else np.bincount(b.i - b.rows.lo, minlength=b.rows.size)
+    tb = b._triplets
+    inner = np.count_nonzero(b.data, axis=1) if tb is None else np.bincount(tb.i - b.rows.lo, minlength=b.rows.size)
     reach = slice(b.rows.lo - a.cols.lo, b.rows.lo - a.cols.lo + b.rows.size)  # a's columns on b's rows
-    at = _triplets(a, np.flatnonzero(inner) + b.rows.lo) if isinstance(a, WindowedMatrix) else a
-    counts = np.bincount(at.j - a.cols.lo, minlength=a.cols.size)
+    ta = _entries(a, np.flatnonzero(inner) + b.rows.lo)
+    counts = np.bincount(ta.j - a.cols.lo, minlength=a.cols.size)
     if counts[reach] @ inner > _DENSE_JOIN * a.rows.size * b.cols.size:
-        # + 0.0: zeros read 0.0, as the triplets' densified zeros do
-        return WindowedMatrix._of(a.rows, b.cols, _dense(a).data[:, reach] @ _dense(b).data + 0.0)
-    a, b = at, _triplets(b) if dense_b else b
-    k = b.i - a.cols.lo  # the column of a each entry of b meets
+        # + 0.0: zeros read 0.0, as the cells of triplets do
+        return WindowedMatrix._of(a.rows, b.cols, a.data[:, reach] @ b.data + 0.0)
+    tb = _entries(b)
+    k = tb.i - a.cols.lo  # the column of a each entry of b meets
     first, per = np.cumsum(counts) - counts, counts[k]  # a's first entry in each column; b's products
     cuts = [0, k.size]
     if per.sum() > _SLICE:  # cut b at the columns where another _SLICE products have been formed
         done = np.cumsum(per) - per
-        opens = np.flatnonzero(np.diff(b.j, prepend=b.cols.lo - 1))
+        opens = np.flatnonzero(np.diff(tb.j, prepend=b.cols.lo - 1))
         cuts[1:1] = opens[np.diff(done[opens] // _SLICE, prepend=0) > 0]
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
         p = per[lo:hi]
         t = np.repeat(np.arange(lo, hi), p)  # the entry of b in each product
         s = np.arange(t.size) + np.repeat(first[k[lo:hi]] - (np.cumsum(p) - p), p)  # and the entry of a
-        i, j, v = a.i[s], b.j[t], a.v[s] * b.v[t]
+        i, j, v = ta.i[s], tb.j[t], ta.v[s] * tb.v[t]
         key = (j - b.cols.lo) * a.rows.size + (i - a.rows.lo)
         if np.any(key[1:] <= key[:-1]):
             # repeats: b's column comes in ascending r, so bincount sums each entry's products in that order
@@ -336,68 +381,41 @@ def _product(a, b):
             total.real, total.imag = np.bincount(group, v.real), np.bincount(group, v.imag)
             i, j, v = i + a.rows.lo, j + b.cols.lo, total
         pieces.append((i, j, v))
-    return _Triplets(a.rows, b.cols, *(pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))))
-
-
-def _check_size(rows: IndexWindow, cols: IndexWindow) -> None:
-    """A WindowError past int64, or a MemoryError where the system cannot give 16 bytes a cell of rows x cols, as
-    the section, or the dump's lines and their joined text, take: raised before any of it is touched."""
-    _check_int64([rows.size * cols.size * 16], f"the bytes of a section on {rows} x {cols} reach")
-    np.empty(rows.size * cols.size * 16, dtype=np.uint8)
-
-
-def _dense(x) -> "WindowedMatrix":
-    """The section of triplets; a dense section is returned as it is."""
-    if isinstance(x, WindowedMatrix):
-        return x
-    _check_size(x.rows, x.cols)
-    data = np.zeros((x.rows.size, x.cols.size), dtype=complex)
-    data[x.i - x.rows.lo, x.j - x.cols.lo] += x.v  # into zeros, as a dense product sums: -0.0 reads 0.0
-    return WindowedMatrix._of(x.rows, x.cols, data)
+    i, j, v = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
+    return WindowedMatrix._of(a.rows, b.cols, triplets=(i, j, v))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _scaled(x, factor: float):
-    """factor * x, kept a section or triplets as x is."""
-    if isinstance(x, WindowedMatrix):
-        return WindowedMatrix._of(x.rows, x.cols, factor * x.data)
-    return x._replace(v=factor * x.v)
-
-
-def _chain(stages: list, domain: IndexWindow):
-    """`compose_chain` before the densify: its triplets, or its section where a join is dense."""
-    result = None
-    for stage in reversed(stages):  # products stay triplets until the end
-        if isinstance(stage, Elementary):
-            stage = _images(stage, domain if result is None else result.rows)
-        result = stage if result is None else _product(stage, result)
-    if result is None:
-        raise ValueError("empty chain")
-    return result
+def _scaled(m: WindowedMatrix, factor: float) -> WindowedMatrix:
+    """factor * m, holding its triplets or its cells as m does."""
+    if m._triplets is None:
+        return WindowedMatrix._of(m.rows, m.cols, factor * m.data)
+    i, j, v = m._triplets
+    return WindowedMatrix._of(m.rows, m.cols, triplets=(i, j, factor * v))
 
 
 def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
-    """Compose elementary kinds and ready sections, dense or as triplets, listed leftmost-first, starting from
-    `domain`."""
-    return _dense(_chain(stages, domain))
+    """Section of the product of `stages`, listed leftmost-first, on `domain`.
 
-
-def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
-    """Exact section of an elementary operator on the given domain window.
-
-    The codomain window is the hull of the nonzero images of the domain basis
-    vectors and may be empty (the section then has no rows).
+    A stage is an elementary kind, a ready section, or a function that builds
+    a section on the window it is given. The factors are built right to left,
+    each on the rows of the one to its right, and multiplied left to right,
+    ((a . b) . c), each released once it is multiplied.
     """
-    return _dense(_images(kind, domain))
-
-
-def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
-    """Section of the operator product a . b.
-
-    Exactness requires a's columns to cover b's rows; otherwise entries of
-    b's output would be consumed blindly, so such a composition is refused.
-    """
-    return _dense(_product(a, b))
+    factors = []
+    for stage in reversed(stages):
+        window = factors[-1].rows if factors else domain
+        if isinstance(stage, Elementary):
+            stage = build_elementary(stage, window)
+        elif not isinstance(stage, WindowedMatrix):
+            stage = stage(window)
+        factors.append(stage)
+    if not factors:
+        raise ValueError("empty chain")
+    product = factors.pop()
+    while factors:
+        product = compose(product, factors.pop())
+    return product
 
 
 def adjoint(a: WindowedMatrix) -> WindowedMatrix:
@@ -416,32 +434,33 @@ _ZERO_CELL = format_entry(0j)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def dump_matrix(m) -> str:
-    """Render the windowed matrix file format (bit-exact round trip) of a section, or of triplets as `_dense`
-    writes them; entries must be finite.
+def dump_matrix(m: WindowedMatrix) -> str:
+    """Render the windowed matrix file format (bit-exact round trip) of a section; entries must be finite.
 
-    Only the cells other than `0.0:0.0` are read: each run of `0.0:0.0`
-    cells within a row is written as one slice of a row of them, and each
-    distinct other cell, told apart by its 128 bits (so `3.0:0.0` and
-    `3.0:-0.0` are two), is formatted once.
+    Only the cells other than `0.0:0.0` are read, from the section's
+    triplets when it holds them: each run of `0.0:0.0` cells within a row is
+    written as one slice of a row of them, and each distinct other cell,
+    told apart by its 128 bits (so `3.0:0.0` and `3.0:-0.0` are two), is
+    formatted once.
     """
     header = ["#fmt 1", f"rows {m.rows.lo} {m.rows.hi}", f"cols {m.cols.lo} {m.cols.hi}"]
     # the lines' pieces are freed before this join
     return "\n".join([*header, *_data_lines(m.rows, m.cols, *_cells(m)), ""])
 
 
-def _cells(m) -> tuple:
-    """The flat positions in reading order and the values of the cells of a section or triplets that are not
-    `0.0:0.0`; a dense section's are found in one pass over its words."""
-    if isinstance(m, WindowedMatrix):
+def _cells(m: WindowedMatrix) -> tuple:
+    """The flat positions in reading order and the values of the cells of a section that are not `0.0:0.0`; the
+    cells' are found in one pass over their words."""
+    if m._triplets is None:
         data = np.ascontiguousarray(m.data)  # an adjoint's data is column-major
         re, im = data.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
         at = np.flatnonzero(re | im)
         return at, data.reshape(-1)[at]
     _check_size(m.rows, m.cols)  # not once the lines have filled the memory
-    at = (m.i - m.rows.lo) * m.cols.size + (m.j - m.cols.lo)
+    i, j, v = m._triplets
+    at = (i - m.rows.lo) * m.cols.size + (j - m.cols.lo)
     order = np.argsort(at, kind="stable")
-    at, values = at[order], m.v[order] + 0.0  # + 0.0: a stored -0.0 part reads 0.0, as _dense writes it
+    at, values = at[order], v[order] + 0.0  # + 0.0: a stored -0.0 part reads 0.0, as in the cells
     kept = values != 0  # so a stored zero is 0.0:0.0
     return at[kept], values[kept]
 

@@ -580,6 +580,38 @@ def test_negative_extension_depth_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each once read the first of the two and left the other unread, exit 0
+        (["build", "--family", "toeplitz", "--expr", "P", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", "0:3",
+          "--window", "0:3"], "argument --expr: not allowed with argument --family"),
+        (["check", "slant-h", "--matrix", str(DATA / "build_oracle.mat"), "--expr", "P", "--window", "0:3"],
+         "argument --expr: not allowed with argument --matrix"),
+    ],
+)
+def test_two_inputs_are_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: slanth ") and captured.err.endswith(f": error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--symbol", "phi=0:1"], "error: supply --family NAME or --expr TEXT\n"),
+        (["check", "slant-h"], "error: supply --matrix FILE or --expr TEXT\n"),
+    ],
+)
+def test_no_input_is_an_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", f"0:{HUGE}"],

@@ -18,8 +18,8 @@ from slanth import (
     print_expr,
     symbol_sub,
 )
-from slanth.windowed import P, W, WindowedMatrix, _dense, _product, build_elementary
-from slanth.expr import Atom, Compose, Diff, ExprParseError, Scaled, UnknownSymbolError, _eval
+from slanth.windowed import P, W, WindowedMatrix, build_elementary, compose
+from slanth.expr import Atom, Compose, Diff, ExprParseError, Scaled, UnknownSymbolError
 
 GENERIC = parse_symbol("-1:2, 0:3, 1:5, 2:7")
 TABLE = {"phi": GENERIC}
@@ -193,20 +193,20 @@ class TestEval:
 def reference_eval(node, window, symbols):
     """The recursive evaluator the flat folds replaced: a chain or a difference is its head and its last term.
 
-    It keeps each operand as that evaluator did, triplets or dense, so the
-    products take the same paths; atoms are left to `_eval`.
+    It keeps each operand as that evaluator did, triplets or cells, so the
+    products take the same paths; atoms are left to `eval_expr`.
     """
     if not isinstance(node, (Compose, Diff)):
-        return _eval(node, window, symbols)
+        return eval_expr(node, window, symbols)
     *head, last = node.terms
     head = head[0] if len(head) == 1 else type(node)(tuple(head))
     if isinstance(node, Diff):
-        left = _dense(reference_eval(head, window, symbols))
-        right = _dense(reference_eval(last, window, symbols))
+        left = reference_eval(head, window, symbols)
+        right = reference_eval(last, window, symbols)
         rows = left.rows.hull(right.rows)
         return WindowedMatrix._of(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
     right = reference_eval(last, window, symbols)
-    return _product(reference_eval(head, right.rows, symbols), right)
+    return compose(reference_eval(head, right.rows, symbols), right)
 
 
 # Atoms whose rows stay within their symbol's span of their columns; atoms that
@@ -253,7 +253,7 @@ def ref_nodes(draw):
 def test_flat_folds_match_recursive_reference(node, lo, size, phi, psi):
     window, table = IndexWindow(lo, lo + size), {"phi": phi, "psi": psi}
     try:
-        want = _dense(reference_eval(node, window, table))
+        want = reference_eval(node, window, table)
     except ValueError as exc:  # UnknownSymbolError and WindowError are ValueErrors
         with pytest.raises(type(exc)) as info:
             eval_expr(node, window, table)

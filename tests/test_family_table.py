@@ -23,7 +23,6 @@ from slanth import (
 )
 from slanth import families, verify
 from slanth.verify import check_oracle
-from slanth.windowed import _dense
 
 PROPERTY = settings(deadline=None, max_examples=30)
 INT64 = np.iinfo(np.int64)
@@ -142,8 +141,8 @@ def test_scatter_on_a_tall_narrow_window_reads_only_its_entries():
     # 1, 3, 5, ...: term 1, at row 0. The scatter walked each row (165 ms); each term's lattice segment is one cell
     phi = LaurentSymbol({-1: 2, 0: 3, 1: 5, 2: 7})
     for cols, entries in ((IndexWindow(0, 0), [(0, 0, 3), (1, 0, 7)]), (IndexWindow(0, 1), [(0, 0, 3), (0, 1, 5), (1, 0, 7)])):
-        t = families._scatter(SLANT_H_TOEPLITZ, phi, IndexWindow(0, 3_000_000), cols)
-        assert sorted(zip(t.i.tolist(), t.j.tolist(), t.v.tolist())) == entries
+        i, j, v = build_family(SLANT_H_TOEPLITZ, phi, IndexWindow(0, 3_000_000), cols)._triplets
+        assert sorted(zip(i.tolist(), j.tolist(), v.tolist())) == entries
 
 
 @PROPERTY
@@ -179,8 +178,8 @@ def test_triplets_of_both_routes_dump_as_their_sections(phi, row_span, col_span)
     for kind in all_kinds:
         lo = row_span[0] - kind.depth
         rows = IndexWindow(lo, lo + row_span[1])
-        for t in (families._scatter(kind, phi, rows, cols), families._oracle(kind, phi, cols)):
-            assert dump_matrix(t) == dump_matrix(_dense(t)), kind.name
+        for t in (build_family(kind, phi, rows, cols), build_compositional(kind, phi, cols)):
+            assert dump_matrix(t) == dump_matrix(WindowedMatrix(t.rows, t.cols, t.data)), kind.name
 
 
 def test_scatter_memory_is_set_by_the_window():

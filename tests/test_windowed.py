@@ -297,8 +297,8 @@ class TestDumpFormat:
         if order != "drawn":
             entries.sort(key=lambda e: e[0] if order == "row-major" else e[0][::-1])
         i, j = (np.array([e[0][axis] for e in entries], dtype=np.int64) for axis in (0, 1))
-        t = windowed._Triplets(rows, cols, i, j, np.array([e[1] for e in entries], dtype=complex))
-        assert dump_matrix(t) == dump_matrix(windowed._dense(t))
+        t = WindowedMatrix._of(rows, cols, triplets=(i, j, np.array([e[1] for e in entries], dtype=complex)))
+        assert dump_matrix(t) == dump_matrix(WindowedMatrix(rows, cols, t.data))
 
     def test_cells_sharing_a_sort_key(self):
         # 1+0j and x+3j, x with the bits of 1.0 xor 3.0's times _MIX, get one sort key
