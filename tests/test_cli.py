@@ -570,6 +570,7 @@ def test_integer_past_int64_is_a_usage_error(capsys, argv):
     [
         ["build", "--expr", "A(-1,phi)", "--symbol", "phi=0:1", "--window", "0:3"],
         ["build", "--family", "extension", "--m", "-1", "--symbol", "phi=0:1", "--rows", "0:3", "--cols", "0:3"],
+        ["check", "extension", "--m", "-1", "--matrix", str(DATA / "build_extension.mat")],
     ],
 )
 def test_negative_extension_depth_is_a_usage_error(capsys, argv):
@@ -609,6 +610,27 @@ def test_no_input_is_an_error(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize(
+    "symbols, line, message",
+    [
+        (["0:1"], "", "--symbol expects name=<file|inline>, got '0:1'"),
+        (["phi=0:1", "psi=0:1"], "", "--family requires exactly one --symbol"),
+        (["phi=1:2,,3:4"], "", "empty term in symbol text"),
+        (["phi={file}"], "x 1 0", "line 2: degree 'x' is not an integer"),
+        (["phi={file}"], "0 a 0", "line 2: malformed coefficient"),
+    ],
+)
+def test_malformed_symbol_is_a_usage_error(capsys, tmp_path, symbols, line, message):
+    path = tmp_path / "phi.sym"
+    path.write_text(f"#fmt 1\n{line}\n")  # a symbol file whose line 2 is `line`
+    argv = ["build", "--family", "toeplitz", "--rows", "0:3", "--cols", "0:3"]
+    for symbol in symbols:
+        argv += ["--symbol", symbol.format(file=path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

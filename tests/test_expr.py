@@ -62,6 +62,40 @@ class TestParse:
             parse_expr(text)
         assert info.value.column == column
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("@", "unexpected character '@'", 1),
+            ("W\t@", "unexpected character '@'", 3),
+            ("W . é", "unexpected character 'é'", 5),
+            ("W . ", "expected an atom name", 5),
+            ("2", "expected an atom name", 2),
+            ("W . Bogus", "unknown atom 'Bogus'", 5),
+            ("W(1)", "W takes no arguments", 2),
+            ("S", "S requires arguments", 2),
+            ("V . W", "V requires arguments", 3),
+            ("S(x)", "expected an integer argument", 3),
+            ("S(-x)", "expected an integer argument", 4),
+            ("Cz(2.5)", "expected an integer argument", 4),
+            ("A(phi)", "expected an integer argument", 3),
+            ("M(2)", "expected a symbol name", 3),
+            ("A(2, 3)", "expected a symbol name", 6),
+            ("A(2 phi)", "expected ','", 5),
+            ("(W . K", "unbalanced parentheses", 7),
+            ("S(2", "unbalanced parentheses", 4),
+            ("S(2,3)", "unbalanced parentheses", 4),
+            ("V(phi", "unbalanced parentheses", 6),
+            ("W K", "unexpected trailing 'K'", 3),
+            ("W)", "unexpected trailing ')'", 2),
+            ("(" * 201 + "P" + ")" * 201, "parentheses nested deeper than 200", 201),
+            ("W . 2e999 K", "scale factor '2e999' is not finite", 5),
+        ],
+    )
+    def test_error_message_and_column(self, text, message, column):
+        with pytest.raises(ExprParseError) as info:
+            parse_expr(text)
+        assert (str(info.value), info.value.column) == (f"col {column}: {message}", column)
+
     def test_error_carries_column(self):
         with pytest.raises(ExprParseError) as info:
             parse_expr("W . Bogus")
