@@ -8,10 +8,11 @@ Grammar (whitespace-insensitive; composition binds tighter than subtraction):
     atom   := NAME [ '(' args ')' ]
 
 Atoms: W W* K K* J P U U* S(k) Cz(k) Mz(k) M(name) T(name) H(name) B(name)
-L(name) Sh(name) V(name) V*(name) A(m,name). Names refer to symbols supplied
-in the evaluation table. Every family atom, A(m,name) too, is built by its
-family's compositional oracle. A chain is one n-ary `Compose` and a difference
-one n-ary `Diff`, each a tuple of at least 2 terms folded by one loop, left
+L(name) Sh(name) V(name) V*(name) A(m,name), each one row of `_ATOMS`, which
+the parser and the evaluator read. Names refer to symbols supplied in the
+evaluation table. Every family atom, A(m,name) too, is built by its family's
+compositional oracle. A chain is one n-ary `Compose` and a difference one
+n-ary `Diff`, each a tuple of at least 2 terms folded by one loop, left
 associative: ((a . b) . c) and ((a - b) - c); a chain is compose_chain of its
 terms, the fold of the library's chains. Only a parenthesised term nests a
 node, so evaluation recurses once per parenthesis level. Evaluation
@@ -94,18 +95,36 @@ class Diff(_Node, namedtuple("Diff", "terms")):
     __slots__ = ()
 
 
-_FAMILY_ATOMS = {kind.atom: kind for kind in COMPOSITIONAL_KINDS}
-# elementary atoms are named like their `Elementary`, integer argument as power
-_BARE = frozenset({"W", "W*", "K", "K*", "J", "P", "U", "U*"})
-_INT_ARG = frozenset({"S", "Cz", "Mz"})
-_NAME_ARG = frozenset({"M"} | set(_FAMILY_ATOMS))
-_EXTENSION = "A"
-_ATOMS = _BARE | _INT_ARG | _NAME_ARG | {_EXTENSION}
+def _resolve(symbols: dict, name: str):
+    if name not in symbols:
+        raise UnknownSymbolError(f"symbol {name!r} is not defined")
+    return symbols[name]
 
+
+def _elementary(name: str):
+    return lambda window, symbols, *power: build_elementary(Elementary(name, *power), window)
+
+
+def _family(kind):
+    return lambda window, symbols, name: build_compositional(kind, _resolve(symbols, name), window)
+
+
+# Each atom's argument kinds, `int` or `str` (a symbol name), and the builder of its section on a window from the
+# symbol table and its arguments. An elementary atom is named like its `Elementary`, its integer the power; A checks
+# its depth before it resolves its name, so a negative depth is the error even where the name is not defined.
+_ATOMS = {
+    **{name: ((), _elementary(name)) for name in ("W", "W*", "K", "K*", "J", "P", "U", "U*")},
+    **{name: ((int,), _elementary(name)) for name in ("S", "Cz", "Mz")},
+    "M": ((str,), lambda window, symbols, name: build_elementary(mult(_resolve(symbols, name)), window)),
+    **{kind.atom: ((str,), _family(kind)) for kind in COMPOSITIONAL_KINDS},
+    "A": ((int, str), lambda window, symbols, depth, name: _family(extension(depth))(window, symbols, name)),
+}
+
+# every character that is not blank is a token: one of the first three, or `bad`
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*\*?)"
     r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<punct>[().,\-]))"
+    r"|(?P<punct>[().,\-])|(?P<bad>\S))"
 )
 
 
@@ -116,27 +135,17 @@ _MAX_NESTING = 200
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == match.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            column = len(text) - len(stripped) + 1
-            raise ExprParseError(f"unexpected character {stripped[0]!r}", column)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind) + 1))
-        pos = match.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        kind, column = match.lastgroup, match.start(match.lastgroup) + 1
+        if kind == "bad":
+            raise ExprParseError(f"unexpected character {match[kind]!r}", column)
+        tokens.append((kind, match[kind], column))
+    return [*tokens, ("end", "", len(text) + 1)]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+        self.tokens, self.pos, self.depth = _tokenize(text), 0, 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -146,11 +155,11 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect_punct(self, value: str):
+    def expect_punct(self, value: str, message: str | None = None):
         kind, text, column = self.peek()
         if kind != "punct" or text != value:
-            raise ExprParseError(f"expected {value!r}", column)
-        return self.advance()
+            raise ExprParseError(message or f"expected {value!r}", column)
+        self.advance()
 
     def parse(self):
         node = self.expr()
@@ -182,10 +191,7 @@ class _Parser:
             self.depth += 1
             node = self.expr()
             self.depth -= 1
-            kind, text, column = self.peek()
-            if kind != "punct" or text != ")":
-                raise ExprParseError("unbalanced parentheses", column)
-            self.advance()
+            self.expect_punct(")", "unbalanced parentheses")
             return node
         if kind == "number":
             self.advance()
@@ -200,39 +206,26 @@ class _Parser:
             raise ExprParseError("expected an atom name", column)
         if text not in _ATOMS:
             raise ExprParseError(f"unknown atom {text!r}", column)
-        args = ()
-        has_args = self.peek()[:2] == ("punct", "(")
-        if text in _BARE:
-            if has_args:
-                raise ExprParseError(f"{text} takes no arguments", self.peek()[2])
-            return Atom(text)
-        if not has_args:
-            raise ExprParseError(f"{text} requires arguments", self.peek()[2])
-        self.advance()
-        if text in _INT_ARG:
-            args = (self.int_arg(),)
-        elif text in _NAME_ARG:
-            args = (self.name_arg(),)
-        else:
-            depth = self.int_arg()
-            self.expect_punct(",")
-            args = (depth, self.name_arg())
-        kind, tail, column = self.peek()
-        if kind != "punct" or tail != ")":
-            raise ExprParseError("unbalanced parentheses", column)
-        self.advance()
-        return Atom(text, args)
+        kinds, args = _ATOMS[text][0], []
+        if (self.peek()[:2] == ("punct", "(")) != bool(kinds):
+            raise ExprParseError(f"{text} {'requires' if kinds else 'takes no'} arguments", self.peek()[2])
+        if kinds:
+            self.advance()
+            for arg in kinds:
+                if args:
+                    self.expect_punct(",")
+                args.append(self.int_arg() if arg is int else self.name_arg())
+            self.expect_punct(")", "unbalanced parentheses")
+        return Atom(text, tuple(args))
 
     def int_arg(self) -> int:
-        negative = False
-        if self.peek()[:2] == ("punct", "-"):
+        negative = self.peek()[:2] == ("punct", "-")
+        if negative:
             self.advance()
-            negative = True
         kind, text, column = self.advance()
         if kind != "number" or not re.fullmatch(r"\d+", text):
             raise ExprParseError("expected an integer argument", column)
-        value = int(text)
-        return -value if negative else value
+        return -int(text) if negative else int(text)
 
     def name_arg(self) -> str:
         kind, text, column = self.advance()
@@ -261,12 +254,6 @@ def print_expr(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _resolve(symbols: dict, name: str):
-    if name not in symbols:
-        raise UnknownSymbolError(f"symbol {name!r} is not defined")
-    return symbols[name]
-
-
 def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
     """Exact section of the expression, windows propagated from `window`."""
     if isinstance(node, Diff):
@@ -282,13 +269,6 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
         return compose_chain([partial(eval_expr, term, symbols=symbols) for term in node.terms], window)
     if isinstance(node, Scaled):
         return _scaled(eval_expr(node.node, window, symbols), node.factor)
-    if isinstance(node, Atom):
-        if node.name == "M":
-            return build_elementary(mult(_resolve(symbols, node.args[0])), window)
-        if node.name in _FAMILY_ATOMS:
-            return build_compositional(_FAMILY_ATOMS[node.name], _resolve(symbols, node.args[0]), window)
-        if node.name == _EXTENSION:
-            depth, name = node.args
-            return build_compositional(extension(depth), _resolve(symbols, name), window)
-        return build_elementary(Elementary(node.name, *node.args), window)
+    if isinstance(node, Atom) and node.name in _ATOMS:
+        return _ATOMS[node.name][1](window, symbols, *node.args)
     raise TypeError(f"not an expression node: {node!r}")

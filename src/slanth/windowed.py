@@ -387,10 +387,8 @@ def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _scaled(m: WindowedMatrix, factor: float) -> WindowedMatrix:
-    """factor * m, holding its triplets or its cells as m does."""
-    if m._triplets is None:
-        return WindowedMatrix._of(m.rows, m.cols, factor * m.data)
-    i, j, v = m._triplets
+    """factor * m, on its triplets: its zeros stay +0."""
+    i, j, v = _entries(m)
     return WindowedMatrix._of(m.rows, m.cols, triplets=(i, j, factor * v))
 
 
@@ -558,20 +556,19 @@ def _rewritten(text: str) -> bytes:
     return "\n".join(body).encode("utf-8", "surrogatepass")
 
 
-# A matrix file's bytes, canonical, by its windows and its data lines: where
-# each starts and ends (its b'\n' or b'\r\n', or the end of the bytes), and
-# the byte `term` that ends its lines, 10 or 13 for a b'\r\n' file.
-_Index = namedtuple("_Index", "rows cols data starts ends term")
+# A canonical matrix file's bytes, its windows, and where each data line starts and ends (its b'\n').
+_Index = namedtuple("_Index", "rows cols data starts ends")
 
 
 def _index(data: bytes, rewritten: bool = False) -> _Index | None:
     """The index of a matrix file's bytes, or None when they are not canonical.
 
-    Canonical bytes are ASCII, with no byte below 32 but the line ends, all
-    b'\\n' or all b'\\r\\n', and no blank, `#` or empty-celled data line: one
-    space between cells and none at either end. Rewritten bytes are canonical
-    by construction, and are not tested. Line ends are found in one search
-    for the bytes below 32, a _CHUNK of bytes at a time.
+    Canonical bytes are the bytes dump_matrix writes: ASCII, with no byte
+    below 32 but the b'\\n' that ends every line, the last too, and no blank,
+    `#` or empty-celled data line: one space between cells and none at
+    either end. Rewritten bytes are canonical by construction, and are not
+    tested. Line ends are found in one search for the bytes below 32, a
+    _CHUNK of bytes at a time.
     """
     if not (rewritten or data.isascii()):
         return None
@@ -584,17 +581,11 @@ def _index(data: bytes, rewritten: bool = False) -> _Index | None:
             for words in (chunk, chunk[1:]):
                 pairs += np.count_nonzero(words[: words.size // 2 * 2].view("<u2") == 0x2020)
     controls = np.concatenate([*controls, np.zeros(0, np.int64)])
-    newlines = controls[buf[controls] == 10]
-    real = newlines.size
-    if buf.size and buf[-1] != 10:  # a last line without b'\n' ends where the bytes do
-        newlines = np.append(newlines, buf.size)
-    term = 13 if real and np.all(buf.take(newlines[:real] - 1, mode="clip") == 13) else 10
-    # two spaces in a row, a b'\r' not before b'\n', or another byte below 32
-    if not rewritten and (pairs or controls.size != (2 * real if term == 13 else real)):
+    ends = controls[buf[controls] == 10]
+    # no final b'\n', two spaces in a row, or another byte below 32
+    if not rewritten and (not data.endswith(b"\n") or pairs or controls.size != ends.size):
         return None
-    starts = np.concatenate(([0], newlines + 1))[: newlines.size].astype(np.int64)
-    ends = newlines.copy()
-    ends[:real] -= term == 13
+    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int64)
     headers, first = [], 0
     while len(headers) < 2 and first < starts.size:
         line = data[starts[first] : ends[first]].decode("ascii")
@@ -612,7 +603,7 @@ def _index(data: bytes, rewritten: bool = False) -> _Index | None:
     expected = rows.size if cols.size else 0
     if starts.size != expected:
         raise ValueError(f"expected {expected} data lines, found {starts.size}")
-    return _Index(rows, cols, data, starts, ends, term)
+    return _Index(rows, cols, data, starts, ends)
 
 
 def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
@@ -622,22 +613,20 @@ def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
     The block is read as 8-byte words from a multiple of 8: a run of two or
     more equal words that are a rotation of `0.0:0.0 ` is a run of `0.0:0.0`
     cells, counted and skipped. The bytes between runs, each piece whole
-    cells, are cut into cells at b' ' and at the line ends (in a b'\\r\\n'
-    file a line's first cell keeps the b'\\n' before it, which str.split()
-    drops when it is parsed); of these, the `0.0:0.0` cells are found by
-    comparing each cell's first word with that cell's, and only the others
-    are decoded and parsed (`0.0:-0.0` too). A malformed cell raises before
-    a wrong cell count on a later line, as a line-by-line reader would.
+    cells, are cut into cells at b' ' and at the line ends; of these, the
+    `0.0:0.0` cells are found by comparing each cell's first word with that
+    cell's, and only the others are decoded and parsed (`0.0:-0.0` too). A
+    malformed cell raises before a wrong cell count on a later line, as a
+    line-by-line reader would.
     """
-    data, term, width = index.data, index.term, index.cols.size
+    data, width = index.data, index.cols.size
     lo, end = int(index.starts[lines][0]), int(index.ends[lines][-1]) + 1  # through the last line's end
     skip = lo % 8  # the block's bytes from `skip` on; every word holding a line end is not a zero run
     count = (end - lo + skip + 7) // 8
     if lo - skip + 8 * count <= len(data):
         buf = np.frombuffer(data, np.uint8, 8 * count, lo - skip)
-    else:  # the file's last lines: its end, or the line end that is not there, and zero bytes
-        tail = data[lo - skip : end - 1] + bytes([term])
-        buf = np.frombuffer(tail.ljust(8 * count, b"\0"), np.uint8)
+    else:  # the file's last lines, and zero bytes
+        buf = np.frombuffer(data[lo - skip : end].ljust(8 * count, b"\0"), np.uint8)
     words = buf.view("<u8")
     opens = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
     runs = np.diff(opens, append=words.size)
@@ -651,8 +640,8 @@ def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
     size, piece_firsts = int(piece_sizes.sum()), np.cumsum(piece_sizes) - piece_sizes  # where each piece lands
     text = np.zeros(size + 8, dtype=np.uint8)  # 8 zero bytes on, for the words of the last cells
     text[:size] = buf[np.arange(size) + np.repeat(piece_starts - piece_firsts, piece_sizes)]
-    cell_ends = np.flatnonzero((text[:size] == 32) | (text[:size] == term))
-    eol = np.flatnonzero(text[cell_ends] == term)  # each line's last cell
+    cell_ends = np.flatnonzero((text[:size] == 32) | (text[:size] == 10))
+    eol = np.flatnonzero(text[cell_ends] == 10)  # each line's last cell
     cell_starts = np.empty_like(cell_ends)
     cell_starts[0], cell_starts[1:] = 0, cell_ends[:-1] + 1
     # each cell's index in the block: the cells before it in the text and in the runs before its piece

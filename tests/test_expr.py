@@ -214,6 +214,10 @@ class TestEval:
         assert got.rows == want.rows == IndexWindow(0, 6) and got.cols == want.cols
         assert got.data.tobytes() == want.data.tobytes()
 
+    def test_negative_depth_is_the_error_before_an_unknown_name(self):
+        with pytest.raises(ValueError, match="extension depth must be >= 0"):
+            eval_expr(parse_expr("A(-1, chi)"), IndexWindow(0, 4), TABLE)
+
     def test_composition_power_must_be_positive(self):
         with pytest.raises(ValueError):
             eval_expr(parse_expr("Cz(0)"), IndexWindow(0, 4), {})

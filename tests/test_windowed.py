@@ -138,6 +138,15 @@ class TestSectionOwnership:
         for m in (sec, compose(build_elementary(P, sec.rows), sec), sec.restrict(sec.rows, IndexWindow(1, 2)), adjoint(sec)):
             assert not m.data.flags.writeable
 
+    def test_scaled_cells_keep_positive_zeros(self):
+        # -2.0 times the cells once stored -0.0 in every zero, against "every zero the program builds is +0"
+        sec = WindowedMatrix(IndexWindow(0, 1), IndexWindow(0, 2), [[1, 0, 2j], [0, 0, 3]])
+        scaled = windowed._scaled(sec, -2.0)
+        assert np.array_equal(scaled.data, [[-2, 0, -4j], [0, 0, -6]])
+        parts = scaled.data.view(float)
+        assert not np.any(np.signbit(parts[parts == 0]))
+        assert dump_matrix(scaled).splitlines()[3:] == ["-2.0:0.0 0.0:0.0 0.0:-4.0", "0.0:0.0 0.0:0.0 -6.0:0.0"]
+
 
 class TestCompose:
     def test_split_inverse_on_analytic(self):
