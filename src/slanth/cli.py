@@ -15,7 +15,7 @@ import sys
 from . import verify as verify_mod
 from .analysis import norm_bound_check
 from .expr import eval_expr, parse_expr
-from .families import COMPOSITIONAL_KINDS, SLANT_H_TOEPLITZ, SLANT_HANKEL, SLANT_TOEPLITZ, build_family, extension
+from .families import COMPOSITIONAL_KINDS, SLANT_H_TOEPLITZ, build_family, extension
 from .structure import check_characterization, check_extension_conditions, check_pattern, extract_checked
 from .symbol import (
     SymbolParseError,
@@ -29,7 +29,7 @@ _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
 # The pattern predicates, each the pattern of its family: they scan a file's rows as they are read, and the
 # identity checks load the section.
-_CHECKS = {"slant-h": SLANT_H_TOEPLITZ, "slant-toeplitz": SLANT_TOEPLITZ, "slant-hankel": SLANT_HANKEL}
+_CHECKS = {"slant-h": SLANT_H_TOEPLITZ, **_FAMILIES}
 _PREDICATES = (*_CHECKS, "characterization", "extension")
 
 

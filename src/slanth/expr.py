@@ -6,6 +6,7 @@ Grammar (whitespace-insensitive; composition binds tighter than subtraction):
     chain  := term ('.' term)*
     term   := NUMBER? atom | '(' expr ')'
     atom   := NAME [ '(' args ')' ]
+    NUMBER := D+ ('.' D+)? ([eE] [+-]? D+)?, D an ASCII digit 0-9 only
 
 Atoms: W W* K K* J P U U* S(k) Cz(k) Mz(k) M(name) T(name) H(name) B(name)
 L(name) Sh(name) V(name) V*(name) A(m,name), each one row of `_ATOMS`, which
@@ -123,7 +124,7 @@ _ATOMS = {
 # every character that is not blank is a token: one of the first three, or `bad`
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*\*?)"
-    r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<punct>[().,\-])|(?P<bad>\S))"
 )
 
@@ -223,7 +224,7 @@ class _Parser:
         if negative:
             self.advance()
         kind, text, column = self.advance()
-        if kind != "number" or not re.fullmatch(r"\d+", text):
+        if kind != "number" or not re.fullmatch(r"[0-9]+", text):
             raise ExprParseError("expected an integer argument", column)
         return -int(text) if negative else int(text)
 

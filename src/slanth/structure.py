@@ -2,23 +2,24 @@
 
 A family's pattern, read from its record, is that entries of one degree
 `Family.degree(i, j)` are equal; the slant-h and slant step predicates are
-`check_pattern` of their family. The pattern checks and the readback scan a
-section's row blocks once, in order (see windowed.RowBlocks): a dense
-section's are slices of its data, and a file's are tokenized as they are
-read, so no dense section of the file is built. Their scratch is one block
-and a table of the degrees the windows hold. The shift identities are pairs
-of index maps (see _identities), read from a section's cells in row blocks.
+`check_pattern` of their family. The pattern checks and the readback read
+one scan (see _scan) of a section's row blocks, once, in order (see
+windowed.RowBlocks): a dense section's are slices of its data, and a file's
+are tokenized as they are read, so no dense section of the file is built.
+Its scratch is one block and a table of the degrees the windows hold. The
+shift identities are pairs of index maps (see _identities), each read from a
+section's cells in row blocks before the next.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
 too small to contain a single relation instance is flagged vacuous. Checks
-run array-at-a-time, one group (relation, lhs, rhs, at, count) per relation
-or row block: equal-shape arrays holding its instances in scan order
-(relations in a fixed order, indices ascending, C order), where tol >= 0
-only those whose residual is not 0; `at(p)` giving the index tuple of
-instance p, formed for witnesses only; and the count of instances the group
-stands for. The witnesses are the first `WITNESS_CAP` (16) violations in
-that order, read when a report is folded.
+run array-at-a-time, one group (relation, lhs, rhs, at, count) per row block
+of a pattern and per shift identity: equal-shape arrays holding its
+instances in scan order (relations in a fixed order, indices ascending, C
+order), where tol >= 0 only those whose residual is not 0; `at(p)` giving
+the index tuple of instance p, formed for witnesses only; and the count of
+instances the group stands for. The witnesses are the first `WITNESS_CAP`
+(16) violations in that order, read when a report is folded.
 """
 
 import itertools
@@ -125,19 +126,27 @@ def _slots(kind: Family, rows: IndexWindow, cols: IndexWindow) -> tuple:
     return runs, shift[parities] if len(runs) == 1 else shift
 
 
-# A pattern scan: the anchor table's runs of degrees; per slot, its anchor's
-# flat position (`absent` where the windows hold no entry of it) and value;
-# and the lazy scan of the row blocks, which completes the table.
-_Scan = namedtuple("_Scan", "runs first anchor absent blocks")
+def _kept(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The instances a check folds: all of them, but where tol >= 0 those whose residual is 0 pass and are left out.
+
+    An instance is kept when a part of lhs - rhs is nonzero: NaN too, so two
+    equal infinite entries (inf - inf is nan) are kept, and fail.
+    """
+    if not tol >= 0:
+        return np.ones(lhs.shape, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return ((lhs - rhs).view(float) != 0).view(np.uint16) != 0  # either part differs: its two bools as one word
 
 
-def _anchors(kind: Family, m) -> _Scan:
-    """The pattern scan of `kind` over a section or its row blocks.
+def _scan(kind: Family, m, tol: float) -> tuple:
+    """The pattern scan of `kind` over a section or its row blocks: its groups, lazily, and `readback()`.
 
-    The anchor of a degree is its first entry in C order. Per block the scan
-    finds the first entry of each degree that no earlier block held, records
-    its position and value, and yields the block's first flat position, its
-    entries' slots and values, and where its new anchors are.
+    The anchor of a degree is its first entry in C order. Each block records
+    the anchors of the degrees no earlier block held, and yields its group:
+    each entry but the anchors against its degree's anchor, where tol >= 0
+    only those not equal to it (see _kept), counting them all. readback(), once
+    the groups are exhausted, is each degree the windows hold, at its anchor,
+    trimmed to the nonzero coefficients.
     """
     rows, cols, blocks = m if isinstance(m, RowBlocks) else row_blocks(m)
     # the first block is read before the tables are made, so that a file too short for the windows it names
@@ -151,9 +160,12 @@ def _anchors(kind: Family, m) -> _Scan:
             pass
         raise
     width, absent, size = cols.size, rows.size * cols.size, sum(hi - lo + 1 for lo, hi in runs)
-    first, anchor = np.full(size, absent), np.zeros(size, dtype=complex)
+    first, anchor = np.full(size, absent), np.zeros(size, dtype=complex)  # per slot: its anchor's position, value
 
-    def scan():  # lazily, so one block's arrays are alive at a time
+    def at(p):
+        return rows.lo + p // width, cols.lo + p % width
+
+    def groups():  # lazily, so one block's arrays are alive at a time
         seen = 0
         for top, block in itertools.chain(read, blocks):
             seen += block.shape[0]
@@ -162,46 +174,26 @@ def _anchors(kind: Family, m) -> _Scan:
             slot = np.ravel(kind.degree(i, col_index) + offset)
             values = np.ravel(block)
             fresh = np.flatnonzero(first.take(slot) == absent)  # entries of degrees no earlier block held
-            held, at = np.unique(slot[fresh], return_index=True)  # and each such degree's first entry here
-            new = fresh[at]
+            held, new = np.unique(slot[fresh], return_index=True)  # and each such degree's first entry here
+            new = fresh[new]
             first[held], anchor[held] = new + top * width, values[new]
-            yield top * width, slot, values, new
+            lhs = anchor.take(slot)
+            keep = _kept(lhs, values, tol)
+            keep[new] = False
+            later = np.flatnonzero(keep)
+            yield ("a[i,j]=a[p,q]", lhs.take(later), values.take(later),
+                   lambda p, base=top * width, later=later, slot=slot: (*at(int(first[slot[later[p]]])),
+                                                                      *at(base + int(later[p]))),
+                   slot.size - new.size)
         if seen != (rows.size if width else 0):  # an iterator read before yields nothing: never a vacuous pass
             raise ValueError(f"row blocks of {rows} x {cols} hold {seen} rows; they are read once")
 
-    return _Scan(runs, first, anchor, absent, scan())
+    def readback() -> LaurentSymbol:
+        degrees = np.concatenate([np.arange(hi - lo + 1, dtype=np.int64) + lo for lo, hi in runs] or [[]])
+        held = first < absent
+        return LaurentSymbol(dict(zip(degrees[held].tolist(), anchor[held].tolist())))
 
-
-def _kept(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """The instances a check folds: all of them, but where tol >= 0 those whose residual is 0 pass and are left out.
-
-    An instance is kept when a part of lhs - rhs is nonzero: NaN too, so two
-    equal infinite entries (inf - inf is nan) are kept, and fail.
-    """
-    if not tol >= 0:
-        return np.ones(lhs.shape, dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return ((lhs - rhs).view(float) != 0).view(np.uint16) != 0  # either part differs: its two bools as one word
-
-
-def _pattern_groups(scan: _Scan, rows: IndexWindow, cols: IndexWindow, tol: float):
-    """The scan's blocks as groups of one relation, each entry but the anchors against its degree's anchor.
-
-    Where tol >= 0 an entry equal to its anchor, whose residual is 0, passes,
-    and only the others are folded (see _kept); the group counts them all.
-    """
-    def at(p):
-        return rows.lo + p // cols.size, cols.lo + p % cols.size
-
-    for base, slot, values, new in scan.blocks:
-        lhs = scan.anchor.take(slot)
-        keep = _kept(lhs, values, tol)
-        keep[new] = False
-        later = np.flatnonzero(keep)
-        yield ("a[i,j]=a[p,q]", lhs.take(later), values.take(later),
-               lambda p, base=base, later=later, slot=slot: (*at(int(scan.first[slot[later[p]]])),
-                                                            *at(base + int(later[p]))),
-               slot.size - new.size)
+    return groups(), readback
 
 
 def check_pattern(kind: Family, m, tol: float = 1e-12) -> CheckReport:
@@ -209,9 +201,9 @@ def check_pattern(kind: Family, m, tol: float = 1e-12) -> CheckReport:
 
     m is a section, or the row blocks of one (a file's, see
     windowed.stream_matrix). Each entry is compared with its degree's anchor
-    (see _anchors), which a witness (i,j,p,q) names first.
+    (see _scan), which a witness (i,j,p,q) names first.
     """
-    return _collect(_pattern_groups(_anchors(kind, m), m.rows, m.cols, tol), tol)
+    return _collect(_scan(kind, m, tol)[0], tol)
 
 
 def check_slant_h_matrix(m, tol: float = 1e-12) -> CheckReport:
@@ -219,31 +211,23 @@ def check_slant_h_matrix(m, tol: float = 1e-12) -> CheckReport:
     return check_pattern(SLANT_H_TOEPLITZ, m, tol)
 
 
-def _readback(scan: _Scan) -> LaurentSymbol:
-    """Each degree the windows hold, at its anchor, from an exhausted scan; trimmed to the nonzero coefficients."""
-    degrees = np.concatenate([np.arange(hi - lo + 1, dtype=np.int64) + lo for lo, hi in scan.runs] or [[]])
-    held = scan.first < scan.absent
-    return LaurentSymbol(dict(zip(degrees[held].tolist(), scan.anchor[held].tolist())))
-
-
 def extract_symbol(m) -> LaurentSymbol:
-    """Read the inducing symbol back from a slant-h section, or its row blocks: each degree the windows hold, at
-    its anchor.
+    """Read the inducing symbol back from a slant-h section or its row blocks: each degree held, at its anchor.
 
     The matrix is expected to pass check_slant_h_matrix; no cross-validation
     is repeated.
     """
-    scan = _anchors(SLANT_H_TOEPLITZ, m)
-    for _ in scan.blocks:  # the scan completes the anchor table
+    groups, readback = _scan(SLANT_H_TOEPLITZ, m, 0.0)
+    for _ in groups:  # the scan completes the anchor table
         pass
-    return _readback(scan)
+    return readback()
 
 
 def extract_checked(m, tol: float = 1e-12) -> tuple:
     """check_slant_h_matrix of a section or its row blocks, and extract_symbol where it passes, else None: one scan."""
-    scan = _anchors(SLANT_H_TOEPLITZ, m)
-    report = _collect(_pattern_groups(scan, m.rows, m.cols, tol), tol)
-    return report, _readback(scan) if report.passed else None
+    groups, readback = _scan(SLANT_H_TOEPLITZ, m, tol)
+    report = _collect(groups, tol)
+    return report, readback() if report.passed else None
 
 
 # The shift identities as entry pairs, one row each: its tag in check_characterization (None: the extension
@@ -265,29 +249,25 @@ def _identities(m: int) -> tuple:
 def _pair_groups(pairs, left: WindowedMatrix, a: WindowedMatrix, tol: float):
     """One group per (tag, left map, right map) of `pairs` (see _identities): its instances in C order of (i, j).
 
-    The instances are read in row blocks of about `_BLOCK` cells, each block
-    by every pair while it is in cache. Where tol >= 0 only the instances
-    whose residual is not 0 are kept (see _kept); each group counts them all.
+    Each pair folds its instances in row blocks of about `_BLOCK` cells before
+    the next pair is read. Where tol >= 0 only those whose residual is not 0
+    are kept (see _kept); each group counts them all.
     """
-    spans = []  # per pair: its sides (section, r, s, c), its instances' rows top..bottom and columns 0..n-1
-    for _, *maps in pairs:
+    step = max(1, windowed._BLOCK // a.cols.size)
+    for tag, *maps in pairs:
         sides = [(m, *f) for m, f in zip((left, a), maps)]
         top, bottom = max(m.rows.lo - r for m, r, _, _ in sides), min(m.rows.hi - r for m, r, _, _ in sides)
         n = min((m.cols.hi - c) // s + 1 if s else 1 for m, _, s, c in sides)
-        spans.append((sides, top, bottom, n, ([], [], [])))
-    step = max(1, windowed._BLOCK // a.cols.size)
-    for t in range(min(span[1] for span in spans), max(span[2] for span in spans) + 1, step):
-        for sides, top, bottom, n, kept in spans:
-            rows = range(max(t, top), min(t + step, bottom + 1))
-            if rows:
-                l, r = (m.data[rows.start + r - m.rows.lo : rows.stop + r - m.rows.lo, c : c + s * (n - 1) + 1 : s or 1]
-                        for m, r, s, c in sides)
-                keep = _kept(l, r, tol)
-                for part, new in zip(kept, (l[keep], r[keep], np.flatnonzero(keep) + (rows.start - top) * n)):
-                    part.append(new)
-    for (tag, *_), (_, top, bottom, n, kept) in zip(pairs, spans):
+        kept = [], [], []
+        for t in range(top, bottom + 1, step):
+            stop = min(t + step, bottom + 1)
+            l, r = (m.data[t + r - m.rows.lo : stop + r - m.rows.lo, c : c + s * (n - 1) + 1 : s or 1]
+                    for m, r, s, c in sides)
+            keep = _kept(l, r, tol)
+            for part, new in zip(kept, (l[keep], r[keep], np.flatnonzero(keep) + (t - top) * n)):
+                part.append(new)
         lhs, rhs, at = map(np.concatenate, kept)
-        yield (tag, lhs, rhs, lambda p, at=at, top=top, n=n: (top + int(at[p]) // n, int(at[p]) % n),
+        yield (tag, lhs, rhs, lambda p, top=top, n=n, at=at: (top + int(at[p]) // n, int(at[p]) % n),
                (bottom - top + 1) * n)
 
 

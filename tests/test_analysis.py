@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from slanth import (
     WindowError,
     WindowedMatrix,
     build_compositional,
+    build_elementary,
     build_family,
     coefficient_l2,
     coisometry_defect,
@@ -33,6 +35,7 @@ from slanth import (
     self_adjoint_distance,
     sup_norm,
 )
+from slanth.windowed import Elementary, compose_chain
 
 SQRT_HALF_PAIR = dict(CORPUS)["(1+z)/sqrt2"]
 GENERIC = dict(CORPUS)["2z^-1+3+5z+7z^2"]
@@ -234,6 +237,32 @@ class TestSelfAdjoint:
     def test_requires_square_windows(self):
         with pytest.raises(Exception):
             self_adjoint_distance(GENERIC, IndexWindow(0, 4), IndexWindow(0, 5))
+
+    def test_empty_windows(self):
+        empty = IndexWindow.empty()
+        assert self_adjoint_distance(GENERIC, empty, empty) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: coisometry_defect(GENERIC, -1), ValueError, "n_max must be >= 0"),
+        (lambda: hyponormal_defect(GENERIC, -1), ValueError, "k must be >= 0"),
+        (lambda: partial_isometry_identity(GENERIC, IndexWindow(-1, 3)), WindowError,
+         "analytic column window required"),
+        (lambda: self_adjoint_distance(GENERIC, IndexWindow(0, 3), IndexWindow(0, 4)), WindowError,
+         "square comparable windows required"),
+        (lambda: build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 3), IndexWindow(0, 3)).restrict(
+            IndexWindow(0, 4), IndexWindow(0, 3)), WindowError, "not contained in"),
+        (lambda: build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 3), IndexWindow(0, 3)).embed(
+            IndexWindow(0, 2), IndexWindow(0, 3)), WindowError, "does not contain"),
+        (lambda: build_elementary(Elementary("X"), IndexWindow(0, 3)), ValueError, "unknown elementary kind 'X'"),
+        (lambda: compose_chain([], IndexWindow(0, 3)), ValueError, "empty chain"),
+    ],
+)
+def test_library_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestSectionNorm:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slanth import (
+    COMPOSITIONAL_KINDS,
     SLANT_H_TOEPLITZ,
     SLANT_HANKEL,
     SLANT_TOEPLITZ,
@@ -233,6 +235,28 @@ class TestCheck:
         assert result.returncode == 1
         assert result.stdout == "#fmt 1\nFAIL max_residual=nan\n"
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("kind", COMPOSITIONAL_KINDS, ids=lambda kind: kind.name)
+    def test_each_family_section_passes_its_own_check(self, tmp_path, kind):
+        path = tmp_path / "section.mat"
+        build = ["build", "--family", kind.name, "--symbol", f"phi={GENERIC_INLINE}", "--rows", "0:8",
+                 "--cols", "0:33", "--out", str(path)]
+        assert cli(build) == (0, "", "")
+        code, out, err = cli(["check", kind.name, "--matrix", str(path)])
+        assert (code, out.splitlines()[1], err) == (0, "PASS max_residual=0.0", "")
+        # the last entry whose degree the windows hold twice
+        i, j = np.indices((9, 34))
+        degrees = kind.degree(i, j).ravel()
+        count = collections.Counter(degrees.tolist())
+        p = max(p for p, d in enumerate(degrees.tolist()) if count[d] > 1)
+        path.write_text(dump_matrix(perturbed(load_matrix(path.read_text()), *divmod(p, 34))))
+        code, out, err = cli(["check", kind.name, "--matrix", str(path)])
+        assert (code, err) == (1, "") and out.splitlines()[1].startswith("FAIL max_residual=1.0")
+
+    def test_slant_h_toeplitz_check_is_slant_h(self):
+        path = str(DATA / "perturbed_oracle.mat")
+        result = cli(["check", "slant-h-toeplitz", "--matrix", path])
+        assert result == cli(["check", "slant-h", "--matrix", path]) and result[0] == 1
 
     def test_non_finite_matrix_file_exit_code(self, tmp_path, section_file):
         bad_path = tmp_path / "nan.mat"
@@ -844,8 +868,8 @@ def argvs(draw, tmp):
     elif command == "build-expr":
         argv = ["build", "--expr", draw(expressions()), *often("--window", draw(window_texts)), *symbol_args()]
     elif command == "check":
-        predicate = draw(mostly(st.sampled_from(["slant-h", "slant-toeplitz", "slant-hankel", "characterization",
-                                                 "extension"]), st.just("bogus")))
+        predicate = draw(mostly(st.sampled_from(["slant-h", *(kind.name for kind in COMPOSITIONAL_KINDS),
+                                                 "characterization", "extension"]), st.just("bogus")))
         source = (["--matrix", matrix_path()] if draw(st.booleans())
                   else ["--expr", draw(expressions()), *often("--window", draw(window_texts))])
         argv = ["check", predicate, *source, *symbol_args(), *maybe("--m", str(draw(ints))),

@@ -89,6 +89,8 @@ class TestParse:
             ("W)", "unexpected trailing ')'", 2),
             ("(" * 201 + "P" + ")" * 201, "parentheses nested deeper than 200", 201),
             ("W . 2e999 K", "scale factor '2e999' is not finite", 5),
+            ("S(\u0663)", "unexpected character '\u0663'", 3),  # an Arabic-Indic three: numbers are ASCII digits
+            ("\uff12 W", "unexpected character '\uff12'", 1),  # a fullwidth two
         ],
     )
     def test_error_message_and_column(self, text, message, column):

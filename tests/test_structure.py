@@ -582,13 +582,18 @@ class TestDifferential:
             assert_same(check_characterization(m, tol), reference_fold(characterization_instances(m), tol=tol))
 
     def test_characterization_reads_rows_in_blocks(self):
-        # blocks of one row and of a few cells fold as one block of the whole section
+        # blocks of one row and of a few cells fold as one block of the whole section; identity (a) of the
+        # extension check starts at row -d of the rebuilt section, so its blocks start off the others' edges
         m = perturbed(perturbed(v_section(GENERIC), 4, 9, float("nan")), 6, 20, 2j)
         whole = check_characterization(m)
+        extended = {d: check_extension_conditions(m, d) for d in (1, 2, 3)}
         for cells in (1, 13, 40):
             with mock.patch.object(windowed, "_BLOCK", cells):
                 assert_same(check_characterization(m), whole)
+                for d, report in extended.items():
+                    assert_same(check_extension_conditions(m, d), report)
         assert not whole.passed and len(whole.witnesses) > 2
+        assert all(not report.passed and report.witnesses for report in extended.values())
 
     def test_vacuous_window_matches(self):
         # row 0 holds each degree once
