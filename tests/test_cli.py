@@ -18,6 +18,7 @@ from slanth import (
     SLANT_H_TOEPLITZ,
     SLANT_HANKEL,
     SLANT_TOEPLITZ,
+    CheckReport,
     IndexWindow,
     LaurentSymbol,
     WindowedMatrix,
@@ -29,6 +30,7 @@ from slanth import (
     load_matrix,
     load_symbol_file,
     parse_symbol,
+    verify,
     windowed,
 )
 from slanth.cli import main
@@ -448,6 +450,21 @@ class TestNorm:
         assert result.stdout.splitlines() == [*pinned[:3], want]
 
 
+def _returning(value):
+    """A patch that replaces a function with one returning `value`."""
+    return lambda _: lambda *args, **kwargs: value
+
+
+def _shifting(selects, i, j):
+    """A patch of a builder that adds 1.0 at (i, j) to each section of a kind `selects` accepts."""
+    def patch(build):
+        def shifted(kind, phi, rows, cols):
+            section = build(kind, phi, rows, cols)
+            return perturbed(section, i, j) if selects(kind) else section
+        return shifted
+    return patch
+
+
 class TestVerify:
     def test_single_suite(self):
         result = run_cli("verify", "golden")
@@ -482,6 +499,41 @@ class TestVerify:
         first = run_cli("verify", "golden", "roundtrip")
         second = run_cli("verify", "golden", "roundtrip")
         assert first.stdout == second.stdout and first.returncode == second.returncode == 0
+
+    @pytest.mark.parametrize(
+        "suite, name, patch, message",
+        [
+            ("golden", "build_family", _shifting(lambda kind: kind.depth == 1, 2, 3), "mismatch at kind=extension (2,3)"),
+            ("roundtrip", "extract_symbol", _returning(LaurentSymbol({})),
+             "roundtrip failed for LaurentSymbol({0: (1+0j)})"),
+            ("predicates", "check_characterization", _returning(CheckReport(False, 1.0, ())),
+             "clean section rejected for LaurentSymbol({})"),
+            ("predicates", "perturbed", lambda _: lambda m, i, j: m, "pattern check missed perturbation at (0, 0)"),
+            ("predicates", "check_characterization", _returning(CheckReport(True, 0.0, ())),
+             "identity check missed perturbation at (0, 0)"),
+            ("interleaving", "build_family", _shifting(lambda kind: kind.name == "slant-toeplitz", 2, 4),
+             "even column 8 mismatch for LaurentSymbol({})"),
+            ("interleaving", "build_family", _shifting(lambda kind: kind.name == "slant-hankel", 3, 5),
+             "odd column 11 mismatch for LaurentSymbol({})"),
+            ("coisometry", "coisometry_defect", _returning(0.5), "residual 0.5 for 1"),
+            ("negatives", "min_hyponormal_defect", _returning(0.0), "no hyponormality violation for 1"),
+            ("negatives", "self_adjoint_distance", _returning(0.0), "no self-adjointness violation for 1"),
+            ("negatives", "check_slant_h_matrix", _returning(CheckReport(True, 0.0, ())),
+             "slant-toeplitz section passed the slant-h pattern for 1"),
+            ("negatives", "frobenius_of_section", _returning(2.0), "frobenius growth stalled for 1: [2.0, 2.0, 2.0]"),
+            ("negatives", "column_norm_floor", _returning(0.0), "column norms decayed for 1"),
+            ("perp", "build_family", _shifting(lambda kind: kind.name == "slant-hankel", 0, 0),
+             "z^-1 failed check_slant_h_matrix"),
+            ("norm-bound", "norm_bound_check", _returning((1.5, 1.0)), "norm bound violated for 0: 0.5"),
+            ("extension", "check_extension_conditions", _returning(CheckReport(False, 1.0, ())),
+             "identities failed at depth 0"),
+            ("extension", "build_family", _shifting(lambda kind: kind.depth == 3, 1, 2), "depth-dependent entry at (1,2)"),
+        ],
+    )
+    def test_fail_lines(self, monkeypatch, suite, name, patch, message):
+        # each suite, with one name it reads broken so that its claim fails, reports its first failure
+        monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
+        assert dict(verify.CHECKS)[suite]() == (False, message)
 
 
 # Every command as a real process, whose exit skips the interpreter's finalization
@@ -628,6 +680,10 @@ def test_two_inputs_are_a_usage_error(capsys, argv, message):
     [
         (["build", "--symbol", "phi=0:1"], "error: supply --family NAME or --expr TEXT\n"),
         (["check", "slant-h"], "error: supply --matrix FILE or --expr TEXT\n"),
+        (["build", "--family", "toeplitz", "--symbol", "phi=0:1", "--rows", "3", "--cols", "0:3"],
+         "error: window '3' must be lo:hi\n"),
+        (["build", "--expr", "W"], "error: --expr requires --window lo:hi\n"),
+        (["check", "slant-h", "--expr", "V(phi)", "--symbol", "phi=0:1"], "error: --expr requires --window lo:hi\n"),
     ],
 )
 def test_no_input_is_an_error(capsys, argv, message):
@@ -1018,3 +1074,23 @@ class TestStreamedFiles:
             path.write_text(text)
             for argv in (["check", "slant-h"], ["check", "slant-toeplitz"], ["extract"]):
                 assert cli([*argv, "--matrix", str(path)]) == (2, "", loader_error(text))
+
+    @pytest.mark.parametrize(
+        "argv, cell, expected",
+        [
+            (["check", "slant-h"], None, (3, "", "window error: slant-h-toeplitz has no rows below 0, got -1:6\n")),
+            (["check", "slant-h"], "1:2:3", (2, "", "error: data line 7: entry 2: malformed matrix entry '1:2:3'\n")),
+            (["check", "slant-h"], "nan:0.0", (2, "", "error: data line 7: entry 2 is not finite\n")),
+            (["extract"], "1:2:3", (2, "", "error: data line 7: entry 2: malformed matrix entry '1:2:3'\n")),
+        ],
+    )
+    def test_a_bad_cell_after_a_refused_window_is_the_loader_error(self, tmp_path, argv, cell, expected):
+        # rows -1..6 are past the slant-h windows; with a row a block, the window is refused after the first
+        # block, and the blocks after it are read before the window error is raised
+        lines = [["0.0:0.0"] * 4 for _ in range(8)]
+        if cell:
+            lines[6][1] = cell
+        path = tmp_path / "section.mat"
+        path.write_text("#fmt 1\nrows -1 6\ncols 0 3\n" + "".join(" ".join(line) + "\n" for line in lines))
+        with mock.patch.object(windowed, "_BLOCK", 4):
+            assert cli([*argv, "--matrix", str(path)]) == expected

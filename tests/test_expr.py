@@ -37,6 +37,7 @@ class TestParse:
         node = parse_expr("U* . V(phi) . Cz(2) . Mz(2) - V(phi) . Cz(2)")
         assert isinstance(node, Diff) and len(node.terms) == 2
         assert all(isinstance(term, Compose) for term in node.terms)
+        assert Compose(node.terms) != node  # the same terms, another class
 
     def test_parentheses_and_scalar(self):
         node = parse_expr("2.5 W . (K* . K)")

@@ -33,6 +33,7 @@ class TestParse:
         phi = parse_symbol("-1:2, 0:3, 1:5, 2:7")
         assert phi.support == (-1, 2)
         assert [phi.coeff(n) for n in range(-1, 3)] == [2, 3, 5, 7]
+        assert hash(phi) == hash(parse_symbol("2:7, 1:5, -1:2, 0:3"))
 
     def test_sqrt_half_pair(self):
         phi = parse_symbol("0:0.7071067811865476, 1:0.7071067811865476")
