@@ -10,6 +10,7 @@ columns of a family's oracle, which holds every nonzero row of its columns.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .windowed import (
     IndexWindow,
     WindowedMatrix,
     WindowError,
-    compose,
     compose_chain,
     mult,
 )
@@ -78,9 +78,8 @@ def coisometry_defect(phi: LaurentSymbol, n_max: int) -> float:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     cols = IndexWindow(0, n_max)
-    # two oracles, then their product: one chain V . V* would sum each entry in another order
-    vstar = build_compositional(SLANT_H_ADJOINT, phi, cols)
-    prod = compose(build_compositional(SLANT_H_TOEPLITZ, phi, vstar.rows), vstar)
+    # the product of two oracles: one chain V . V* would sum each entry in another order
+    prod = compose_chain([partial(build_compositional, k, phi) for k in (SLANT_H_TOEPLITZ, SLANT_H_ADJOINT)], cols)
     rows = prod.rows.hull(cols)
     residual = prod.embed(rows, cols).data - np.eye(rows.size, cols.size, rows.lo)
     # one norm per column: a norm along an axis sums in another order

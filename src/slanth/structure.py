@@ -299,7 +299,7 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     The continuation A_m is rebuilt from the extracted symbol on rows >= -m and
     must satisfy, with S(-m) the bilateral back shift,
 
-        (a) Am.Cz2 = S(-m).A.Cz2.Mz(2m)
+        (a) Am.Cz2 = S(-m).A.Cz2.U2m
         (b) U*.Am.Mz3.Cz4 = A.Mz3.Cz4.U
         (c) U*.Am.e0 = A.Mz3.e0
         (d) U*.Am.Mz.Cz4 = A.Mz.Cz4.U
