@@ -49,7 +49,6 @@ __all__ = [
     "coisometry_defect",
     "column_norm_floor",
     "frobenius_of_section",
-    "hyponormal_defect",
     "min_hyponormal_defect",
     "norm_bound_check",
     "partial_isometry_identity",
@@ -109,30 +108,20 @@ def _column_sums(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> np.ndar
     return np.sum(np.abs(build_compositional(kind, phi, cols).data) ** 2, axis=0)
 
 
-def hyponormal_defect(phi: LaurentSymbol, k: int) -> float:
-    """||V e_k||^2 - ||V* e_k||^2, each read down column k of its oracle.
-
-    A negative value witnesses non-hyponormality; for every nonzero symbol one
-    of k = 0, 1 is negative.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cols = IndexWindow(k, k)
-    return float(_column_sums(SLANT_H_TOEPLITZ, phi, cols)[0] - _column_sums(SLANT_H_ADJOINT, phi, cols)[0])
-
-
 def min_hyponormal_defect(phi: LaurentSymbol) -> float:
-    """Convenience check over k in {0, 1}, from one build of each oracle on columns 0:1."""
+    """Min over k in {0, 1} of ||V e_k||^2 - ||V* e_k||^2, each read down column k of its oracle.
+
+    A negative value witnesses non-hyponormality; for every nonzero symbol it
+    is negative. One build of each oracle on columns 0:1.
+    """
     cols = IndexWindow(0, 1)
     return float(min(_column_sums(SLANT_H_TOEPLITZ, phi, cols) - _column_sums(SLANT_H_ADJOINT, phi, cols)))
 
 
-def self_adjoint_distance(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> float:
-    """Max entrywise |V - V*| over a common square window."""
-    if rows != cols:
-        raise WindowError(f"square comparable windows required, got {rows} x {cols}")
-    v = build_family(SLANT_H_TOEPLITZ, phi, rows, cols)
-    vstar = build_family(SLANT_H_ADJOINT, phi, rows, cols)
+def self_adjoint_distance(phi: LaurentSymbol, window: IndexWindow) -> float:
+    """Max entrywise |V - V*| on the square section window x window."""
+    v = build_family(SLANT_H_TOEPLITZ, phi, window, window)
+    vstar = build_family(SLANT_H_ADJOINT, phi, window, window)
     if v.data.size == 0:
         return 0.0
     return float(np.max(np.abs(v.data - vstar.data)))

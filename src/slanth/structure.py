@@ -138,14 +138,15 @@ def _kept(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
         return ((lhs - rhs).view(float) != 0).view(np.uint16) != 0  # either part differs: its two bools as one word
 
 
-def _scan(kind: Family, m, tol: float) -> tuple:
+def _scan(kind: Family, m, tol: float | None) -> tuple:
     """The pattern scan of `kind` over a section or its row blocks: its groups, lazily, and `readback()`.
 
     The anchor of a degree is its first entry in C order. Each block records
     the anchors of the degrees no earlier block held, and yields its group:
     each entry but the anchors against its degree's anchor, where tol >= 0
-    only those not equal to it (see _kept), counting them all. readback(), once
-    the groups are exhausted, is each degree the windows hold, at its anchor,
+    only those not equal to it (see _kept), counting them all; where tol is
+    None it records the anchors alone and yields nothing. readback(), once the
+    groups are exhausted, is each degree the windows hold, at its anchor,
     trimmed to the nonzero coefficients.
     """
     rows, cols, blocks = m if isinstance(m, RowBlocks) else row_blocks(m)
@@ -177,6 +178,8 @@ def _scan(kind: Family, m, tol: float) -> tuple:
             held, new = np.unique(slot[fresh], return_index=True)  # and each such degree's first entry here
             new = fresh[new]
             first[held], anchor[held] = new + top * width, values[new]
+            if tol is None:
+                continue
             lhs = anchor.take(slot)
             keep = _kept(lhs, values, tol)
             keep[new] = False
@@ -214,11 +217,11 @@ def check_slant_h_matrix(m, tol: float = 1e-12) -> CheckReport:
 def extract_symbol(m) -> LaurentSymbol:
     """Read the inducing symbol back from a slant-h section or its row blocks: each degree held, at its anchor.
 
-    The matrix is expected to pass check_slant_h_matrix; no cross-validation
-    is repeated.
+    The matrix is expected to pass check_slant_h_matrix; the scan records the
+    anchors without comparing any entry with them.
     """
-    groups, readback = _scan(SLANT_H_TOEPLITZ, m, 0.0)
-    for _ in groups:  # the scan completes the anchor table
+    groups, readback = _scan(SLANT_H_TOEPLITZ, m, None)
+    for _ in groups:  # the scan fills the anchor table and compares nothing
         pass
     return readback()
 

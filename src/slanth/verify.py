@@ -165,7 +165,7 @@ def check_negatives():
     for label, phi in _NONZERO:
         if min_hyponormal_defect(phi) >= -1e-12:
             return False, f"no hyponormality violation for {label}"
-        if self_adjoint_distance(phi, square, square) <= 1e-6:
+        if self_adjoint_distance(phi, square) <= 1e-6:
             return False, f"no self-adjointness violation for {label}"
         slant = build_family(SLANT_TOEPLITZ, phi, IndexWindow(0, 8), IndexWindow(0, 33))
         report = check_slant_h_matrix(slant, 1e-12)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slanth
 from slanth import (
     COMPOSITIONAL_KINDS,
     SLANT_H_TOEPLITZ,
@@ -210,6 +211,13 @@ class TestCheck:
         result = run_cli("check", "slant-h", "--matrix", str(DATA / "perturbed_oracle.mat"))
         assert result.returncode == 1
         assert result.stdout == (DATA / "check_perturbed.txt").read_text()
+
+    def test_pinned_extension_failure_report(self):
+        # the extension rebuilt from the perturbed file's readback differs from the file at (1, 7)
+        result = run_cli("check", "extension", "--m", "1", "--matrix", str(DATA / "perturbed_oracle.mat"))
+        assert result.returncode == 1
+        assert result.stdout == (DATA / "check_extension_perturbed.txt").read_text()
+        assert result.stderr == ""
 
     def test_overflowing_expression_fails_closed(self):
         # 10 * 1e308 is inf, and inf - inf residuals are NaN
@@ -771,6 +779,17 @@ def test_cli_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_package_reexports_each_module_all():
+    modules = [slanth.analysis, slanth.expr, slanth.families, slanth.structure, slanth.symbol, slanth.windowed]
+    assert slanth.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(slanth, name) is getattr(module, name), name
+    own = {name for name, value in vars(slanth.cli).items() if getattr(value, "__module__", None) == "slanth.cli"}
+    assert {"main", "run"} <= own
+    assert not set(slanth.__all__) & (set(verify.__all__) | own)
 
 
 @pytest.mark.parametrize("atoms", [500, 5000])

@@ -177,6 +177,24 @@ class TestExtractSymbol:
             got = extract_symbol(build_family(SLANT_H_TOEPLITZ, phi, rows, cols))
         assert got == LaurentSymbol({n: a for n, a in phi.items() if n in held})
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 8), st.integers(0, 33),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 33), st.sampled_from([1.0, 1j, -2.5, -3.0])),
+                    max_size=4),
+           st.sampled_from([1, 13, windowed._BLOCK]))
+    def test_a_failing_section_reads_back_each_first_entry(self, rows_hi, cols_hi, changes, block):
+        # the readback compares nothing: each degree is its entry first in C order, however its others differ
+        m = v_section(GENERIC, rows_hi, cols_hi)
+        for i, j, delta in changes:
+            if i <= rows_hi and j <= cols_hi:
+                m = perturbed(m, i, j, delta)
+        first = {}
+        for i in m.rows.indices():
+            for j in m.cols.indices():
+                first.setdefault(SLANT_H_TOEPLITZ.degree(i, j), m.data[i, j])
+        with mock.patch.object(windowed, "_BLOCK", block):
+            assert extract_symbol(m) == LaurentSymbol(first)
+
     def test_partial_recovery_trims_to_window(self):
         # columns up to 9 only reach degrees down to -4, so the -9 term is lost
         narrow = build_family(SLANT_H_TOEPLITZ, parse_symbol("-9:4, 0:1"), IndexWindow(0, 8), IndexWindow(0, 9))
