@@ -220,13 +220,16 @@ class _Parser:
         return Atom(text, tuple(args))
 
     def int_arg(self) -> int:
-        negative = self.peek()[:2] == ("punct", "-")
+        start, negative = self.peek()[2], self.peek()[:2] == ("punct", "-")
         if negative:
             self.advance()
         kind, text, column = self.advance()
         if kind != "number" or not re.fullmatch(r"[0-9]+", text):
             raise ExprParseError("expected an integer argument", column)
-        return -int(text) if negative else int(text)
+        value = -int(text) if negative else int(text)
+        if not -(2**63) <= value < 2**63:  # numpy's int64 indices would not hold it
+            raise ExprParseError(f"integer argument {value} is past int64", start)
+        return value
 
     def name_arg(self) -> str:
         kind, text, column = self.advance()

@@ -12,9 +12,8 @@ column, value) arrays; this module alone decides which, and reads them.
 Elementaries and products hold triplets, and build their cells only when
 `data` is read; compose and dump_matrix read the triplets of a section that
 holds them (the dump only the cells other than 0.0:0.0), and a section of
-cells inside a product becomes triplets only on the columns it is fed. A
-product whose operands meet in many products per output entry is a dense
-matrix product, and it is done as one, by BLAS.
+cells inside a product becomes triplets. Every product sums each entry's
+products in ascending inner index, so an entry is the same on every window.
 
 Empty windows are first class: a projection applied to a wholly anti-analytic
 window, or multiplication by the zero symbol, legitimately produces a section
@@ -307,22 +306,16 @@ def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
     return WindowedMatrix._of(rows, domain, triplets=(i, j, v))
 
 
-def _entries(m: WindowedMatrix, cols: np.ndarray | None = None) -> _Triplets:
-    """The triplets a section holds, else those of its nonzero cells, only on the ascending absolute `cols` when
-    given."""
+def _entries(m: WindowedMatrix) -> _Triplets:
+    """The triplets a section holds, else those of its nonzero cells."""
     if m._triplets is not None:
         return m._triplets
-    block = m.data if cols is None else m.data[:, cols - m.cols.lo]
-    r, c = np.divmod(np.flatnonzero(block != 0), max(1, block.shape[1]))  # in C order, which a stable sort
+    r, c = np.divmod(np.flatnonzero(m.data != 0), max(1, m.cols.size))  # in C order, which a stable sort
     order = np.argsort(c, kind="stable")  # by column turns column-major: faster than nonzero of the transpose
     r, c = r[order], c[order]
-    return _Triplets(r + m.rows.lo, c + m.cols.lo if cols is None else cols[c], block[r, c])
+    return _Triplets(r + m.rows.lo, c + m.cols.lo, m.data[r, c])
 
 
-# Past this many products per output entry a join is a dense matrix product,
-# and BLAS the faster (2 vCPUs: a full 512 x 2449 block times a band of 9 took
-# 0.8 s as triplets, 0.5 s by BLAS). Banded chains stay far below: 0.2 at most.
-_DENSE_JOIN = 8
 # Products formed at once: the join's scratch, about 100 bytes a product,
 # stays near 25 MB however many products meet in all.
 _SLICE = 1 << 18
@@ -338,27 +331,19 @@ def _check_size(rows: IndexWindow, cols: IndexWindow) -> None:
 # overflow and inf * 0 leave inf and nan, which the checks fail on, and write nothing to stderr
 @np.errstate(over="ignore", invalid="ignore")
 def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
-    """Section of the operator product a . b: its triplets, or its cells when the join is dense.
+    """Section of the operator product a . b, on its triplets.
 
     Exactness requires a's columns to cover b's rows; otherwise entries of
     b's output would be consumed blindly, so such a composition is refused.
-    Each entry of b in row r meets each entry of a in column r; a section of
-    cells `a` is read only on the columns that b reaches. The products are
-    formed a slice of b's columns at a time, and those landing on one entry
-    are summed in ascending r.
+    Each entry of b in row r meets each entry of a in column r. The products
+    are formed a slice of b's columns at a time, and those on one entry are
+    summed in ascending r: an entry depends on the operator, not the window.
     """
     if not a.cols.covers(b.rows):
         raise WindowError(f"composition loses exactness: left columns {a.cols} do not cover right rows {b.rows}")
     _check_int64([a.rows.size * b.cols.size], f"the keys of a product on {a.rows} x {b.cols} reach")
-    tb = b._triplets
-    inner = np.count_nonzero(b.data, axis=1) if tb is None else np.bincount(tb.i - b.rows.lo, minlength=b.rows.size)
-    reach = slice(b.rows.lo - a.cols.lo, b.rows.lo - a.cols.lo + b.rows.size)  # a's columns on b's rows
-    ta = _entries(a, np.flatnonzero(inner) + b.rows.lo)
+    ta, tb = _entries(a), _entries(b)
     counts = np.bincount(ta.j - a.cols.lo, minlength=a.cols.size)
-    if counts[reach] @ inner > _DENSE_JOIN * a.rows.size * b.cols.size:
-        # + 0.0: zeros read 0.0, as the cells of triplets do
-        return WindowedMatrix._of(a.rows, b.cols, a.data[:, reach] @ b.data + 0.0)
-    tb = _entries(b)
     k = tb.i - a.cols.lo  # the column of a each entry of b meets
     first, per = np.cumsum(counts) - counts, counts[k]  # a's first entry in each column; b's products
     cuts = [0, k.size]

@@ -92,12 +92,21 @@ class TestParse:
             ("W . 2e999 K", "scale factor '2e999' is not finite", 5),
             ("S(\u0663)", "unexpected character '\u0663'", 3),  # an Arabic-Indic three: numbers are ASCII digits
             ("\uff12 W", "unexpected character '\uff12'", 1),  # a fullwidth two
+            ("S(99999999999999999999)", "integer argument 99999999999999999999 is past int64", 3),
+            ("S(9223372036854775808)", "integer argument 9223372036854775808 is past int64", 3),
+            ("Mz(-9223372036854775809)", "integer argument -9223372036854775809 is past int64", 4),
+            ("W . Cz(99999999999999999999)", "integer argument 99999999999999999999 is past int64", 8),
+            ("A(99999999999999999999,phi)", "integer argument 99999999999999999999 is past int64", 3),
         ],
     )
     def test_error_message_and_column(self, text, message, column):
         with pytest.raises(ExprParseError) as info:
             parse_expr(text)
         assert (str(info.value), info.value.column) == (f"col {column}: {message}", column)
+
+    def test_int64_ends_are_integer_arguments(self):
+        assert parse_expr("S(-9223372036854775808)") == Atom("S", (-(2**63),))
+        assert parse_expr("Mz(9223372036854775807)") == Atom("Mz", (2**63 - 1,))
 
     def test_error_carries_column(self):
         with pytest.raises(ExprParseError) as info:
@@ -303,3 +312,48 @@ def test_flat_folds_match_recursive_reference(node, lo, size, phi, psi):
     got = eval_expr(node, window, table)
     assert got.rows == want.rows and got.cols == want.cols
     assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+# 65 terms each: on 0:256, M(phi) . M(psi) meets 11 products an output entry on average
+WIDE_PHI = LaurentSymbol({n: complex((n * 37 % 101) / 17, (n * 53 % 89) / -13) for n in range(-32, 33)})
+WIDE_PSI = LaurentSymbol({n: complex((n * 29 % 97) / 11, (n * 61 % 83) / 7) for n in range(-32, 33)})
+WINDOW_ATOMS = [
+    *map(Atom, ["P", "W", "U*"]),
+    *(Atom("S", (k,)) for k in (-3, 2)),
+    *(Atom(name, (sym,)) for name in ["M", "T", "V", "B"] for sym in ["phi", "psi"]),
+]
+# small symbols, and wide ones whose products on a narrow window meet many times on each entry
+window_symbols = st.one_of(
+    ref_symbols,
+    st.builds(
+        lambda lo, coeffs: LaurentSymbol({lo + n: a for n, a in enumerate(coeffs)}),
+        st.integers(-24, 4),
+        st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)), min_size=9, max_size=49),
+    ),
+)
+
+
+class TestWindowIndependence:
+    """An entry of a product depends on the operator alone: a section is the block of any wider one."""
+
+    @staticmethod
+    def assert_block(small, large):
+        large = large.restrict(small.rows, small.cols)
+        assert np.array_equal(large.data.view(np.uint64), small.data.view(np.uint64))
+
+    def test_product_of_wide_symbols(self):
+        node, table = parse_expr("M(phi) . M(psi)"), {"phi": WIDE_PHI, "psi": WIDE_PSI}
+        small = eval_expr(node, IndexWindow(0, 256), table)
+        assert small.rows == IndexWindow(-64, 320)
+        self.assert_block(small, eval_expr(node, IndexWindow(0, 1023), table))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.sampled_from(WINDOW_ATOMS), min_size=1, max_size=4), st.integers(0, 12), st.integers(0, 48),
+           window_symbols, window_symbols)
+    def test_nested_windows(self, atoms, n, more, phi, psi):
+        node, table = Compose(tuple(atoms)) if len(atoms) > 1 else atoms[0], {"phi": phi, "psi": psi}
+        try:
+            large = eval_expr(node, IndexWindow(0, n + more), table)
+        except WindowError:
+            return
+        self.assert_block(eval_expr(node, IndexWindow(0, n), table), large)
