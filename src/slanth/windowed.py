@@ -530,15 +530,12 @@ def _parse_window(line: str, tag: str) -> IndexWindow:
 
 
 def _rewritten(text: str) -> bytes:
-    """The canonical bytes of a file read as text: its window headers, then each data line split as str.split()
-    splits it and joined by single spaces. Lines are split as str.splitlines() splits them, and blank and `#` lines
-    are dropped."""
+    """The canonical bytes of a file read as text: its two window headers as written, then each data line split as
+    str.split() splits it and joined by single spaces. Lines are split as str.splitlines() splits them, and blank
+    and `#` lines are dropped; _index reads the headers."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(lines) < 2:
-        raise ValueError("matrix file is missing its window headers")
-    rows, cols = _parse_window(lines[0], "rows"), _parse_window(lines[1], "cols")
-    body = [f"rows {rows.lo} {rows.hi}", f"cols {cols.lo} {cols.hi}", *(" ".join(ln.split()) for ln in lines[2:]), ""]
-    return "\n".join(body).encode("utf-8", "surrogatepass")
+    lines[2:] = [" ".join(ln.split()) for ln in lines[2:]]
+    return "\n".join([*lines, ""]).encode("utf-8", "surrogatepass")
 
 
 # A canonical matrix file's bytes, its windows, and where each data line starts and ends (its b'\n').
@@ -551,9 +548,9 @@ def _index(data: bytes, rewritten: bool = False) -> _Index | None:
     Canonical bytes are the bytes dump_matrix writes: ASCII, with no byte
     below 32 but the b'\\n' that ends every line, the last too, and no blank,
     `#` or empty-celled data line: one space between cells and none at
-    either end. Rewritten bytes are canonical by construction, and are not
-    tested. Line ends are found in one search for the bytes below 32, a
-    _CHUNK of bytes at a time.
+    either end. Rewritten bytes (see _rewritten) have canonical data lines by
+    construction, are not tested, and may hold any UTF-8 in their headers.
+    Line ends are found in one search for the bytes below 32, a _CHUNK at a time.
     """
     if not (rewritten or data.isascii()):
         return None
@@ -570,10 +567,10 @@ def _index(data: bytes, rewritten: bool = False) -> _Index | None:
     # no final b'\n', two spaces in a row, or another byte below 32
     if not rewritten and (not data.endswith(b"\n") or pairs or controls.size != ends.size):
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int64)
+    starts = np.concatenate(([0], ends[:-1] + 1)).astype(np.int64)[: ends.size]  # no line end: no line
     headers, first = [], 0
     while len(headers) < 2 and first < starts.size:
-        line = data[starts[first] : ends[first]].decode("ascii")
+        line = data[starts[first] : ends[first]].decode("utf-8", "surrogatepass")
         first += 1
         if line.strip() and not line.lstrip().startswith("#"):
             headers.append(line)
@@ -691,14 +688,10 @@ def _blocks(index: _Index, out: np.ndarray | None = None):
 
 
 def _indexed(data: bytes | str) -> _Index:
-    """The index (see _index) of a matrix file given as bytes or text; bytes that are not canonical, and text
-    that is not ASCII, are first rewritten as canonical bytes, once."""
-    if isinstance(data, str) and data.isascii():
-        data = data.encode("ascii")
-    index = _index(data) if isinstance(data, bytes) else None
-    if index is None:
-        index = _index(_rewritten(data if isinstance(data, str) else data.decode("utf-8")), rewritten=True)
-    return index
+    """The index (see _index) of a matrix file's bytes or text; bytes that are not canonical are rewritten once from
+    their strict UTF-8 decoding, and text whose encoding is not canonical from the text itself."""
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    return _index(raw) or _index(_rewritten(data if isinstance(data, str) else data.decode("utf-8")), rewritten=True)
 
 
 def stream_matrix(data: bytes | str) -> RowBlocks:

@@ -15,6 +15,12 @@ def random_symbol(rng: random.Random, span: int = 6, density: float = 0.7) -> La
     return LaurentSymbol(coeffs)
 
 
+def gaussian_symbol(rng: random.Random, degrees) -> LaurentSymbol:
+    """Seeded symbol of one to five terms on `degrees`, with Gaussian-integer coefficients, so every sum is exact."""
+    picked = rng.sample(degrees, rng.randint(1, min(5, len(degrees))))
+    return LaurentSymbol({n: complex(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-3, 3)) for n in picked})
+
+
 def eval_on_grid(phi: LaurentSymbol, grid_size: int) -> np.ndarray:
     """Independent pointwise evaluation of the symbol on the circle grid."""
     z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_symbol
+from conftest import gaussian_symbol, random_symbol
 from slanth import (
     CORPUS,
     SLANT_HANKEL,
@@ -11,13 +11,18 @@ from slanth import (
     TOEPLITZ,
     ZERO,
     IndexWindow,
+    LaurentSymbol,
     WindowError,
     adjoint,
     build_compositional,
     build_family,
+    conj_reflect,
+    eval_expr,
     extension,
+    parse_expr,
     parse_symbol,
     symbol_add,
+    symbol_product,
     symbol_scale,
 )
 from slanth.families import COMPOSITIONAL_KINDS
@@ -162,3 +167,43 @@ class TestStructuralIdentities:
                 v_star = np.sum(np.abs(v.data[k, :]) ** 2)
                 split = np.sum(np.abs(b.data[k, :]) ** 2) + np.sum(np.abs(l.data[k, :]) ** 2)
                 assert abs(v_star - split) <= 1e-12
+
+
+def squared(phi):
+    """phi(z^2)."""
+    return LaurentSymbol({2 * n: a for n, a in phi.items()})
+
+
+def decimated(f):
+    """W(f): f's even-degree coefficients, their degrees halved."""
+    return LaurentSymbol({n // 2: a for n, a in f.items() if n % 2 == 0})
+
+
+class TestOperatorIdentities:
+    """Identities of the oracle's products with the closed form of a mapped symbol, on columns 0..30; Gaussian-integer
+    coefficients make every sum exact, so each side is compared value for value."""
+
+    COLS = IndexWindow(0, 30)
+
+    def sides(self, text, symbols, kind, chi):
+        """The product `text` and `kind`'s section of chi, on the product's rows joined with 0..30."""
+        product = eval_expr(parse_expr(text), self.COLS, symbols)
+        rows = product.rows.hull(IndexWindow(0, 30))
+        return product.embed(rows, self.COLS).data, build_family(kind, chi, rows, self.COLS).data
+
+    def test_slant_h_times_its_adjoint_is_toeplitz(self, rng):
+        # V_phi V_phi* = T_{W(|phi|^2)}, |phi|^2 = phi * conj(phi) on the circle
+        for _ in range(30):
+            phi = gaussian_symbol(rng, range(-6, 9))
+            gram = decimated(symbol_product(phi, conj_reflect(phi)))
+            got, want = self.sides("V(phi) . V*(phi)", {"phi": phi}, TOEPLITZ, gram)
+            assert np.array_equal(got, want), phi
+
+    def test_co_analytic_toeplitz_times_slant_h_is_slant_h(self, rng):
+        # T_psi V_phi = V_{psi(z^2) phi} for psi of degrees <= 0, and not for analytic psi
+        for degrees, holds, count in ((range(-6, 1), True, 60), (range(1, 7), False, 30)):
+            for _ in range(count):
+                psi, phi = gaussian_symbol(rng, degrees), gaussian_symbol(rng, range(-6, 9))
+                chi = symbol_product(squared(psi), phi)
+                got, want = self.sides("T(psi) . V(phi)", {"psi": psi, "phi": phi}, SLANT_H_TOEPLITZ, chi)
+                assert np.array_equal(got, want) == holds, (psi, phi)

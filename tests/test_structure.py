@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symbol
+from conftest import gaussian_symbol, random_symbol
 from slanth import (
     COMPOSITIONAL_KINDS,
     CORPUS,
+    HANKEL,
+    H_TOEPLITZ,
     SLANT_HANKEL,
     SLANT_H_TOEPLITZ,
     SLANT_TOEPLITZ,
@@ -242,6 +244,102 @@ class TestCharacterization:
             for i, j in spots:
                 report = check_characterization(perturbed(section, i, j))
                 assert not report.passed and report.witnesses, (i, j)
+
+
+def linked_classes(pairs, rows_hi, cols_hi):
+    """Each cell's class root on rows 0..rows_hi x cols 0..cols_hi, by union-find over the two cells of every
+    instance of `pairs` (tag, left map, right map): every (i, j), j >= 0, j = 0 for a column step 0, whose two
+    cells lie in the windows."""
+    width = cols_hi + 1
+    parent = list(range((rows_hi + 1) * width))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for _, *maps in pairs:
+        for i in range(-max(r for r, _, _ in maps), rows_hi + 1):
+            for j in range(cols_hi + 1 if all(s for _, s, _ in maps) else 1):
+                cells = [(i + r, s * j + c) for r, s, c in maps]
+                if all(0 <= row <= rows_hi and 0 <= col <= cols_hi for row, col in cells):
+                    (a, b), (c, d) = cells
+                    parent[find(a * width + b)] = find(c * width + d)
+    return [find(x) for x in range(len(parent))]
+
+
+def decides_the_pattern(pairs, rows_hi, cols_hi):
+    """Whether the linked classes are exactly the cells of each slant-h degree."""
+    roots = linked_classes(pairs, rows_hi, cols_hi)
+    degrees = [SLANT_H_TOEPLITZ.degree(i, j) for i in range(rows_hi + 1) for j in range(cols_hi + 1)]
+    return len(set(roots)) == len(set(degrees)) == len(set(zip(roots, degrees)))
+
+
+class TestCharacterizationIsComplete:
+    """The five identities decide the slant-h pattern: a finite form of the paper's theorem that an operator is
+    slant H-Toeplitz iff its matrix is. On these windows a section passes check_characterization at tol 0 iff it
+    passes the pattern."""
+
+    ROWS = [(tag, *maps) for tag, _, *maps in structure._identities(1) if tag]
+
+    def test_each_identity_links_cells_of_one_degree(self):
+        assert len(self.ROWS) == 5
+        degree = SLANT_H_TOEPLITZ.degree
+        for tag, (r, s, c), (r2, s2, c2) in self.ROWS:
+            for i in range(20):
+                for j in range(20):
+                    assert degree(i + r, s * j + c) == degree(i + r2, s2 * j + c2), tag
+
+    def test_links_each_degree_on_every_admitted_window(self):
+        windows = [(rows_hi, cols_hi) for rows_hi in range(1, 13) for cols_hi in range(7, 48)]
+        assert len(windows) == 492
+        for rows_hi, cols_hi in windows:
+            assert decides_the_pattern(self.ROWS, rows_hi, cols_hi), (rows_hi, cols_hi)
+
+    def test_each_identity_is_needed(self):
+        for k, (tag, *_) in enumerate(self.ROWS):
+            assert not decides_the_pattern(self.ROWS[:k] + self.ROWS[k + 1 :], 15, 64), tag
+
+
+class TestPatternMembers:
+    """The measured members of the paper's third claim, when a section of one family carries another's pattern, on
+    rows 0..39 x columns 0..160."""
+
+    ROWS, COLS = IndexWindow(0, 39), IndexWindow(0, 160)
+
+    def section(self, kind, phi):
+        return build_family(kind, phi, self.ROWS, self.COLS)
+
+    def test_h_toeplitz_of_a_co_analytic_symbol_is_slant_toeplitz(self, rng):
+        for _ in range(100):
+            phi = gaussian_symbol(rng, range(-12, 1))
+            sh = self.section(H_TOEPLITZ, phi)
+            assert check_pattern(SLANT_TOEPLITZ, sh, 0.0).passed
+            squared = LaurentSymbol({2 * n: a for n, a in phi.items()})  # phi(z^2)
+            assert np.array_equal(sh.data.view(np.uint64), self.section(SLANT_TOEPLITZ, squared).data.view(np.uint64))
+
+    def test_slant_toeplitz_of_an_even_co_analytic_symbol_is_h_toeplitz(self, rng):
+        for _ in range(100):
+            psi = gaussian_symbol(rng, range(-12, 1, 2))
+            assert check_pattern(H_TOEPLITZ, self.section(SLANT_TOEPLITZ, psi), 0.0).passed
+
+    def test_hankel_and_slant_hankel_of_z_are_one_entry(self):
+        z = parse_symbol("1:1")
+        for kind, other in ((HANKEL, SLANT_HANKEL), (SLANT_HANKEL, HANKEL)):
+            section = self.section(kind, z)
+            assert np.argwhere(section.data).tolist() == [[0, 0]] and section.data[0, 0] == 1
+            assert check_pattern(other, section, 0.0).passed
+
+    def test_no_slant_toeplitz_or_slant_hankel_section_is_slant_h(self, rng):
+        nonzero = 0
+        for _ in range(200):
+            psi = gaussian_symbol(rng, range(-12, 13))
+            for kind in (SLANT_TOEPLITZ, SLANT_HANKEL):
+                section = self.section(kind, psi)
+                if section.data.any():
+                    nonzero += 1
+                    assert not check_pattern(SLANT_H_TOEPLITZ, section, 0.0).passed, (kind.name, psi)
+        assert nonzero > 300  # every B_psi and most L_psi: L_psi vanishes when psi has no positive degree
 
 
 class TestNonFinite:

@@ -340,8 +340,10 @@ class TestDumpFormat:
         assert str(error.value) == message
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            load_matrix("rows 0 1\n")
+        # short of the two headers, with no line end at all too: the text's rewritten bytes then hold no line
+        for data in ("", "rows 0 1\n", "rows 0 0", "\r\n# c\n  \n", "\u3000rows 0 0\u3000", b"", b"rows 0 0", b"#fmt 1\n"):
+            with pytest.raises(ValueError, match="^matrix file is missing its window headers$"):
+                load_matrix(data)
         with pytest.raises(ValueError):
             load_matrix("rows 0 0\ncols 0 0\n1.0:0.0 2.0:0.0\n")
 
@@ -421,9 +423,10 @@ good_cells = st.one_of(
                     "1.5:-2.0", "5e-324:1e308"]),
     st.builds(complex, edge_floats, edge_floats).map(format_entry),
 )
-# malformed, split by a blank, non-finite, or digits float() reads that are not ASCII
+# malformed, split by a blank, non-finite, digits float() reads that are not ASCII, or a lone surrogate, which only
+# text can hold (its bytes are not UTF-8)
 odd_cells = st.sampled_from(["1.0", "1.0:", ":2", "1:2:3", "a:0", "1.0 :2.0", "0.0:0.0:", "nan:0.0", "0.0:inf",
-                             "-inf:1.0", "\u0661:0.0", "\uff11:\uff12", "1_0:2"])
+                             "-inf:1.0", "\u0661:0.0", "\uff11:\uff12", "1_0:2", "\ud800:0.0"])
 
 
 def streamed(data):
@@ -433,6 +436,9 @@ def streamed(data):
     for top, block in blocks:
         out[top : top + block.shape[0]] = block
     return WindowedMatrix(rows, cols, out)
+
+
+ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
 def from_bytes(read):
@@ -455,16 +461,27 @@ class TestBlockTokenizer:
         end = st.one_of(st.just(""), run) if extra else st.just("")
         odd_one_in = data.draw(st.sampled_from([6, 25, 1000]))
         any_cell = st.integers(1, odd_one_in).flatmap(lambda k: odd_cells if k == 1 else good_cells)
-        lines = ["#fmt 1", f"rows 0 {n_rows - 1}", f"cols 3 {width + 2}"]
+        skipped = st.lists(st.sampled_from(["", " ", "\t\xa0", "# comment", "  #0.0:0.0 x"]), max_size=2)
+
+        def joined(tokens):  # a line of tokens, with the drawn blanks between and around them
+            line = data.draw(end)
+            for k, token in enumerate(tokens):
+                line += (data.draw(gap) if k else "") + token
+            return line + data.draw(end)
+
+        def header(tag, lo, hi):  # bounds signed or in digits that are not ASCII; now and then short or mistagged
+            bound = data.draw(st.sampled_from([str] * 6 + [lambda n: f"+{n}", lambda n: str(n).translate(ARABIC)]))
+            shape = data.draw(st.sampled_from(["whole"] * 18 + ["short", "mistagged"]))
+            tag = {"rows": "cols", "cols": "rows"}[tag] if shape == "mistagged" else tag
+            return joined([tag, bound(lo), *([bound(hi)] if shape != "short" else [])])
+
+        lines = ["#fmt 1", *data.draw(skipped), header("rows", 0, n_rows - 1)]
+        lines += [*data.draw(skipped), header("cols", 3, width + 2)]
         for _ in range(n_rows + data.draw(st.sampled_from([0] * 8 + [-1, 1]))):
             if data.draw(st.integers(0, 9)) == 0:
-                lines.append(data.draw(st.sampled_from(["", " ", "\t\xa0", "# comment", "  #0.0:0.0 x"])))
+                lines += data.draw(skipped)
             count = max(0, width + data.draw(st.sampled_from([0] * 12 + [-1, 1])))
-            cells = [data.draw(any_cell) for _ in range(count)]
-            line = data.draw(end)
-            for k, cell in enumerate(cells):
-                line += (data.draw(gap) if k else "") + cell
-            lines.append(line + data.draw(end))
+            lines.append(joined([data.draw(any_cell) for _ in range(count)]))
         # a lone b'\r' ends a line for str.splitlines() too
         text = data.draw(st.sampled_from(["\n", "\r\n", "\r"] + ["\n", "\r\n"] * 4)).join(lines)
         text += data.draw(st.sampled_from(["\n", "\r\n", ""]))
@@ -473,11 +490,10 @@ class TestBlockTokenizer:
             at = data.draw(st.integers(0, len(raw)))
             raw = raw[:at] + b"\xff" + raw[at:]
         with mock.patch.object(windowed, "_BLOCK", block):
-            want = outcome(from_bytes(reference_load), raw)
+            want, text_want = outcome(from_bytes(reference_load), raw), outcome(reference_load, text)
             for read in (load_matrix, streamed):
                 assert outcome(read, raw) == want
-                if want[0] is not UnicodeDecodeError:
-                    assert outcome(read, text) == want
+                assert outcome(read, text) == text_want
 
     @settings(deadline=None, max_examples=200)
     @given(st.data(), st.sampled_from([1, 9, 64, 1 << 15]))
