@@ -23,12 +23,12 @@ from .symbol import (
     load_symbol_file,
     parse_symbol,
 )
-from .windowed import IndexWindow, WindowError, dump_matrix, load_matrix, stream_matrix
+from .windowed import IndexWindow, WindowError, dump_matrix, stream_matrix
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
 # The pattern predicates, each the pattern of its family: they scan a file's rows as they are read, and the
-# identity checks load the section.
+# identity checks build its cells.
 _CHECKS = {"slant-h": SLANT_H_TOEPLITZ, **_FAMILIES}
 _PREDICATES = (*_CHECKS, "characterization", "extension")
 
@@ -82,16 +82,15 @@ def _expr_section(args, symbols):
     return eval_expr(parse_expr(args.expr), _parse_window(args.window), symbols)
 
 
-def _read_matrix(path: str, streamed: bool):
-    """The matrix file at path, read as bytes: its row blocks when streamed, else its section."""
+def _read_matrix(path: str):
+    """The section of the matrix file at path, read as bytes."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    return stream_matrix(data) if streamed else load_matrix(data)
+        return stream_matrix(handle.read())
 
 
 def _matrix_from_args(args, symbols):
     if args.matrix:
-        return _read_matrix(args.matrix, args.predicate in _CHECKS)
+        return _read_matrix(args.matrix)
     if args.expr:
         return _expr_section(args, symbols)
     raise SymbolParseError("supply --matrix FILE or --expr TEXT")
@@ -129,7 +128,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    report, phi = extract_checked(_read_matrix(args.matrix, streamed=True), args.tol)
+    report, phi = extract_checked(_read_matrix(args.matrix), args.tol)
     if not report.passed:
         _stdout().write("#fmt 1\n" + report.render())
         return 1

@@ -3,12 +3,12 @@
 A family's pattern, read from its record, is that entries of one degree
 `Family.degree(i, j)` are equal; the slant-h and slant step predicates are
 `check_pattern` of their family. The pattern checks and the readback read
-one scan (see _scan) of a section's row blocks, once, in order (see
-windowed.RowBlocks): a dense section's are slices of its data, and a file's
-are tokenized as they are read, so no dense section of the file is built.
-Its scratch is one block and a table of the degrees the windows hold. The
-shift identities are pairs of index maps (see _identities), each read from a
-section's cells in row blocks before the next.
+one scan (see _scan) of a section's row blocks (see windowed.row_blocks):
+slices of its cells, or a file section's rows tokenized as they are read, so
+no cells of the file are built. Its scratch is one block and a table of the
+degrees the windows hold. The shift identities are pairs of index maps (see
+_identities), each read from a section's cells in row blocks before the
+next; a file's cells are built before its windows are judged.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
@@ -22,7 +22,6 @@ instances the group stands for. The witnesses are the first `WITNESS_CAP`
 (16) violations in that order, read when a report is folded.
 """
 
-import itertools
 import math
 from collections import namedtuple
 
@@ -31,7 +30,7 @@ import numpy as np
 from .families import SLANT_H_TOEPLITZ, Family, _degree_pieces, build_family, extension
 from .symbol import LaurentSymbol, SymbolParseError
 from . import windowed
-from .windowed import IndexWindow, RowBlocks, WindowedMatrix, WindowError, format_entry, row_blocks
+from .windowed import IndexWindow, WindowedMatrix, WindowError, format_entry, row_blocks
 
 __all__ = [
     "CheckReport",
@@ -138,8 +137,8 @@ def _kept(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
         return ((lhs - rhs).view(float) != 0).view(np.uint16) != 0  # either part differs: its two bools as one word
 
 
-def _scan(kind: Family, m, tol: float | None) -> tuple:
-    """The pattern scan of `kind` over a section or its row blocks: its groups, lazily, and `readback()`.
+def _scan(kind: Family, m: WindowedMatrix, tol: float | None) -> tuple:
+    """The pattern scan of `kind` over a section's row blocks: its groups, lazily, and `readback()`.
 
     The anchor of a degree is its first entry in C order. Each block records
     the anchors of the degrees no earlier block held, and yields its group:
@@ -149,10 +148,7 @@ def _scan(kind: Family, m, tol: float | None) -> tuple:
     groups are exhausted, is each degree the windows hold, at its anchor,
     trimmed to the nonzero coefficients.
     """
-    rows, cols, blocks = m if isinstance(m, RowBlocks) else row_blocks(m)
-    # the first block is read before the tables are made, so that a file too short for the windows it names
-    # fails as it did when it was loaded, before tables sized by those windows are filled
-    read = list(itertools.islice(blocks, 1))
+    rows, cols, blocks = m.rows, m.cols, row_blocks(m)  # cells are built here, before any table; a file's rows later
     try:
         runs, shift = _slots(kind, rows, cols)
         row_index, col_index = rows.index_array(), cols.index_array()
@@ -167,9 +163,7 @@ def _scan(kind: Family, m, tol: float | None) -> tuple:
         return rows.lo + p // width, cols.lo + p % width
 
     def groups():  # lazily, so one block's arrays are alive at a time
-        seen = 0
-        for top, block in itertools.chain(read, blocks):
-            seen += block.shape[0]
+        for top, block in blocks:
             i = row_index[top : top + block.shape[0], None]
             offset = shift if np.ndim(shift) == 0 else shift[i % 2, col_index % 2]
             slot = np.ravel(kind.degree(i, col_index) + offset)
@@ -188,8 +182,6 @@ def _scan(kind: Family, m, tol: float | None) -> tuple:
                    lambda p, base=top * width, later=later, slot=slot: (*at(int(first[slot[later[p]]])),
                                                                       *at(base + int(later[p]))),
                    slot.size - new.size)
-        if seen != (rows.size if width else 0):  # an iterator read before yields nothing: never a vacuous pass
-            raise ValueError(f"row blocks of {rows} x {cols} hold {seen} rows; they are read once")
 
     def readback() -> LaurentSymbol:
         degrees = np.concatenate([np.arange(hi - lo + 1, dtype=np.int64) + lo for lo, hi in runs] or [[]])
@@ -199,23 +191,23 @@ def _scan(kind: Family, m, tol: float | None) -> tuple:
     return groups(), readback
 
 
-def check_pattern(kind: Family, m, tol: float = 1e-12) -> CheckReport:
+def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
 
-    m is a section, or the row blocks of one (a file's, see
-    windowed.stream_matrix). Each entry is compared with its degree's anchor
-    (see _scan), which a witness (i,j,p,q) names first.
+    m may be a file's section (see windowed.stream_matrix), whose rows are
+    tokenized as they are scanned. Each entry is compared with its degree's
+    anchor (see _scan), which a witness (i,j,p,q) names first.
     """
     return _collect(_scan(kind, m, tol)[0], tol)
 
 
-def check_slant_h_matrix(m, tol: float = 1e-12) -> CheckReport:
+def check_slant_h_matrix(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """check_pattern of the slant-h-toeplitz family."""
     return check_pattern(SLANT_H_TOEPLITZ, m, tol)
 
 
-def extract_symbol(m) -> LaurentSymbol:
-    """Read the inducing symbol back from a slant-h section or its row blocks: each degree held, at its anchor.
+def extract_symbol(m: WindowedMatrix) -> LaurentSymbol:
+    """Read the inducing symbol back from a slant-h section: each degree held, at its anchor.
 
     The matrix is expected to pass check_slant_h_matrix; the scan records the
     anchors without comparing any entry with them.
@@ -226,8 +218,8 @@ def extract_symbol(m) -> LaurentSymbol:
     return readback()
 
 
-def extract_checked(m, tol: float = 1e-12) -> tuple:
-    """check_slant_h_matrix of a section or its row blocks, and extract_symbol where it passes, else None: one scan."""
+def extract_checked(m: WindowedMatrix, tol: float = 1e-12) -> tuple:
+    """check_slant_h_matrix of a section, and extract_symbol where it passes, else None: one scan."""
     groups, readback = _scan(SLANT_H_TOEPLITZ, m, tol)
     report = _collect(groups, tol)
     return report, readback() if report.passed else None
@@ -291,6 +283,7 @@ def check_characterization(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport
         (d) U*.A.Mz.Cz4 = A.Mz.Cz4.U
         (e) U*.A.Mz2.e0 = A.Mz.e0
     """
+    m.data  # a file's cells, before its windows are judged
     _identity_windows(m, 2, "characterization")
     pairs = [(tag, *maps) for tag, _, *maps in _identities(1) if tag]
     return _collect(_pair_groups(pairs, m, m, tol), tol)
@@ -311,6 +304,7 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     as entry pairs (see _identities), and agree with the original section on
     every shared nonnegative row.
     """
+    a.data  # a file's cells, before its windows or the depth are judged
     if depth < 0:
         raise ValueError("extension depth must be >= 0")
     _identity_windows(a, 2 * depth, "extension check")

@@ -211,9 +211,9 @@ def dump_symbol_file(phi: LaurentSymbol) -> str:
 
 
 def load_symbol_file(text: str) -> LaurentSymbol:
-    """Parse the 'n re im' file format; '#' lines are comments."""
+    """Parse the 'n re im' file format; '#' lines are comments, and a leading byte-order mark is dropped."""
     coeffs: dict[int, complex] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

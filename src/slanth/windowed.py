@@ -7,23 +7,22 @@ nonzero entry of its columns. Composition refuses to proceed (rather than
 silently truncate) whenever that guarantee would be lost, which is the classic
 finite-section failure mode.
 
-A section holds its cells or its triplets, the nonzero entries as (row,
-column, value) arrays; this module alone decides which, and reads them.
-Elementaries and products hold triplets, and build their cells only when
-`data` is read; compose and dump_matrix read the triplets of a section that
-holds them (the dump only the cells other than 0.0:0.0), and a section of
-cells inside a product becomes triplets. Every product sums each entry's
-products in ascending inner index, so an entry is the same on every window.
+A section holds its cells, its triplets (its nonzero entries as (row, column,
+value) arrays) or a matrix file; this module alone decides which, and reads
+them. Triplet and file sections build their cells only when `data` is read;
+compose and dump_matrix read the triplets of a section that holds them (the
+dump only the cells other than 0.0:0.0), and a section of cells inside a
+product becomes triplets. Every product sums each entry's products in
+ascending inner index, so an entry is the same on every window.
 
 Empty windows are first class: a projection applied to a wholly anti-analytic
 window, or multiplication by the zero symbol, legitimately produces a section
 with no rows, and such sections compose to zero blocks.
 
 A matrix file is read from its bytes by one tokenizer, a block of whole rows
-at a time (RowBlocks): stream_matrix yields the blocks as they are read, and
-load_matrix fills the dense section with them. Bytes that are not canonical
-(see _index), and text that is not ASCII, are rewritten once as canonical
-bytes by str.splitlines() and str.split(), as a text reader splits them.
+at a time, as row_blocks yields them or into its section's cells. Bytes that
+are not canonical (see _index), and text that is not ASCII, are rewritten
+once as canonical bytes by str.splitlines() and str.split(), as text splits.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -57,7 +56,6 @@ __all__ = [
     "compose_chain",
     "dump_matrix",
     "load_matrix",
-    "RowBlocks",
     "row_blocks",
     "stream_matrix",
 ]
@@ -133,14 +131,14 @@ _Triplets = namedtuple("_Triplets", "i j v")
 
 
 class WindowedMatrix:
-    """Complex section addressed by absolute row/column indices: its cells, or its triplets.
+    """Complex section addressed by absolute row/column indices: its cells, its triplets, or a matrix file.
 
-    A triplet section builds its cells once, the first time `data` is read:
-    its entries are added into +0.0, so a stored -0.0 part reads 0.0, as a
-    dense product sums. The cells of every section are read-only.
+    A triplet or file section builds its cells once, the first time `data`
+    is read: triplets are added into +0.0, so a stored -0.0 part reads 0.0,
+    as a dense product sums, and a file's rows tokenized. Cells are read-only.
     """
 
-    __slots__ = ("rows", "cols", "_cells", "_triplets")
+    __slots__ = ("rows", "cols", "_cells", "_triplets", "_file")
 
     def __new__(cls, rows: IndexWindow, cols: IndexWindow, data):
         data = np.array(data, dtype=complex)
@@ -149,31 +147,35 @@ class WindowedMatrix:
         return cls._of(rows, cols, data)
 
     @classmethod
-    def _of(cls, rows: IndexWindow, cols: IndexWindow, data=None, triplets=None) -> "WindowedMatrix":
-        """Section on a complex array of the right shape that nothing else writes, frozen, not copied; or on triplets
-        (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending, unless they are in it."""
-        if data is None:
+    def _of(cls, rows: IndexWindow, cols: IndexWindow, data=None, triplets=None, file=None) -> "WindowedMatrix":
+        """Section on a complex array of the right shape that nothing else writes, frozen, not copied; on a file's
+        _Index; or on triplets (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending."""
+        if triplets is not None:
             i, j, v = triplets
             if not np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))):
                 order = np.lexsort((i, j))
                 i, j, v = i[order], j[order], v[order]
             triplets = _Triplets(i, j, v)
-        else:
+        elif data is not None:
             data.setflags(write=False)
         m = object.__new__(cls)
-        m.rows, m.cols, m._cells, m._triplets = rows, cols, data, triplets
+        m.rows, m.cols, m._cells, m._triplets, m._file = rows, cols, data, triplets, file
         return m
 
     @property
     def data(self) -> np.ndarray:
-        """The cells, read-only; a triplet section builds them on the first read and keeps them."""
+        """The cells, read-only; a triplet or file section builds them on the first read and keeps them."""
         if self._cells is None:
             _check_size(self.rows, self.cols)
-            i, j, v = self._triplets
             cells = np.zeros((self.rows.size, self.cols.size), dtype=complex)
-            cells[i - self.rows.lo, j - self.cols.lo] += v
+            if self._file is None:
+                i, j, v = self._triplets
+                cells[i - self.rows.lo, j - self.cols.lo] += v
+            else:
+                for _ in _blocks(self._file, cells):
+                    pass
             cells.setflags(write=False)
-            self._cells = cells  # only once it is whole
+            self._cells, self._file = cells, None  # only once it is whole
         return self._cells
 
     def entry(self, i: int, j: int) -> complex:
@@ -201,6 +203,7 @@ class WindowedMatrix:
             raise WindowError(
                 f"embedding {rows} x {cols} does not contain {self.rows} x {self.cols}"
             )
+        _check_size(rows, cols)
         data = np.zeros((rows.size, cols.size), dtype=complex)
         if not (self.rows.is_empty or self.cols.is_empty):
             data[
@@ -509,17 +512,14 @@ _BLOCK = 1 << 15
 # Bytes of a file searched at once for line ends and irregular bytes.
 _CHUNK = 1 << 20
 
-# A section read once as row blocks: its windows, and `blocks`, an iterator of
-# (top, block) in row order, block being the dense rows top, top + 1, ... of
-# the section (whole rows, about _BLOCK cells).
-RowBlocks = namedtuple("RowBlocks", "rows cols blocks")
 
-
-def row_blocks(m: WindowedMatrix) -> RowBlocks:
-    """A dense section as row blocks: slices of its data."""
-    step = max(1, _BLOCK // max(1, m.cols.size))
-    tops = range(0, m.rows.size if m.cols.size else 0, step)
-    return RowBlocks(m.rows, m.cols, ((top, m.data[top : top + step]) for top in tops))
+def row_blocks(m: WindowedMatrix):
+    """(top, block) in row order, block the section's rows top, top + 1, ... (about _BLOCK cells): slices of its
+    cells, built at once, or a file section's rows, tokenized as they are read until its cells exist."""
+    if m._file is not None:
+        return _blocks(m._file)
+    cells, step = m.data, max(1, _BLOCK // max(1, m.cols.size))
+    return ((top, cells[top : top + step]) for top in range(0, m.rows.size if m.cols.size else 0, step))
 
 
 def _parse_window(line: str, tag: str) -> IndexWindow:
@@ -675,6 +675,8 @@ def _blocks(index: _Index, out: np.ndarray | None = None):
     """
     width, bad = index.cols.size, None
     step = max(1, _BLOCK // max(1, width))
+    if out is None and index.starts.size:  # the largest block
+        _check_size(IndexWindow(0, step - 1), index.cols)
     for top in range(0, index.starts.size, step):
         lines = slice(top, top + step)
         block = np.zeros((index.starts[lines].size, width), dtype=complex) if out is None else out[lines]
@@ -688,34 +690,33 @@ def _blocks(index: _Index, out: np.ndarray | None = None):
 
 
 def _indexed(data: bytes | str) -> _Index:
-    """The index (see _index) of a matrix file's bytes or text; bytes that are not canonical are rewritten once from
-    their strict UTF-8 decoding, and text whose encoding is not canonical from the text itself."""
+    """The index (see _index) of a matrix file's bytes or text; if not canonical, they are rewritten once from the text,
+    the strict UTF-8 decoding of bytes, less a leading byte-order mark."""
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    return _index(raw) or _index(_rewritten(data if isinstance(data, str) else data.decode("utf-8")), rewritten=True)
+    return _index(raw) or _index(_rewritten(data.removeprefix("\ufeff") if isinstance(data, str)
+                                            else data.decode("utf-8-sig")), rewritten=True)
 
 
-def stream_matrix(data: bytes | str) -> RowBlocks:
-    """The row blocks of a matrix file, tokenized as they are read; see load_matrix.
-
-    The windows, the headers and the count of data lines are read at once; a
-    malformed cell raises in the block that holds it, and a non-finite one
-    after the last block.
-    """
+def stream_matrix(data: bytes | str) -> WindowedMatrix:
+    """The section of a matrix file, on its bytes (see load_matrix): the windows, the headers and the count of data
+    lines are read at once, the rows when they are read; a malformed cell raises in the block that holds it, and a
+    non-finite one after the last block."""
     index = _indexed(data)
-    return RowBlocks(index.rows, index.cols, _blocks(index))
+    if len(index.data) < index.starts.size * (4 * index.cols.size - 1):  # too short for its cells, each of 3 bytes
+        for _ in _blocks(index):  # or more: its bad line is named before a table sized by its windows is made
+            pass
+    return WindowedMatrix._of(index.rows, index.cols, file=index)
 
 
 def load_matrix(data: bytes | str) -> WindowedMatrix:
-    """Parse the matrix file format produced by dump_matrix, from its bytes or its text.
+    """Parse the matrix file format produced by dump_matrix, from its bytes or its text, to cells.
 
     Data lines are tokenized with numpy, about `_BLOCK` cells at a time, so the
     cost grows with the cells other than `0.0:0.0`; cells may be separated by
     any whitespace str.split() accepts. Errors name the first bad line, and
     within it the first malformed cell; non-finite entries are reported once
-    every line has parsed.
+    every line has parsed. A leading byte-order mark is dropped.
     """
-    index = _indexed(data)
-    out = np.zeros((index.rows.size, index.cols.size), dtype=complex)
-    for _ in _blocks(index, out):
-        pass
-    return WindowedMatrix._of(index.rows, index.cols, out)
+    m = stream_matrix(data)
+    m.data  # its cells, built once
+    return m

@@ -746,6 +746,8 @@ def test_malformed_symbol_is_a_usage_error(capsys, tmp_path, symbols, line, mess
         ["check", "slant-h", "--expr", "V(phi)", "--window", "0:2", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
         # a section of 2**63 + 1 rows: exited 2 with numpy's words
         ["build", "--expr", "M(phi)", "--window", "0:0", "--symbol", f"phi={-(2**62)}:1, {2**62}:1"],
+        # the difference embeds both sides in the hull of their rows, 2**62 + 1 of them: exited 2 with numpy's words
+        ["build", "--expr", "M(phi) - M(psi)", "--window", "0:0", "--symbol", "phi=0:1", "--symbol", f"psi={2**62}:1"],
     ],
 )
 def test_window_past_numpy_size_limit_is_a_window_error(capsys, argv):
@@ -1034,6 +1036,48 @@ class TestFileBytes:
         assert cli(["build", "--family", "slant-h-toeplitz", "--symbol", "phi=0:1", *window, "--out", str(path)])[0] == 0
         assert cli(["check", "slant-h", "--matrix", str(path)]) == (0, "#fmt 1\nPASS max_residual=0.0 vacuous=1\n", "")
         assert cli(["extract", "--matrix", str(path)]) == (0, dump_symbol_file(LaurentSymbol({})), "")
+
+    @pytest.mark.parametrize("hi", ["9999999999999999999", HUGE])
+    @pytest.mark.parametrize("argv", [["check", "slant-h"], ["check", "toeplitz"], ["check", "characterization"],
+                                      ["check", "extension"], ["extract"]])
+    def test_a_row_too_wide_for_int64_bytes_is_a_window_error(self, tmp_path, argv, hi):
+        # the one row of this file was sized by numpy, which exited 2 with its own words
+        path = tmp_path / "wide.mat"
+        path.write_text(f"#fmt 1\nrows 0 0\ncols 0 {hi}\n0.0:0.0\n")
+        code, out, err = cli([*argv, "--matrix", str(path)])
+        assert (code, out) == (3, "") and err.startswith("window error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["build_oracle.mat", "perturbed_oracle.mat"])
+    @pytest.mark.parametrize("argv", [["check", "slant-h"], ["check", "characterization"], ["extract"]])
+    def test_a_byte_order_mark_reads_as_no_mark(self, tmp_path, argv, name):
+        plain, marked = tmp_path / "plain.mat", tmp_path / "marked.mat"
+        plain.write_bytes((DATA / name).read_bytes())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert cli([*argv, "--matrix", str(marked)]) == cli([*argv, "--matrix", str(plain)])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        assert cli([*argv, "--matrix", str(marked)]) == cli([*argv, "--matrix", str(plain)])
+
+    def test_a_marked_copy_matches_the_pinned_report(self, tmp_path):
+        path = tmp_path / "marked.mat"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / "perturbed_oracle.mat").read_bytes())
+        assert cli(["check", "slant-h", "--matrix", str(path)]) == (1, (DATA / "check_perturbed.txt").read_text(), "")
+
+    def test_a_symbol_file_with_a_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "phi.sym", tmp_path / "marked.sym"
+        plain.write_text(dump_symbol_file(parse_symbol(GENERIC_INLINE)))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        argv = ["build", "--family", "slant-h-toeplitz", "--rows", "0:8", "--cols", "0:33", "--symbol"]
+        expected = cli([*argv, f"phi={plain}"])
+        assert expected[0] == 0 and cli([*argv, f"phi={marked}"]) == expected
+
+    @pytest.mark.parametrize("argv", [["characterization"], ["extension"], ["extension", "--m", "-1"]])
+    @pytest.mark.parametrize("cell, message", [("1:2:3", "data line 2: entry 2: malformed matrix entry '1:2:3'"),
+                                               ("nan:0.0", "data line 2: entry 2 is not finite")])
+    def test_a_bad_cell_comes_before_the_identity_windows(self, tmp_path, argv, cell, message):
+        # columns 0..3 are too few for the identities, and depth -1 is refused: the file's cells are read first
+        path = tmp_path / "narrow.mat"
+        path.write_text(f"#fmt 1\nrows 0 1\ncols 0 3\n{' '.join(['0.0:0.0'] * 4)}\n0.0:0.0 {cell} 0.0:0.0 0.0:0.0\n")
+        assert cli(["check", *argv, "--matrix", str(path)]) == (2, "", f"error: {message}\n")
 
 
 small_parts = st.integers(-2, 2).map(float)

@@ -884,12 +884,14 @@ class TestAnchorTable:
                       data.draw(st.integers(cols.lo, cols.hi)), spike)
         assert_same(check_pattern(kind, m), reference_fold(degree_class_instances(kind, m)))
 
-    def test_row_blocks_are_read_once(self):
-        m = v_section(GENERIC)
-        blocks = windowed.stream_matrix(dump_matrix(m))
-        assert check_slant_h_matrix(blocks).render() == check_slant_h_matrix(m).render()
-        with pytest.raises(ValueError, match="read once"):
-            extract_symbol(blocks)
+    def test_a_file_section_is_scanned_twice_then_loaded(self):
+        # each scan tokenizes the file's rows again, until `data` builds its cells
+        text = dump_matrix(perturbed(v_section(GENERIC), 4, 1, -0.0 - 2.5j))
+        loaded, section = windowed.load_matrix(text), windowed.stream_matrix(text)
+        assert check_slant_h_matrix(section).render() == check_slant_h_matrix(loaded).render()
+        assert extract_symbol(section) == extract_symbol(loaded)
+        assert np.array_equal(section.data.view(np.uint64), loaded.data.view(np.uint64))
+        assert not check_slant_h_matrix(section).passed and section._file is None
 
     def test_far_columns(self):
         # columns 2**40 and 2**40 + 1 of row 0 hold degrees -2**39 and 2**39 + 1: the table spanned both, 8 TiB

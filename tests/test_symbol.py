@@ -179,6 +179,13 @@ class TestFileFormat:
         with pytest.raises(SymbolParseError):
             load_symbol_file("0 1.0 0.0\n0 2.0 0.0\n")
 
+    @pytest.mark.parametrize("text", ["2 7.0 0.0\n-1 2.0 0.0\n", "# a comment\n2 7.0 0.0\n-1 2.0 0.0\n"])
+    def test_a_leading_byte_order_mark_is_dropped(self, text):
+        # only the first: a mark inside a line is still read as part of it
+        assert load_symbol_file("\ufeff" + text) == load_symbol_file(text) == parse_symbol("-1:2, 2:7")
+        with pytest.raises(SymbolParseError, match=r"^line 1: degree '\\ufeff2' is not an integer$"):
+            load_symbol_file("\ufeff\ufeff" + text.removeprefix("# a comment\n"))
+
     def test_rejects_short_lines(self):
         with pytest.raises(SymbolParseError):
             load_symbol_file("0 1.0\n")

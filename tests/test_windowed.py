@@ -135,7 +135,8 @@ class TestSectionOwnership:
 
     def test_results_are_read_only(self):
         sec = build_elementary(K, IndexWindow(0, 5))
-        for m in (sec, compose(build_elementary(P, sec.rows), sec), sec.restrict(sec.rows, IndexWindow(1, 2)), adjoint(sec)):
+        for m in (sec, compose(build_elementary(P, sec.rows), sec), sec.restrict(sec.rows, IndexWindow(1, 2)), adjoint(sec),
+                  windowed.stream_matrix(dump_matrix(sec))):
             assert not m.data.flags.writeable
 
     def test_scaled_cells_keep_positive_zeros(self):
@@ -146,6 +147,11 @@ class TestSectionOwnership:
         parts = scaled.data.view(float)
         assert not np.any(np.signbit(parts[parts == 0]))
         assert dump_matrix(scaled).splitlines()[3:] == ["-2.0:0.0 0.0:0.0 0.0:-4.0", "0.0:0.0 0.0:0.0 -6.0:0.0"]
+
+    def test_embedding_past_int64_bytes_is_a_window_error(self):
+        m = build_elementary(mult(parse_symbol(f"{2**62}:1")), IndexWindow(0, 0))
+        with pytest.raises(WindowError, match="past int64"):
+            m.embed(IndexWindow(0, 2**62), m.cols)
 
 
 class TestCompose:
@@ -347,6 +353,28 @@ class TestDumpFormat:
         with pytest.raises(ValueError):
             load_matrix("rows 0 0\ncols 0 0\n1.0:0.0 2.0:0.0\n")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_leading_byte_order_mark_is_dropped(self, newline):
+        text = dump_matrix(build_family(SLANT_H_TOEPLITZ, parse_symbol("-1:2, 0:-0.0-3j"), IndexWindow(0, 3),
+                                        IndexWindow(0, 9))).replace("\n", newline)
+        plain = load_matrix(text.encode()).data.view(np.uint64)
+        for marked in ("\ufeff" + text, "\ufeff".encode() + text.encode()):
+            assert np.array_equal(load_matrix(marked).data.view(np.uint64), plain)
+        # a second mark is the first header's
+        with pytest.raises(ValueError, match=r"^expected 'rows lo hi' header, got '\\ufeffrows 0 3'$"):
+            load_matrix("\ufeff\ufeff" + text.split(newline, 1)[1])
+
+    def test_a_file_too_short_for_its_windows_is_refused_when_indexed(self):
+        # fewer than 4 bytes a cell: its bad line is named before any table sized by the windows it names is made
+        with pytest.raises(ValueError, match="^data line 1: expected 1000 entries, found 100$"):
+            windowed.stream_matrix("rows 0 1\ncols 0 999\n" + " ".join(["0.0:0.0"] * 100) + "\n0.0:0.0\n")
+        with pytest.raises(WindowError, match="past int64"):
+            windowed.stream_matrix(f"rows 0 0\ncols 0 {2**63}\n0.0:0.0\n")
+        m = windowed.stream_matrix("rows 0 1\ncols 0 1\n1.0:0.0 1:2:3\n0.0:0.0 0.0:0.0\n")  # long enough
+        assert isinstance(m, WindowedMatrix) and (m.rows, m.cols) == (IndexWindow(0, 1), IndexWindow(0, 1))
+        with pytest.raises(ValueError, match="^data line 1: entry 2: malformed matrix entry '1:2:3'$"):
+            m.data
+
     @pytest.mark.parametrize("cell", ["nan:0.0", "1.0:inf", "-inf:0.0"])
     def test_non_finite_rejected(self, cell):
         with pytest.raises(ValueError, match="line 2: entry 1 is not finite"):
@@ -430,12 +458,12 @@ odd_cells = st.sampled_from(["1.0", "1.0:", ":2", "1:2:3", "a:0", "1.0 :2.0", "0
 
 
 def streamed(data):
-    """The section the row blocks of stream_matrix hold, gathered."""
-    rows, cols, blocks = windowed.stream_matrix(data)
-    out = np.zeros((rows.size, cols.size), dtype=complex)
-    for top, block in blocks:
+    """The section the row blocks of a stream_matrix section hold, gathered."""
+    m = windowed.stream_matrix(data)
+    out = np.zeros((m.rows.size, m.cols.size), dtype=complex)
+    for top, block in windowed.row_blocks(m):
         out[top : top + block.shape[0]] = block
-    return WindowedMatrix(rows, cols, out)
+    return WindowedMatrix(m.rows, m.cols, out)
 
 
 ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
