@@ -37,11 +37,11 @@ from .windowed import (
     P,
     W,
     WSTAR,
+    Elementary,
     IndexWindow,
     WindowedMatrix,
     WindowError,
     compose_chain,
-    mult,
 )
 
 __all__ = [
@@ -93,7 +93,7 @@ def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow) -> float:
     if not cols.is_empty and cols.lo < 0:
         raise WindowError(f"analytic column window required, got {cols}")
     rho = symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))
-    whole = compose_chain([W, P, mult(rho), WSTAR, *SLANT_H_TOEPLITZ.chain(phi)], cols)
+    whole = compose_chain([W, P, Elementary("M", 0, rho), WSTAR, *SLANT_H_TOEPLITZ.chain(phi)], cols)
     return float(np.max(np.abs(whole.data))) if whole.data.size else 0.0
 
 

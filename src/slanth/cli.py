@@ -156,9 +156,10 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = None if args.all else args.names
-    if not names and not args.all:
+    if not args.names and not args.all:
         raise SymbolParseError("name at least one check or pass --all")
+    # --all runs every suite once each name given is known: run alone, the first unknown name is the error
+    names = [name for name in args.names if name not in dict(verify_mod.CHECKS)][:1] if args.all else args.names
     return verify_mod.run(_stdout(), names)
 
 

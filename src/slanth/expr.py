@@ -38,7 +38,6 @@ from .windowed import (
     _scaled,
     build_elementary,
     compose_chain,
-    mult,
 )
 
 __all__ = [
@@ -116,7 +115,7 @@ def _family(kind):
 _ATOMS = {
     **{name: ((), _elementary(name)) for name in ("W", "W*", "K", "K*", "J", "P", "U", "U*")},
     **{name: ((int,), _elementary(name)) for name in ("S", "Cz", "Mz")},
-    "M": ((str,), lambda window, symbols, name: build_elementary(mult(_resolve(symbols, name)), window)),
+    "M": ((str,), lambda window, symbols, name: build_elementary(Elementary("M", 0, _resolve(symbols, name)), window)),
     **{kind.atom: ((str,), _family(kind)) for kind in COMPOSITIONAL_KINDS},
     "A": ((int, str), lambda window, symbols, depth, name: _family(extension(depth))(window, symbols, name)),
 }
@@ -156,11 +155,15 @@ class _Parser:
         self.pos += 1
         return token
 
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is the punctuation `value`, and say whether it was."""
+        taken = self.peek()[:2] == ("punct", value)
+        self.pos += taken
+        return taken
+
     def expect_punct(self, value: str, message: str | None = None):
-        kind, text, column = self.peek()
-        if kind != "punct" or text != value:
-            raise ExprParseError(message or f"expected {value!r}", column)
-        self.advance()
+        if not self.accept(value):
+            raise ExprParseError(message or f"expected {value!r}", self.peek()[2])
 
     def parse(self):
         node = self.expr()
@@ -169,26 +172,19 @@ class _Parser:
             raise ExprParseError(f"unexpected trailing {text!r}", column)
         return node
 
-    def expr(self):
-        terms = [self.chain()]
-        while self.peek()[:2] == ("punct", "-"):
-            self.advance()
-            terms.append(self.chain())
-        return Diff(tuple(terms)) if len(terms) > 1 else terms[0]
-
-    def chain(self):
-        terms = [self.term()]
-        while self.peek()[:2] == ("punct", "."):
-            self.advance()
-            terms.append(self.term())
-        return Compose(tuple(terms)) if len(terms) > 1 else terms[0]
+    def expr(self, separators: str = "-."):
+        """Operands joined by the first separator, a Diff at '-' and a Compose at '.', each parsed at the rest."""
+        operand = partial(self.expr, separators[1:]) if len(separators) > 1 else self.term
+        terms = [operand()]
+        while self.accept(separators[0]):
+            terms.append(operand())
+        return (Diff if separators[0] == "-" else Compose)(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term(self):
         kind, text, column = self.peek()
-        if kind == "punct" and text == "(":
+        if self.accept("("):
             if self.depth == _MAX_NESTING:
                 raise ExprParseError(f"parentheses nested deeper than {_MAX_NESTING}", column)
-            self.advance()
             self.depth += 1
             node = self.expr()
             self.depth -= 1
@@ -207,11 +203,10 @@ class _Parser:
             raise ExprParseError("expected an atom name", column)
         if text not in _ATOMS:
             raise ExprParseError(f"unknown atom {text!r}", column)
-        kinds, args = _ATOMS[text][0], []
-        if (self.peek()[:2] == ("punct", "(")) != bool(kinds):
-            raise ExprParseError(f"{text} {'requires' if kinds else 'takes no'} arguments", self.peek()[2])
+        kinds, args, opened = _ATOMS[text][0], [], self.peek()[2]
+        if self.accept("(") != bool(kinds):
+            raise ExprParseError(f"{text} {'requires' if kinds else 'takes no'} arguments", opened)
         if kinds:
-            self.advance()
             for arg in kinds:
                 if args:
                     self.expect_punct(",")
@@ -220,9 +215,7 @@ class _Parser:
         return Atom(text, tuple(args))
 
     def int_arg(self) -> int:
-        start, negative = self.peek()[2], self.peek()[:2] == ("punct", "-")
-        if negative:
-            self.advance()
+        start, negative = self.peek()[2], self.accept("-")
         kind, text, column = self.advance()
         if kind != "number" or not re.fullmatch(r"[0-9]+", text):
             raise ExprParseError("expected an integer argument", column)

@@ -34,14 +34,13 @@ from .windowed import (
     P,
     W,
     WSTAR,
+    Elementary,
     IndexWindow,
     WindowedMatrix,
     WindowError,
     _check_int64,
     _check_size,
-    bilateral_shift,
     compose_chain,
-    mult,
 )
 
 __all__ = [
@@ -87,15 +86,15 @@ def _h_shuffle(step: int) -> Callable:
 
 _SLANT_H = _h_shuffle(2)
 
-TOEPLITZ = Family("toeplitz", "T", lambda i, j: i - j, lambda phi: [P, mult(phi)])
-HANKEL = Family("hankel", "H", lambda i, j: i + j + 1, lambda phi: [P, mult(phi), J])
-SLANT_TOEPLITZ = Family("slant-toeplitz", "B", lambda i, j: 2 * i - j, lambda phi: [P, W, mult(phi)])
-SLANT_HANKEL = Family("slant-hankel", "L", lambda i, j: 2 * i + j + 1, lambda phi: [W, P, mult(phi), J])
-H_TOEPLITZ = Family("h-toeplitz", "Sh", _h_shuffle(1), lambda phi: [P, mult(phi), K])
-SLANT_H_TOEPLITZ = Family("slant-h-toeplitz", "V", _SLANT_H, lambda phi: [W, P, mult(phi), K])
+TOEPLITZ = Family("toeplitz", "T", lambda i, j: i - j, lambda phi: [P, Elementary("M", 0, phi)])
+HANKEL = Family("hankel", "H", lambda i, j: i + j + 1, lambda phi: [P, Elementary("M", 0, phi), J])
+SLANT_TOEPLITZ = Family("slant-toeplitz", "B", lambda i, j: 2 * i - j, lambda phi: [P, W, Elementary("M", 0, phi)])
+SLANT_HANKEL = Family("slant-hankel", "L", lambda i, j: 2 * i + j + 1, lambda phi: [W, P, Elementary("M", 0, phi), J])
+H_TOEPLITZ = Family("h-toeplitz", "Sh", _h_shuffle(1), lambda phi: [P, Elementary("M", 0, phi), K])
+SLANT_H_TOEPLITZ = Family("slant-h-toeplitz", "V", _SLANT_H, lambda phi: [W, P, Elementary("M", 0, phi), K])
 # the true conjugate transpose of the slant-h form
 SLANT_H_ADJOINT = Family("slant-h-adjoint", "V*", lambda i, j: _SLANT_H(j, i),
-                         lambda phi: [KSTAR, mult(conj_reflect(phi)), WSTAR], conj=True)
+                         lambda phi: [KSTAR, Elementary("M", 0, conj_reflect(phi)), WSTAR], conj=True)
 
 COMPOSITIONAL_KINDS = (
     TOEPLITZ,
@@ -118,8 +117,8 @@ def extension(depth: int) -> Family:
         raise ValueError("extension depth must be >= 0")
     if depth == 0:
         return SLANT_H_TOEPLITZ
-    return Family("extension", "A", _SLANT_H,
-                  lambda phi: [bilateral_shift(-depth), P, bilateral_shift(depth), W, mult(phi), K], depth=depth)
+    return Family("extension", "A", _SLANT_H, depth=depth,
+                  chain=lambda phi: [Elementary("S", -depth), P, Elementary("S", depth), W, Elementary("M", 0, phi), K])
 
 
 def _piece_table(kind: Family) -> dict:

@@ -151,7 +151,8 @@ def _scan(kind: Family, m: WindowedMatrix, tol: float | None) -> tuple:
     rows, cols, blocks = m.rows, m.cols, row_blocks(m)  # cells are built here, before any table; a file's rows later
     try:
         runs, shift = _slots(kind, rows, cols)
-        row_index, col_index = rows.index_array(), cols.index_array()
+        # an empty window gives no block, so no index array is built of the other, however wide
+        row_index, col_index = (rows.index_array(), cols.index_array()) if rows.size * cols.size else ((), ())
     except WindowError:
         for _ in blocks:  # a malformed or non-finite cell of a file is reported first, as when it is loaded
             pass

@@ -46,10 +46,6 @@ __all__ = [
     "P",
     "U",
     "USTAR",
-    "bilateral_shift",
-    "compose_z",
-    "mult",
-    "mult_z",
     "adjoint",
     "build_elementary",
     "compose",
@@ -214,7 +210,7 @@ class WindowedMatrix:
 
 
 class Elementary(namedtuple("Elementary", "name power symbol", defaults=(0, None))):
-    """One of the closed-form basis maps a section can be built from."""
+    """A closed-form basis map, named like its expression atom: S, Cz and Mz read the power, M(phi) the symbol phi."""
 
     __slots__ = ()
 
@@ -234,24 +230,6 @@ U = Elementary("U")  # forward unilateral shift
 USTAR = Elementary("U*")  # backward shift into the analytic side; kills n <= 0
 
 
-def bilateral_shift(power: int) -> Elementary:
-    return Elementary("S", power)
-
-
-def compose_z(k: int) -> Elementary:
-    """Composition with z^k: e_n -> e_{kn}; k must be >= 1."""
-    return Elementary("Cz", k)
-
-
-def mult_z(k: int) -> Elementary:
-    """Multiplication by z^k on the two-sided sequence space."""
-    return Elementary("Mz", k)
-
-
-def mult(phi: LaurentSymbol) -> Elementary:
-    return Elementary("M", 0, phi)
-
-
 # Operators defined only on the analytic side; U* is deliberately permissive
 # (it acts as the adjoint of U landing in the analytic side, so it annihilates
 # every index <= 0 and may follow sections whose rows dip below zero).
@@ -268,9 +246,9 @@ _INDEX_MAPS = {
     "P": (lambda j, p: j, lambda j: j >= 0),
     "U": (lambda j, p: j + 1, None),
     "U*": (lambda j, p: j - 1, lambda j: j >= 1),
-    "S": (lambda j, p: j + p, None),
-    "Mz": (lambda j, p: j + p, None),
-    "Cz": (lambda j, p: p * j, None),
+    "S": (lambda j, p: j + p, None),  # bilateral shift: e_n -> e_{n+p}
+    "Mz": (lambda j, p: j + p, None),  # multiplication by z^p on the two-sided space
+    "Cz": (lambda j, p: p * j, None),  # composition with z^p: e_n -> e_{pn}, p >= 1
 }
 
 

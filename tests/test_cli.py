@@ -482,6 +482,12 @@ class TestVerify:
     def test_unknown_suite(self):
         assert run_cli("verify", "bogus").returncode == 2
 
+    @pytest.mark.parametrize("names", [["bogus"], ["golden", "bogus"]])
+    def test_all_with_an_unknown_name_is_the_usage_error(self, names):
+        # --all dropped the names it was given: it ran the ten suites and exited 0; no suite runs now
+        known = ", ".join(name for name, _ in verify.CHECKS)
+        assert cli(["verify", "--all", *names]) == (2, "", f"error: unknown check 'bogus'; known: {known}\n")
+
     def test_all(self):
         result = run_cli("verify", "--all")
         assert result.returncode == 0
@@ -1036,6 +1042,16 @@ class TestFileBytes:
         assert cli(["build", "--family", "slant-h-toeplitz", "--symbol", "phi=0:1", *window, "--out", str(path)])[0] == 0
         assert cli(["check", "slant-h", "--matrix", str(path)]) == (0, "#fmt 1\nPASS max_residual=0.0 vacuous=1\n", "")
         assert cli(["extract", "--matrix", str(path)]) == (0, dump_symbol_file(LaurentSymbol({})), "")
+
+    @pytest.mark.parametrize("headers", ["rows 0 -1\ncols 0 1000000000\n", "rows 0 1000000000\ncols 0 -1\n"])
+    @pytest.mark.parametrize("argv, out", [(["check", "slant-h"], "#fmt 1\nPASS max_residual=0.0 vacuous=1\n"),
+                                           (["check", "toeplitz"], "#fmt 1\nPASS max_residual=0.0 vacuous=1\n"),
+                                           (["extract"], "#fmt 1\n")])
+    def test_a_file_with_no_cells_is_vacuous_on_any_window(self, tmp_path, headers, argv, out):
+        # 30 bytes, no data line: the scan built a 10**9-index array of the wide window, 7.45 GiB, and exited 3
+        path = tmp_path / "empty.mat"
+        path.write_text(headers)
+        assert cli([*argv, "--matrix", str(path)]) == (0, out, "")
 
     @pytest.mark.parametrize("hi", ["9999999999999999999", HUGE])
     @pytest.mark.parametrize("argv", [["check", "slant-h"], ["check", "toeplitz"], ["check", "characterization"],

@@ -24,7 +24,7 @@ from slanth import (
     extension,
     parse_symbol,
 )
-from slanth.windowed import compose_chain, compose_z, mult
+from slanth.windowed import Elementary, compose_chain
 from test_expr import ref_nodes, ref_symbols
 from test_family_table import scalar_section, symbols, windows
 from test_windowed import (
@@ -110,7 +110,7 @@ def test_products_keep_the_contract(left, right, swap, domain):
 @CONTRACT
 @given(st.lists(index_maps, min_size=1, max_size=4), laurent, st.integers(0, 4), domains)
 def test_chains_keep_the_contract(maps, phi, at, domain):
-    stages = [*maps[:at], mult(phi), *maps[at:]]  # one M: a dense product sums as the kernel does
+    stages = [*maps[:at], Elementary("M", 0, phi), *maps[at:]]  # one M: a dense product sums as the kernel does
     try:
         want = signed_zeros_cleared(dense_chain(stages, domain))
     except WindowError:
@@ -122,11 +122,11 @@ def test_chains_keep_the_contract(maps, phi, at, domain):
 @given(st.sampled_from(all_kinds), symbols, st.integers(0, 6), st.integers(0, 12), st.integers(0, 8))
 def test_family_times_an_elementary_is_the_dense_product(kind, phi, lo, size, rows_span):
     domain = IndexWindow(lo, lo + size)
-    b = build_elementary(compose_z(2), domain)
+    b = build_elementary(Elementary("Cz", 2), domain)
     rows = IndexWindow(-kind.depth, rows_span - kind.depth)
     a = build_family(kind, phi, rows, b.rows)
     a_cells = WindowedMatrix(rows, b.rows, scalar_section(kind, phi, rows, b.rows))
-    want = signed_zeros_cleared(dense_compose(a_cells, reference_elementary(compose_z(2), domain)))
+    want = signed_zeros_cleared(dense_compose(a_cells, reference_elementary(Elementary("Cz", 2), domain)))
     assert_section(compose(a, b), want.data)
 
 

@@ -35,12 +35,8 @@ from slanth.windowed import (
     WSTAR,
     Elementary,
     WindowedMatrix,
-    bilateral_shift,
     compose_chain,
-    compose_z,
     format_entry,
-    mult,
-    mult_z,
 )
 
 
@@ -80,12 +76,12 @@ class TestBuildElementary:
         assert np.count_nonzero(sec.data) == 4
 
     def test_mult_by_one_is_identity(self):
-        sec = build_elementary(mult(parse_symbol("0:1")), IndexWindow(0, 3))
+        sec = build_elementary(Elementary("M", 0, parse_symbol("0:1")), IndexWindow(0, 3))
         assert sec.rows == IndexWindow(0, 3)
         assert np.array_equal(sec.data, np.eye(4))
 
     def test_mult_by_zero_symbol_has_no_rows(self):
-        sec = build_elementary(mult(ZERO), IndexWindow(0, 5))
+        sec = build_elementary(Elementary("M", 0, ZERO), IndexWindow(0, 5))
         assert sec.rows.is_empty
         assert sec.data.shape == (0, 6)
 
@@ -111,14 +107,14 @@ class TestBuildElementary:
             build_elementary(kind, IndexWindow(-1, 3))
 
     def test_shifts_and_composition_powers(self):
-        assert build_elementary(bilateral_shift(-2), IndexWindow(-1, 3)).rows == IndexWindow(-3, 1)
-        assert build_elementary(mult_z(3), IndexWindow(0, 2)).rows == IndexWindow(3, 5)
-        assert build_elementary(compose_z(2), IndexWindow(1, 3)).rows == IndexWindow(2, 6)
+        assert build_elementary(Elementary("S", -2), IndexWindow(-1, 3)).rows == IndexWindow(-3, 1)
+        assert build_elementary(Elementary("Mz", 3), IndexWindow(0, 2)).rows == IndexWindow(3, 5)
+        assert build_elementary(Elementary("Cz", 2), IndexWindow(1, 3)).rows == IndexWindow(2, 6)
         with pytest.raises(ValueError):
-            compose_z(0)
+            Elementary("Cz", 0)
 
     def test_unit_or_zero_columns(self):
-        kinds = [W, WSTAR, KSTAR, P, bilateral_shift(2), mult_z(-1), compose_z(3)]
+        kinds = [W, WSTAR, KSTAR, P, Elementary("S", 2), Elementary("Mz", -1), Elementary("Cz", 3)]
         for kind in kinds:
             sec = build_elementary(kind, IndexWindow(-4, 7))
             norms = np.linalg.norm(sec.data, axis=0)
@@ -149,7 +145,7 @@ class TestSectionOwnership:
         assert dump_matrix(scaled).splitlines()[3:] == ["-2.0:0.0 0.0:0.0 0.0:-4.0", "0.0:0.0 0.0:0.0 -6.0:0.0"]
 
     def test_embedding_past_int64_bytes_is_a_window_error(self):
-        m = build_elementary(mult(parse_symbol(f"{2**62}:1")), IndexWindow(0, 0))
+        m = build_elementary(Elementary("M", 0, parse_symbol(f"{2**62}:1")), IndexWindow(0, 0))
         with pytest.raises(WindowError, match="past int64"):
             m.embed(IndexWindow(0, 2**62), m.cols)
 
@@ -181,14 +177,14 @@ class TestCompose:
 
     def test_refuses_uncovered_rows(self):
         a = build_elementary(P, IndexWindow(0, 3))
-        b = build_elementary(mult_z(5), IndexWindow(0, 3))
+        b = build_elementary(Elementary("Mz", 5), IndexWindow(0, 3))
         with pytest.raises(WindowError):
             compose(a, b)
 
     def test_associative_exactly(self):
         phi = parse_symbol("-1:2, 0:3, 1:5, 2:7")
         k = build_elementary(K, IndexWindow(0, 9))
-        m = build_elementary(mult(phi), k.rows)
+        m = build_elementary(Elementary("M", 0, phi), k.rows)
         p = build_elementary(P, m.rows)
         w = build_elementary(W, p.rows)
         left = compose(compose(compose(w, p), m), k)
@@ -201,7 +197,7 @@ class TestCompose:
 
 class TestAdjoint:
     def test_identity(self):
-        eye = build_elementary(mult(parse_symbol("0:1")), IndexWindow(0, 4))
+        eye = build_elementary(Elementary("M", 0, parse_symbol("0:1")), IndexWindow(0, 4))
         assert np.array_equal(adjoint(eye).data, np.eye(5))
 
     def test_decimation_adjoint_is_dilation(self):
@@ -212,14 +208,14 @@ class TestAdjoint:
         assert np.array_equal(flipped.data, wstar.data)
 
     def test_involution(self, rng):
-        sec = build_elementary(mult(random_symbol(rng)), IndexWindow(-3, 6))
+        sec = build_elementary(Elementary("M", 0, random_symbol(rng)), IndexWindow(-3, 6))
         twice = adjoint(adjoint(sec))
         assert twice.rows == sec.rows and twice.cols == sec.cols
         assert np.array_equal(twice.data, sec.data)
 
     def test_reverses_composition(self):
         k = build_elementary(K, IndexWindow(0, 7))
-        m = build_elementary(mult(parse_symbol("0:1, 1:2i")), k.rows)
+        m = build_elementary(Elementary("M", 0, parse_symbol("0:1, 1:2i")), k.rows)
         prod = compose(m, k)
         reversed_prod = compose(adjoint(k), adjoint(m))
         assert np.max(np.abs(adjoint(prod).data - reversed_prod.data)) < 1e-15
@@ -241,7 +237,7 @@ def per_cell_dump(m):
 class TestDumpFormat:
     def test_bit_exact_roundtrip(self, rng):
         phi = random_symbol(rng)
-        sec = build_elementary(mult(phi), IndexWindow(-2, 9))
+        sec = build_elementary(Elementary("M", 0, phi), IndexWindow(-2, 9))
         text = dump_matrix(sec)
         again = load_matrix(text)
         assert again.rows == sec.rows and again.cols == sec.cols
@@ -250,7 +246,7 @@ class TestDumpFormat:
 
     def test_sqrt_half_entries_roundtrip(self):
         phi = parse_symbol("0:0.7071067811865476, 1:0.7071067811865476")
-        sec = build_elementary(mult(phi), IndexWindow(0, 5))
+        sec = build_elementary(Elementary("M", 0, phi), IndexWindow(0, 5))
         assert load_matrix(dump_matrix(sec)).data.tobytes() == sec.data.tobytes()
 
     def test_empty_rows_roundtrip(self):
@@ -638,11 +634,11 @@ laurent = st.dictionaries(st.integers(-5, 5), st.one_of(coefficients, st.sampled
                           max_size=5).map(LaurentSymbol)
 index_maps = st.one_of(
     st.sampled_from([W, WSTAR, K, KSTAR, J, P, U, USTAR]),
-    st.integers(-4, 4).map(bilateral_shift),
-    st.integers(-4, 4).map(mult_z),
-    st.integers(1, 4).map(compose_z),
+    st.integers(-4, 4).map(lambda k: Elementary("S", k)),
+    st.integers(-4, 4).map(lambda k: Elementary("Mz", k)),
+    st.integers(1, 4).map(lambda k: Elementary("Cz", k)),
 )
-elementaries = st.one_of(index_maps, laurent.map(mult))
+elementaries = st.one_of(index_maps, laurent.map(lambda phi: Elementary("M", 0, phi)))
 # negative, empty and single-index domains among them
 domains = st.builds(lambda lo, size: IndexWindow(lo, lo + size - 1), st.integers(-6, 6), st.sampled_from([0, 1, 2, 7, 12]))
 KERNEL = settings(deadline=None, max_examples=150)
@@ -679,7 +675,7 @@ class TestTripletKernel:
     @given(st.lists(index_maps, min_size=1, max_size=5), st.one_of(st.none(), laurent), st.integers(0, 5), st.integers(0, 12))
     def test_index_map_chains_match_dense_bitwise(self, maps, phi, at, size):
         # one multiplication at most, so every entry is a single product
-        stages = list(maps) if phi is None else maps[:at] + [mult(phi)] + maps[at:]
+        stages = list(maps) if phi is None else maps[:at] + [Elementary("M", 0, phi)] + maps[at:]
         domain = IndexWindow(0, size - 1)
         try:
             want = signed_zeros_cleared(dense_chain(stages, domain))
@@ -737,7 +733,7 @@ class TestTripletKernel:
         phi = LaurentSymbol({n: complex(n, 1) for n in range(-32, 33)})
         tracemalloc.start()
         try:
-            out = compose_chain([mult(phi), mult(phi)], IndexWindow(0, 1023))
+            out = compose_chain([Elementary("M", 0, phi), Elementary("M", 0, phi)], IndexWindow(0, 1023))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
