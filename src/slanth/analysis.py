@@ -10,7 +10,6 @@ columns of a family's oracle, which holds every nonzero row of its columns.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -27,31 +26,20 @@ from .symbol import (
     ONE,
     ZERO,
     LaurentSymbol,
-    conj_reflect,
     monomial,
     sup_norm,
-    symbol_product,
-    symbol_sub,
 )
 from .windowed import (
-    P,
-    W,
-    WSTAR,
-    Elementary,
     IndexWindow,
     WindowedMatrix,
-    WindowError,
-    compose_chain,
 )
 
 __all__ = [
     "CORPUS",
-    "coisometry_defect",
     "column_norm_floor",
     "frobenius_of_section",
     "min_hyponormal_defect",
     "norm_bound_check",
-    "partial_isometry_identity",
     "section_norm",
     "self_adjoint_distance",
 ]
@@ -70,31 +58,6 @@ CORPUS: list[tuple[str, LaurentSymbol]] = [
     ("2z^-1+3+5z+7z^2", LaurentSymbol({-1: 2, 0: 3, 1: 5, 2: 7})),
     ("z^-1+z^2", LaurentSymbol({-1: 1, 2: 1})),
 ]
-
-
-def coisometry_defect(phi: LaurentSymbol, n_max: int) -> float:
-    """Max over n <= n_max of ||(V V*) e_n - e_n||, built compositionally."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    cols = IndexWindow(0, n_max)
-    # the product of two oracles: one chain V . V* would sum each entry in another order
-    prod = compose_chain([partial(build_compositional, k, phi) for k in (SLANT_H_TOEPLITZ, SLANT_H_ADJOINT)], cols)
-    rows = prod.rows.hull(cols)
-    residual = prod.embed(rows, cols).data - np.eye(rows.size, cols.size, rows.lo)
-    # one norm per column: a norm along an axis sums in another order
-    return max(float(np.linalg.norm(column)) for column in residual.T)
-
-
-def partial_isometry_identity(phi: LaurentSymbol, cols: IndexWindow) -> float:
-    """Max entry of (W T_rho W*)(W T_phi K) with rho = 1 - phi*conj(phi).
-
-    Vanishes whenever V_phi is a partial isometry.
-    """
-    if not cols.is_empty and cols.lo < 0:
-        raise WindowError(f"analytic column window required, got {cols}")
-    rho = symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))
-    whole = compose_chain([W, P, Elementary("M", 0, rho), WSTAR, *SLANT_H_TOEPLITZ.chain(phi)], cols)
-    return float(np.max(np.abs(whole.data))) if whole.data.size else 0.0
 
 
 def frobenius_of_section(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindow) -> float:

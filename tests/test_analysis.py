@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from hypothesis import strategies as st
 from slanth import (
     COMPOSITIONAL_KINDS,
     CORPUS,
+    ONE,
+    P,
     SLANT_H_ADJOINT,
     SLANT_H_TOEPLITZ,
+    WSTAR,
     ZERO,
+    W,
     IndexWindow,
     LaurentSymbol,
     WindowError,
@@ -20,19 +25,23 @@ from slanth import (
     build_elementary,
     build_family,
     coefficient_l2,
-    coisometry_defect,
     column_norm_floor,
     compose,
+    conj_reflect,
+    eval_expr,
     extension,
     frobenius_of_section,
     min_hyponormal_defect,
     monomial,
     norm_bound_check,
+    parse_expr,
     parse_symbol,
-    partial_isometry_identity,
     section_norm,
     self_adjoint_distance,
     sup_norm,
+    symbol_product,
+    symbol_sub,
+    verify,
 )
 from slanth.windowed import Elementary, compose_chain
 
@@ -68,6 +77,36 @@ def raw_sections(draw):
     r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     cells = draw(st.lists(wide_cells, min_size=r * c, max_size=r * c))
     return WindowedMatrix(IndexWindow(0, r - 1), IndexWindow(0, c - 1), np.array(cells, dtype=complex).reshape(r, c))
+
+
+def coisometry_defect(phi, n_max):
+    """The coisometry suite's defect: the largest column norm of V V* - P on columns 0..n_max."""
+    residual = eval_expr(parse_expr("V(phi) . V*(phi) - P"), IndexWindow(0, n_max), {"phi": phi}).data
+    return max(float(np.linalg.norm(column)) for column in residual.T)
+
+
+def partial_isometry_residual(phi, cols):
+    """The coisometry suite's largest |entry| of (W T_rho W*) V on `cols`, rho = 1 - phi conj(phi), V as its chain."""
+    symbols = {"phi": phi, "rho": symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))}
+    whole = eval_expr(parse_expr("W . P . M(rho) . W* . W . P . M(phi) . K"), cols, symbols)
+    return float(np.max(np.abs(whole.data), initial=0.0))
+
+
+def library_coisometry_residuals(phi):
+    """The coisometry suite's three residuals as the library built them before the suite evaluated expressions:
+    the product of the V and V* oracles against the identity, the coefficient sum, and the stage list of
+    (W T_rho W*) V."""
+    cols = IndexWindow(0, 16)
+    prod = compose_chain([partial(build_compositional, k, phi) for k in (SLANT_H_TOEPLITZ, SLANT_H_ADJOINT)], cols)
+    rows = prod.rows.hull(cols)
+    defect = prod.embed(rows, cols).data - np.eye(rows.size, cols.size, rows.lo)
+    rho = symbol_sub(ONE, symbol_product(phi, conj_reflect(phi)))
+    whole = compose_chain([W, P, Elementary("M", 0, rho), WSTAR, *SLANT_H_TOEPLITZ.chain(phi)], IndexWindow(0, 12))
+    return (
+        max(float(np.linalg.norm(column)) for column in defect.T),
+        abs(coefficient_l2(phi) - 1.0),
+        float(np.max(np.abs(whole.data))) if whole.data.size else 0.0,
+    )
 
 
 def reference_coisometry_defect(phi, n_max):
@@ -155,6 +194,24 @@ class TestCoisometry:
         assert coisometry_defect(phi, n_max) == reference_coisometry_defect(phi, n_max)
 
 
+class TestCoisometrySuite:
+    def test_residuals_are_the_library_residuals_bit_for_bit(self):
+        worst = 0.0
+        for label in ("1", "z", "z^3", "(1+z)/sqrt2"):
+            phi = dict(CORPUS)[label]
+            got = (coisometry_defect(phi, 16), abs(coefficient_l2(phi) - 1.0),
+                   partial_isometry_residual(phi, IndexWindow(0, 12)))
+            # uint64 views: zero signs and last bits count
+            assert np.array(got).view(np.uint64).tolist() == np.array(
+                library_coisometry_residuals(phi)).view(np.uint64).tolist(), label
+            worst = max(worst, *got)
+        # the coefficient sum of (1+z)/sqrt2 is the largest; its defect reaches it, its partial residual does not
+        assert worst == abs(coefficient_l2(SQRT_HALF_PAIR) - 1.0) == 2.220446049250313e-16
+        assert coisometry_defect(SQRT_HALF_PAIR, 16) == worst
+        assert partial_isometry_residual(SQRT_HALF_PAIR, IndexWindow(0, 12)) == 1.5700924586837752e-16
+        assert verify.check_coisometry() == (True, f"max_residual={worst!r}")
+
+
 class TestIsometrySum:
     def test_examples(self):
         # the coisometry suite's coefficient residual |sum |a_n|^2 - 1|
@@ -166,13 +223,13 @@ class TestIsometrySum:
 
 class TestPartialIsometry:
     def test_inner_monomial_is_exact(self):
-        assert partial_isometry_identity(monomial(2), IndexWindow(0, 12)) == 0.0
+        assert partial_isometry_residual(monomial(2), IndexWindow(0, 12)) == 0.0
 
     def test_sqrt_half_pair(self):
-        assert partial_isometry_identity(SQRT_HALF_PAIR, IndexWindow(0, 12)) <= 1e-12
+        assert partial_isometry_residual(SQRT_HALF_PAIR, IndexWindow(0, 12)) <= 1e-12
 
     def test_constant_two_violates(self):
-        assert partial_isometry_identity(parse_symbol("0:2"), IndexWindow(0, 12)) > 1.0
+        assert partial_isometry_residual(parse_symbol("0:2"), IndexWindow(0, 12)) > 1.0
 
 
 class TestHilbertSchmidt:
@@ -241,9 +298,8 @@ class TestSelfAdjoint:
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: coisometry_defect(GENERIC, -1), ValueError, "n_max must be >= 0"),
-        (lambda: partial_isometry_identity(GENERIC, IndexWindow(-1, 3)), WindowError,
-         "analytic column window required"),
+        (lambda: partial_isometry_residual(GENERIC, IndexWindow(-1, 3)), WindowError,
+         "K requires an analytic domain (lo >= 0), got -1:3"),
         (lambda: build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 3), IndexWindow(0, 3)).restrict(
             IndexWindow(0, 4), IndexWindow(0, 3)), WindowError, "not contained in"),
         (lambda: build_family(SLANT_H_TOEPLITZ, GENERIC, IndexWindow(0, 3), IndexWindow(0, 3)).embed(

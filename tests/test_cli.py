@@ -529,7 +529,7 @@ class TestVerify:
              "even column 8 mismatch for LaurentSymbol({})"),
             ("interleaving", "build_family", _shifting(lambda kind: kind.name == "slant-hankel", 3, 5),
              "odd column 11 mismatch for LaurentSymbol({})"),
-            ("coisometry", "coisometry_defect", _returning(0.5), "residual 0.5 for 1"),
+            ("coisometry", "coefficient_l2", _returning(1.5), "residual 0.5 for 1"),
             ("negatives", "min_hyponormal_defect", _returning(0.0), "no hyponormality violation for 1"),
             ("negatives", "self_adjoint_distance", _returning(0.0), "no self-adjointness violation for 1"),
             ("negatives", "check_slant_h_matrix", _returning(CheckReport(True, 0.0, ())),
