@@ -1,12 +1,14 @@
-"""Finite-section verification of the analytic operator properties.
+"""Finite-section measures of the analytic operator properties.
 
 Every "iff the symbol is zero" statement is exercised in its falsifiable
 direction: concrete nonzero symbols must produce a quantitative violation at
-desk-scale windows, while the zero symbol passes trivially. The module also
-carries the default symbol corpus the verification suites run over.
+desk-scale windows, while the zero symbol passes trivially. The verification
+suites state the operator identities and violations as expressions; this
+module keeps the measures that are not one (Frobenius growth, the column-norm
+floor, section norms) and the symbol corpus the suites run over.
 
-The column measures (hyponormality, the column-norm floor) sum down the
-columns of a family's oracle, which holds every nonzero row of its columns.
+The column-norm floor sums down the columns of a family's oracle, which holds
+every nonzero row of its columns.
 """
 
 import math
@@ -15,7 +17,6 @@ import numpy as np
 
 from .families import (
     SLANT_HANKEL,
-    SLANT_H_ADJOINT,
     SLANT_H_TOEPLITZ,
     SLANT_TOEPLITZ,
     Family,
@@ -38,10 +39,8 @@ __all__ = [
     "CORPUS",
     "column_norm_floor",
     "frobenius_of_section",
-    "min_hyponormal_defect",
     "norm_bound_check",
     "section_norm",
-    "self_adjoint_distance",
 ]
 
 _ISQ2 = math.sqrt(0.5)
@@ -69,25 +68,6 @@ def frobenius_of_section(phi: LaurentSymbol, rows: IndexWindow, cols: IndexWindo
 def _column_sums(kind: Family, phi: LaurentSymbol, cols: IndexWindow) -> np.ndarray:
     """Sum of |entry|^2 down each column of kind's oracle, whose rows hold every nonzero row of `cols`."""
     return np.sum(np.abs(build_compositional(kind, phi, cols).data) ** 2, axis=0)
-
-
-def min_hyponormal_defect(phi: LaurentSymbol) -> float:
-    """Min over k in {0, 1} of ||V e_k||^2 - ||V* e_k||^2, each read down column k of its oracle.
-
-    A negative value witnesses non-hyponormality; for every nonzero symbol it
-    is negative. One build of each oracle on columns 0:1.
-    """
-    cols = IndexWindow(0, 1)
-    return float(min(_column_sums(SLANT_H_TOEPLITZ, phi, cols) - _column_sums(SLANT_H_ADJOINT, phi, cols)))
-
-
-def self_adjoint_distance(phi: LaurentSymbol, window: IndexWindow) -> float:
-    """Max entrywise |V - V*| on the square section window x window."""
-    v = build_family(SLANT_H_TOEPLITZ, phi, window, window)
-    vstar = build_family(SLANT_H_ADJOINT, phi, window, window)
-    if v.data.size == 0:
-        return 0.0
-    return float(np.max(np.abs(v.data - vstar.data)))
 
 
 def section_norm(m: WindowedMatrix) -> float:

@@ -12,9 +12,7 @@ from .analysis import (
     CORPUS,
     column_norm_floor,
     frobenius_of_section,
-    min_hyponormal_defect,
     norm_bound_check,
-    self_adjoint_distance,
 )
 from .families import (
     COMPOSITIONAL_KINDS,
@@ -56,7 +54,8 @@ GOLDEN = [
 
 
 def perturbed(m: WindowedMatrix, i: int, j: int, delta=1.0) -> WindowedMatrix:
-    """Copy of a section with one entry shifted by delta."""
+    """Copy of a section with its entry (i, j) shifted by delta; a WindowError for an entry outside its windows."""
+    m.entry(i, j)  # refuses (i, j) outside the windows, which the index below would wrap or overrun
     data = np.array(m.data)
     data[i - m.rows.lo, j - m.cols.lo] += delta
     return WindowedMatrix(m.rows, m.cols, data)
@@ -130,14 +129,13 @@ def check_predicates():
 
 
 def check_interleaving():
-    """Even/odd columns interleave the slant-toeplitz and slant-hankel sections."""
-    rows = half_cols = IndexWindow(0, 16)
+    """Even/odd columns interleave the slant-toeplitz and slant-hankel operators: V W* = B and V U W* = L."""
+    even, odd = parse_expr("V(phi) . W* - B(phi)"), parse_expr("V(phi) . U . W* - L(phi)")
     for _, phi in CORPUS:
-        v = build_family(SLANT_H_TOEPLITZ, phi, rows, IndexWindow(0, 33)).data
-        b, l = (build_family(kind, phi, rows, half_cols).data for kind in (SLANT_TOEPLITZ, SLANT_HANKEL))
-        # column 2n of V against column n of B, column 2n + 1 against column n of L
-        wrong = np.flatnonzero((v != np.stack([b, l], axis=2).reshape(v.shape)).any(axis=0))
-        if wrong.size:  # the first column in order
+        # column n of the two differences is column 2n, then 2n + 1, of V against column n of B, then of L
+        nonzero = [(eval_expr(e, IndexWindow(0, 16), {"phi": phi}).data != 0).any(axis=0) for e in (even, odd)]
+        wrong = np.flatnonzero(np.stack(nonzero, axis=1))
+        if wrong.size:  # the first column of V in order
             return False, f"{('even', 'odd')[wrong[0] % 2]} column {wrong[0]} mismatch for {phi!r}"
     return True, f"symbols={len(CORPUS)}"
 
@@ -162,12 +160,15 @@ def check_coisometry():
 
 
 def check_negatives():
-    """Every nonzero corpus symbol yields the expected quantitative violations."""
-    square = IndexWindow(0, 16)
+    """Every nonzero corpus symbol yields the expected quantitative violations: V*V - VV* has a negative diagonal
+    entry at 0 or 1, V - V* a nonzero entry."""
+    hyponormal, self_adjoint = parse_expr("V*(phi) . V(phi) - V(phi) . V*(phi)"), parse_expr("V(phi) - V*(phi)")
     for label, phi in _NONZERO:
-        if min_hyponormal_defect(phi) >= -1e-12:
+        # entry (k, k) is ||V e_k||^2 - ||V* e_k||^2; a row outside the section's rows is zero
+        gap = eval_expr(hyponormal, IndexWindow(0, 1), {"phi": phi})
+        if min(gap.entry(k, k).real if k in gap.rows else 0.0 for k in (0, 1)) >= -1e-12:
             return False, f"no hyponormality violation for {label}"
-        if self_adjoint_distance(phi, square) <= 1e-6:
+        if np.max(np.abs(eval_expr(self_adjoint, IndexWindow(0, 16), {"phi": phi}).data), initial=0.0) <= 1e-6:
             return False, f"no self-adjointness violation for {label}"
         slant = build_family(SLANT_TOEPLITZ, phi, IndexWindow(0, 8), IndexWindow(0, 33))
         report = check_slant_h_matrix(slant, 1e-12)

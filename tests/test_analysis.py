@@ -31,13 +31,11 @@ from slanth import (
     eval_expr,
     extension,
     frobenius_of_section,
-    min_hyponormal_defect,
     monomial,
     norm_bound_check,
     parse_expr,
     parse_symbol,
     section_norm,
-    self_adjoint_distance,
     sup_norm,
     symbol_product,
     symbol_sub,
@@ -127,6 +125,35 @@ def reference_coisometry_defect(phi, n_max):
     return worst
 
 
+def hyponormal_defect(phi):
+    """The negatives suite's min over k in {0, 1} of entry (k, k) of V*V - VV*, which is ||V e_k||^2 - ||V* e_k||^2."""
+    gap = eval_expr(parse_expr("V*(phi) . V(phi) - V(phi) . V*(phi)"), IndexWindow(0, 1), {"phi": phi})
+    return min(gap.entry(k, k).real if k in gap.rows else 0.0 for k in (0, 1))
+
+
+def self_adjoint_distance(phi, cols):
+    """The negatives suite's largest |entry| of V - V* on `cols`."""
+    return float(np.max(np.abs(eval_expr(parse_expr("V(phi) - V*(phi)"), cols, {"phi": phi}).data), initial=0.0))
+
+
+def library_hyponormal_defect(phi):
+    """The hyponormality measure as the library took it before the suite evaluated expressions: the squared column
+    norms of the V and V* oracles on columns 0:1."""
+    cols = IndexWindow(0, 1)
+    v, vstar = (np.sum(np.abs(build_compositional(k, phi, cols).data) ** 2, axis=0)
+                for k in (SLANT_H_TOEPLITZ, SLANT_H_ADJOINT))
+    return float(min(v - vstar))
+
+
+def library_self_adjoint_distance(phi, window):
+    """The self-adjointness measure as the library took it: the largest |V - V*| on the square window x window."""
+    v = build_family(SLANT_H_TOEPLITZ, phi, window, window)
+    vstar = build_family(SLANT_H_ADJOINT, phi, window, window)
+    if v.data.size == 0:
+        return 0.0
+    return float(np.max(np.abs(v.data - vstar.data)))
+
+
 def scalar_entry(kind, phi, i, j):
     """The closed-form entry at (i, j), one coefficient read in Python ints."""
     value = phi.coeff(kind.degree(i, j))
@@ -134,7 +161,7 @@ def scalar_entry(kind, phi, i, j):
 
 
 def reference_hyponormal_defect(phi, k):
-    """||V e_k||^2 - ||V* e_k||^2 by the hand-derived row bounds and scalar entry loops that min_hyponormal_defect
+    """||V e_k||^2 - ||V* e_k||^2 by the hand-derived row bounds and scalar entry loops that the library's measure
     replaced by its oracles."""
     sup = phi.support
     if sup is None:
@@ -250,17 +277,17 @@ class TestHilbertSchmidt:
 
 class TestHyponormal:
     def test_zero(self):
-        assert min_hyponormal_defect(ZERO) == 0.0
+        assert hyponormal_defect(ZERO) == 0.0
 
     def test_anti_analytic_monomial(self):
-        assert min_hyponormal_defect(monomial(-1)) == -1.0
+        assert hyponormal_defect(monomial(-1)) == -1.0
 
     def test_sqrt_half_pair(self):
-        assert abs(min_hyponormal_defect(SQRT_HALF_PAIR) - (-0.5)) < 1e-12
+        assert abs(hyponormal_defect(SQRT_HALF_PAIR) - (-0.5)) < 1e-12
 
     def test_every_nonzero_corpus_symbol_violates(self):
         for label, phi in NONZERO:
-            assert min_hyponormal_defect(phi) < -1e-12, label
+            assert hyponormal_defect(phi) < -1e-12, label
 
     @settings(deadline=None, max_examples=150)
     @given(column_symbols)
@@ -268,12 +295,13 @@ class TestHyponormal:
         # both column norms are at most sum |a_n|^2, which scales the rounding
         scale = coefficient_l2(phi)
         want = min(reference_hyponormal_defect(phi, 0), reference_hyponormal_defect(phi, 1))
-        assert abs(min_hyponormal_defect(phi) - want) <= 1e-14 * scale
+        assert abs(hyponormal_defect(phi) - want) <= 1e-14 * scale
 
     def test_degrees_past_int64_reach_are_a_window_error(self):
-        # the oracle's rows span 2**63 indices; the hand-derived bound had 2**62 + 2 rows to walk
+        # a window of the products spans 2**63 indices, past any int64 index array; the hand-derived bound had
+        # 2**62 + 2 rows to walk
         with pytest.raises(WindowError):
-            min_hyponormal_defect(LaurentSymbol({-(2**62): 1, 2**62: 1}))
+            hyponormal_defect(LaurentSymbol({-(2**62): 1, 2**62: 1}))
 
 
 class TestSelfAdjoint:
@@ -293,6 +321,19 @@ class TestSelfAdjoint:
     def test_empty_windows(self):
         empty = IndexWindow.empty()
         assert self_adjoint_distance(GENERIC, empty) == 0.0
+
+
+class TestNegativesSuite:
+    def test_measures_are_the_library_measures_bit_for_bit(self):
+        got, want = [], []
+        for _, phi in NONZERO:
+            # V - V* holds every nonzero row of columns 0:16, the library's 17x17 square among them
+            got += [hyponormal_defect(phi), self_adjoint_distance(phi, IndexWindow(0, 16))]
+            want += [library_hyponormal_defect(phi), library_self_adjoint_distance(phi, IndexWindow(0, 16))]
+        # uint64 views: zero signs and last bits count
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        assert got[8:10] == [-0.5000000000000001, 0.7071067811865476]  # (1+z)/sqrt2
+        assert verify.check_negatives() == (True, f"symbols={len(NONZERO)}")
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from slanth import (
     CheckReport,
     IndexWindow,
     LaurentSymbol,
+    WindowError,
     WindowedMatrix,
     build_family,
     check_pattern,
@@ -30,6 +31,7 @@ from slanth import (
     extract_symbol,
     load_matrix,
     load_symbol_file,
+    parse_expr,
     parse_symbol,
     verify,
     windowed,
@@ -473,6 +475,27 @@ def _shifting(selects, i, j):
     return patch
 
 
+def _altering(text, alter):
+    """A patch of eval_expr that passes the section of the expression `text` through `alter`."""
+    node = parse_expr(text)
+    def patch(evaluate):
+        def altered(expr, window, symbols):
+            section = evaluate(expr, window, symbols)
+            return alter(section) if expr == node else section
+        return altered
+    return patch
+
+
+def _shifted_at(i, j):
+    """Adds 1.0 at (i, j) to a section whose rows hold i."""
+    return lambda m: perturbed(m, i, j) if i in m.rows else m
+
+
+def _zeroed(m):
+    """The section with every entry 0."""
+    return WindowedMatrix(m.rows, m.cols, 0 * m.data)
+
+
 class TestVerify:
     def test_single_suite(self):
         result = run_cli("verify", "golden")
@@ -525,13 +548,15 @@ class TestVerify:
             ("predicates", "perturbed", lambda _: lambda m, i, j: m, "pattern check missed perturbation at (0, 0)"),
             ("predicates", "check_characterization", _returning(CheckReport(True, 0.0, ())),
              "identity check missed perturbation at (0, 0)"),
-            ("interleaving", "build_family", _shifting(lambda kind: kind.name == "slant-toeplitz", 2, 4),
-             "even column 8 mismatch for LaurentSymbol({})"),
-            ("interleaving", "build_family", _shifting(lambda kind: kind.name == "slant-hankel", 3, 5),
-             "odd column 11 mismatch for LaurentSymbol({})"),
+            # the zero symbol's differences hold no rows, so the first symbol shifted is 1
+            ("interleaving", "eval_expr", _altering("V(phi) . W* - B(phi)", _shifted_at(2, 4)),
+             "even column 8 mismatch for LaurentSymbol({0: (1+0j)})"),
+            ("interleaving", "eval_expr", _altering("V(phi) . U . W* - L(phi)", _shifted_at(3, 5)),
+             "odd column 11 mismatch for LaurentSymbol({0: (1+0j)})"),
             ("coisometry", "coefficient_l2", _returning(1.5), "residual 0.5 for 1"),
-            ("negatives", "min_hyponormal_defect", _returning(0.0), "no hyponormality violation for 1"),
-            ("negatives", "self_adjoint_distance", _returning(0.0), "no self-adjointness violation for 1"),
+            ("negatives", "eval_expr", _altering("V*(phi) . V(phi) - V(phi) . V*(phi)", _zeroed),
+             "no hyponormality violation for 1"),
+            ("negatives", "eval_expr", _altering("V(phi) - V*(phi)", _zeroed), "no self-adjointness violation for 1"),
             ("negatives", "check_slant_h_matrix", _returning(CheckReport(True, 0.0, ())),
              "slant-toeplitz section passed the slant-h pattern for 1"),
             ("negatives", "frobenius_of_section", _returning(2.0), "frobenius growth stalled for 1: [2.0, 2.0, 2.0]"),
@@ -548,6 +573,15 @@ class TestVerify:
         # each suite, with one name it reads broken so that its claim fails, reports its first failure
         monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
         assert dict(verify.CHECKS)[suite]() == (False, message)
+
+    @pytest.mark.parametrize("rows, i, j", [(IndexWindow(0, 2), -1, 0), (IndexWindow(5, 7), 4, 2),
+                                            (IndexWindow(0, 2), 3, 0), (IndexWindow(0, 2), 0, 3)])
+    def test_perturbed_refuses_an_entry_outside_the_windows(self, rows, i, j):
+        # below the rows the index wrapped round to row 2, or 7; above them numpy raised a bare IndexError
+        m = WindowedMatrix(rows, IndexWindow(0, 2), np.zeros((3, 3)))
+        with pytest.raises(WindowError) as refused:
+            perturbed(m, i, j)
+        assert str(refused.value) == f"entry ({i}, {j}) outside windows {rows} x 0:2"
 
 
 # Every command as a real process, whose exit skips the interpreter's finalization
