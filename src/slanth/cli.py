@@ -27,7 +27,7 @@ from .windowed import IndexWindow, WindowError, dump_matrix, stream_matrix
 
 _FAMILIES = {kind.name: kind for kind in COMPOSITIONAL_KINDS}
 
-# The pattern predicates, each the pattern of its family: they scan a file's rows as they are read, and the
+# The pattern predicates, each the pattern of its family: they scan a section a row block at a time, and the
 # identity checks build its cells.
 _CHECKS = {"slant-h": SLANT_H_TOEPLITZ, **_FAMILIES}
 _PREDICATES = (*_CHECKS, "characterization", "extension")

@@ -174,7 +174,7 @@ def build_family(kind: Family, phi: LaurentSymbol, rows: IndexWindow, cols: Inde
     _check_int64([rows.lo, rows.hi, cols.hi], lambda: f"the indices of {rows} x {cols} reach")
     terms = phi.items_between(min(piece.lo for piece in pieces), max(piece.hi for piece in pieces))
     keys = np.array([n for n, _ in terms], dtype=np.int64)
-    values = np.array([a.conjugate() if kind.conj else a for _, a in terms], dtype=complex)  # readers add into +0
+    values = np.array([a.conjugate() if kind.conj else a for _, a in terms], dtype=complex) + 0.0  # -0.0 reads 0.0
     lo, hi, row, col, degree, a, k, follows, runs, by_row = np.array(pieces, dtype=np.int64).T
     first = np.searchsorted(keys, lo)
     count = np.searchsorted(keys, hi, "right") - first

@@ -4,11 +4,12 @@ A family's pattern, read from its record, is that entries of one degree
 `Family.degree(i, j)` are equal; the slant-h and slant step predicates are
 `check_pattern` of their family. The pattern checks and the readback read
 one scan (see _scan) of a section's row blocks (see windowed.row_blocks):
-slices of its cells, or a file section's rows tokenized as they are read, so
-no cells of the file are built. Its scratch is one block and a table of the
-degrees the windows hold. The shift identities are pairs of index maps (see
-_identities), each read from a section's cells in row blocks before the
-next; a file's cells are built before its windows are judged.
+slices of its cells, or blocks of zeros that the triplets of a file's or a
+product's section are put into, so no more of its cells are built. Its
+scratch is one block and a table of the degrees the windows hold. The shift
+identities are pairs of index maps (see _identities), each read from a
+section's cells in row blocks before the next; the cells are built before
+the windows are judged.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
@@ -148,15 +149,10 @@ def _scan(kind: Family, m: WindowedMatrix, tol: float | None) -> tuple:
     groups are exhausted, is each degree the windows hold, at its anchor,
     trimmed to the nonzero coefficients.
     """
-    rows, cols, blocks = m.rows, m.cols, row_blocks(m)  # cells are built here, before any table; a file's rows later
-    try:
-        runs, shift = _slots(kind, rows, cols)
-        # an empty window gives no block, so no index array is built of the other, however wide
-        row_index, col_index = (rows.index_array(), cols.index_array()) if rows.size * cols.size else ((), ())
-    except WindowError:
-        for _ in blocks:  # a malformed or non-finite cell of a file is reported first, as when it is loaded
-            pass
-        raise
+    rows, cols, blocks = m.rows, m.cols, row_blocks(m)  # the section's size is judged here, before any table
+    runs, shift = _slots(kind, rows, cols)
+    # an empty window gives no block, so no index array is built of the other, however wide
+    row_index, col_index = (rows.index_array(), cols.index_array()) if rows.size * cols.size else ((), ())
     width, absent, size = cols.size, rows.size * cols.size, sum(hi - lo + 1 for lo, hi in runs)
     first, anchor = np.full(size, absent), np.zeros(size, dtype=complex)  # per slot: its anchor's position, value
 
@@ -195,9 +191,9 @@ def _scan(kind: Family, m: WindowedMatrix, tol: float | None) -> tuple:
 def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
 
-    m may be a file's section (see windowed.stream_matrix), whose rows are
-    tokenized as they are scanned. Each entry is compared with its degree's
-    anchor (see _scan), which a witness (i,j,p,q) names first.
+    m may hold triplets, as a file's section does (see windowed.stream_matrix):
+    its cells are not built. Each entry is compared with its degree's anchor
+    (see _scan), which a witness (i,j,p,q) names first.
     """
     return _collect(_scan(kind, m, tol)[0], tol)
 
@@ -284,7 +280,7 @@ def check_characterization(m: WindowedMatrix, tol: float = 1e-12) -> CheckReport
         (d) U*.A.Mz.Cz4 = A.Mz.Cz4.U
         (e) U*.A.Mz2.e0 = A.Mz.e0
     """
-    m.data  # a file's cells, before its windows are judged
+    m.data  # its cells, which the identities read: their size is judged before the windows
     _identity_windows(m, 2, "characterization")
     pairs = [(tag, *maps) for tag, _, *maps in _identities(1) if tag]
     return _collect(_pair_groups(pairs, m, m, tol), tol)
@@ -305,7 +301,7 @@ def check_extension_conditions(a: WindowedMatrix, depth: int, tol: float = 1e-12
     as entry pairs (see _identities), and agree with the original section on
     every shared nonnegative row.
     """
-    a.data  # a file's cells, before its windows or the depth are judged
+    a.data  # its cells, which the identities read: their size is judged before the windows or the depth
     if depth < 0:
         raise ValueError("extension depth must be >= 0")
     _identity_windows(a, 2 * depth, "extension check")

@@ -7,22 +7,25 @@ nonzero entry of its columns. Composition refuses to proceed (rather than
 silently truncate) whenever that guarantee would be lost, which is the classic
 finite-section failure mode.
 
-A section holds its cells, its triplets (its nonzero entries as (row, column,
-value) arrays) or a matrix file; this module alone decides which, and reads
-them. Triplet and file sections build their cells only when `data` is read;
-compose and dump_matrix read the triplets of a section that holds them (the
-dump only the cells other than 0.0:0.0), and a section of cells inside a
-product becomes triplets. Every product sums each entry's products in
-ascending inner index, so an entry is the same on every window.
+A section holds its cells or its triplets (its nonzero entries as (row,
+column, value) arrays); this module alone decides which, and reads them. A
+triplet section builds its cells only when `data` is read, and each value it
+holds is the bits its cell reads: a product's zero parts are +0.0, and a
+file's `0.0:-0.0` cell is kept. compose, dump_matrix and row_blocks read the
+triplets of a section that holds them (the dump only the cells other than
+0.0:0.0), and a section of cells inside a product becomes triplets. Every
+product sums each entry's products in ascending inner index, so an entry is
+the same on every window.
 
 Empty windows are first class: a projection applied to a wholly anti-analytic
 window, or multiplication by the zero symbol, legitimately produces a section
 with no rows, and such sections compose to zero blocks.
 
 A matrix file is read from its bytes by one tokenizer, a block of whole rows
-at a time, as row_blocks yields them or into its section's cells. Bytes that
-are not canonical (see _index), and text that is not ASCII, are rewritten
-once as canonical bytes by str.splitlines() and str.split(), as text splits.
+at a time, into the triplets of its cells other than 0.0:0.0, and every error
+of its cells is raised as it is read. Bytes that are not canonical (see
+_index), and text that is not ASCII, are rewritten once as canonical bytes by
+str.splitlines() and str.split(), as text splits.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -127,14 +130,13 @@ _Triplets = namedtuple("_Triplets", "i j v")
 
 
 class WindowedMatrix:
-    """Complex section addressed by absolute row/column indices: its cells, its triplets, or a matrix file.
+    """Complex section addressed by absolute row/column indices: its cells or its triplets.
 
-    A triplet or file section builds its cells once, the first time `data`
-    is read: triplets are added into +0.0, so a stored -0.0 part reads 0.0,
-    as a dense product sums, and a file's rows tokenized. Cells are read-only.
+    A triplet section builds its cells once, the first time `data` is read,
+    each the value of its triplet, or +0.0. Cells are read-only.
     """
 
-    __slots__ = ("rows", "cols", "_cells", "_triplets", "_file")
+    __slots__ = ("rows", "cols", "_cells", "_triplets")
 
     def __new__(cls, rows: IndexWindow, cols: IndexWindow, data):
         data = np.array(data, dtype=complex)
@@ -143,9 +145,9 @@ class WindowedMatrix:
         return cls._of(rows, cols, data)
 
     @classmethod
-    def _of(cls, rows: IndexWindow, cols: IndexWindow, data=None, triplets=None, file=None) -> "WindowedMatrix":
-        """Section on a complex array of the right shape that nothing else writes, frozen, not copied; on a file's
-        _Index; or on triplets (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending."""
+    def _of(cls, rows: IndexWindow, cols: IndexWindow, data=None, triplets=None) -> "WindowedMatrix":
+        """Section on a complex array of the right shape that nothing else writes, frozen, not copied; or on
+        triplets (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending."""
         if triplets is not None:
             i, j, v = triplets
             if not np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))):
@@ -155,23 +157,19 @@ class WindowedMatrix:
         elif data is not None:
             data.setflags(write=False)
         m = object.__new__(cls)
-        m.rows, m.cols, m._cells, m._triplets, m._file = rows, cols, data, triplets, file
+        m.rows, m.cols, m._cells, m._triplets = rows, cols, data, triplets
         return m
 
     @property
     def data(self) -> np.ndarray:
-        """The cells, read-only; a triplet or file section builds them on the first read and keeps them."""
+        """The cells, read-only; a triplet section builds them on the first read and keeps them."""
         if self._cells is None:
             _check_size(self.rows, self.cols)
             cells = np.zeros((self.rows.size, self.cols.size), dtype=complex)
-            if self._file is None:
-                i, j, v = self._triplets
-                cells[i - self.rows.lo, j - self.cols.lo] += v
-            else:
-                for _ in _blocks(self._file, cells):
-                    pass
+            i, j, v = self._triplets
+            cells[i - self.rows.lo, j - self.cols.lo] = v
             cells.setflags(write=False)
-            self._cells, self._file = cells, None  # only once it is whole
+            self._cells = cells
         return self._cells
 
     def entry(self, i: int, j: int) -> complex:
@@ -272,7 +270,7 @@ def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
     ends = np.array([*domain.indices()[:2], *domain.indices()[-2:]], dtype=object)
     if kind.name == "M":
         degrees = np.array([n for n, _ in kind.symbol.items()], dtype=np.int64)
-        coeffs = np.array([a for _, a in kind.symbol.items()], dtype=complex)
+        coeffs = np.array([a for _, a in kind.symbol.items()], dtype=complex) + 0.0  # a -0.0 part reads 0.0
         i, j, v = (j[:, None] + degrees).ravel(), np.repeat(j, degrees.size), np.tile(coeffs, j.size)
         ends = ends[:, None] + degrees.astype(object)
     elif kind.name in _INDEX_MAPS:
@@ -302,11 +300,12 @@ def _entries(m: WindowedMatrix) -> _Triplets:
 _SLICE = 1 << 18
 
 
-def _check_size(rows: IndexWindow, cols: IndexWindow) -> None:
-    """A WindowError past int64, or a MemoryError where the system cannot give 16 bytes a cell of rows x cols, as
-    the section, or the dump's lines and their joined text, take: raised before any of it is touched."""
+def _check_size(rows: IndexWindow, cols: IndexWindow, touch: bool = True) -> None:
+    """A WindowError past int64, or where `touch` a MemoryError where the system cannot give 16 bytes a cell of
+    rows x cols, as the section, or the dump's lines and their joined text, take: raised before any of it is touched."""
     _check_int64([rows.size * cols.size * 16], f"the bytes of a section on {rows} x {cols} reach")
-    np.empty(rows.size * cols.size * 16, dtype=np.uint8)
+    if touch:
+        np.empty(rows.size * cols.size * 16, dtype=np.uint8)
 
 
 # overflow and inf * 0 leave inf and nan, which the checks fail on, and write nothing to stderr
@@ -337,7 +336,7 @@ def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
         p = per[lo:hi]
         t = np.repeat(np.arange(lo, hi), p)  # the entry of b in each product
         s = np.arange(t.size) + np.repeat(first[k[lo:hi]] - (np.cumsum(p) - p), p)  # and the entry of a
-        i, j, v = ta.i[s], tb.j[t], ta.v[s] * tb.v[t]
+        i, j, v = ta.i[s], tb.j[t], ta.v[s] * tb.v[t] + 0.0  # a -0.0 part reads 0.0, as a sum from 0.0 does
         key = (j - b.cols.lo) * a.rows.size + (i - a.rows.lo)
         if np.any(key[1:] <= key[:-1]):
             # repeats: b's column comes in ascending r, so bincount sums each entry's products in that order
@@ -355,7 +354,7 @@ def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
 def _scaled(m: WindowedMatrix, factor: float) -> WindowedMatrix:
     """factor * m, on its triplets: its zeros stay +0."""
     i, j, v = _entries(m)
-    return WindowedMatrix._of(m.rows, m.cols, triplets=(i, j, factor * v))
+    return WindowedMatrix._of(m.rows, m.cols, triplets=(i, j, factor * v + 0.0))
 
 
 def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
@@ -413,20 +412,24 @@ def dump_matrix(m: WindowedMatrix) -> str:
 
 
 def _cells(m: WindowedMatrix) -> tuple:
-    """The flat positions in reading order and the values of the cells of a section that are not `0.0:0.0`; the
-    cells' are found in one pass over their words."""
+    """The flat positions in reading order and the values of the cells of a section that are not `0.0:0.0`: those
+    whose bits are not all zero, found in one pass over the words of its cells or of its triplets' values."""
     if m._triplets is None:
-        data = np.ascontiguousarray(m.data)  # an adjoint's data is column-major
-        re, im = data.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
-        at = np.flatnonzero(re | im)
-        return at, data.reshape(-1)[at]
-    _check_size(m.rows, m.cols)  # not once the lines have filled the memory
+        values = np.ascontiguousarray(m.data).reshape(-1)  # an adjoint's data is column-major
+    else:
+        _check_size(m.rows, m.cols)  # not once the lines have filled the memory
+        at, values = _reading_order(m)
+    re, im = values.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
+    kept = np.flatnonzero(re | im)
+    return kept if m._triplets is None else at[kept], values[kept]
+
+
+def _reading_order(m: WindowedMatrix) -> tuple:
+    """The flat positions, ascending, and the values of a triplet section's entries."""
     i, j, v = m._triplets
     at = (i - m.rows.lo) * m.cols.size + (j - m.cols.lo)
-    order = np.argsort(at, kind="stable")
-    at, values = at[order], v[order] + 0.0  # + 0.0: a stored -0.0 part reads 0.0, as in the cells
-    kept = values != 0  # so a stored zero is 0.0:0.0
-    return at[kept], values[kept]
+    order = np.argsort(at)  # no position twice
+    return at[order], v[order]
 
 
 def _data_lines(rows: IndexWindow, cols: IndexWindow, at: np.ndarray, values: np.ndarray) -> list:
@@ -493,11 +496,23 @@ _CHUNK = 1 << 20
 
 def row_blocks(m: WindowedMatrix):
     """(top, block) in row order, block the section's rows top, top + 1, ... (about _BLOCK cells): slices of its
-    cells, built at once, or a file section's rows, tokenized as they are read until its cells exist."""
-    if m._file is not None:
-        return _blocks(m._file)
-    cells, step = m.data, max(1, _BLOCK // max(1, m.cols.size))
-    return ((top, cells[top : top + step]) for top in range(0, m.rows.size if m.cols.size else 0, step))
+    cells where it holds them; else fresh zeros, each with the triplets of its rows put in, so no more than a
+    block of cells is ever made. The section's size is judged at once, the blocks as they are read."""
+    width = m.cols.size
+    step = max(1, _BLOCK // max(1, width))
+    tops = range(0, m.rows.size if width else 0, step)
+    if m._cells is not None:
+        return ((top, m._cells[top : top + step]) for top in tops)
+    _check_size(m.rows, m.cols, touch=False)
+
+    def scattered(at, values):
+        for top in tops:
+            lo, hi = np.searchsorted(at, [top * width, (top + step) * width])
+            block = np.zeros((min(step, m.rows.size - top), width), dtype=complex)
+            block.reshape(-1)[at[lo:hi] - top * width] = values[lo:hi]
+            yield top, block
+
+    return scattered(*_reading_order(m))
 
 
 def _parse_window(line: str, tag: str) -> IndexWindow:
@@ -566,9 +581,9 @@ def _index(data: bytes, rewritten: bool = False) -> _Index | None:
     return _Index(rows, cols, data, starts, ends)
 
 
-def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
-    """Parse data lines `first` + 1, `first` + 2, ... (`lines` of the index) into the flat `out`;
-    the flat index of the first non-finite cell parsed, or None.
+def _read_block(index: _Index, lines: slice, first: int) -> tuple:
+    """Parse data lines `first` + 1, `first` + 2, ... (`lines` of the index): the flat positions in the file and
+    the values of their cells that are not `0.0:0.0`.
 
     The block is read as 8-byte words from a multiple of 8: a run of two or
     more equal words that are a rotation of `0.0:0.0 ` is a run of `0.0:0.0`
@@ -615,7 +630,7 @@ def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
     cell_size = cell_ends - cell_starts
     zero = (cell_size == 7) & (first_words & _SEVEN_BYTES == _ZERO_WORD)
     at = np.flatnonzero(~zero)
-    bad = None
+    values = np.zeros(0, dtype=complex)
     if at.size:
         lengths = cell_size[at] + 1  # each kept cell with its separator
         chosen = np.arange(lengths.sum()) + np.repeat(cell_starts[at] - (np.cumsum(lengths) - lengths), lengths)
@@ -635,36 +650,10 @@ def _read_block(out: np.ndarray, index: _Index, lines: slice, first: int):
                 except ValueError:
                     raise ValueError(f"data line {first + r + 1}: entry {c + 1}: malformed matrix entry {cell_text!r}")
             raise
-        out[cell[at]] = values
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = int(cell[at[np.argmin(finite)]])
     if wrong.size:
         line = int(wrong[0])
         raise ValueError(f"data line {first + line + 1}: expected {width} entries, found {counts[line]}")
-    return bad
-
-
-def _blocks(index: _Index, out: np.ndarray | None = None):
-    """The row blocks of an indexed file, tokenized into rows of `out`, or of fresh zeros.
-
-    Non-finite cells are looked for in the parsed cells only, and the first
-    one is reported once every line has parsed.
-    """
-    width, bad = index.cols.size, None
-    step = max(1, _BLOCK // max(1, width))
-    if out is None and index.starts.size:  # the largest block
-        _check_size(IndexWindow(0, step - 1), index.cols)
-    for top in range(0, index.starts.size, step):
-        lines = slice(top, top + step)
-        block = np.zeros((index.starts[lines].size, width), dtype=complex) if out is None else out[lines]
-        found = _read_block(block.reshape(-1), index, lines, top)
-        if bad is None and found is not None:
-            bad = top * width + found
-        yield top, block
-    if bad is not None:
-        r, c = divmod(bad, width)
-        raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
+    return cell[at] + first * width, values
 
 
 def _indexed(data: bytes | str) -> _Index:
@@ -676,25 +665,38 @@ def _indexed(data: bytes | str) -> _Index:
 
 
 def stream_matrix(data: bytes | str) -> WindowedMatrix:
-    """The section of a matrix file, on its bytes (see load_matrix): the windows, the headers and the count of data
-    lines are read at once, the rows when they are read; a malformed cell raises in the block that holds it, and a
-    non-finite one after the last block."""
-    index = _indexed(data)
-    if len(index.data) < index.starts.size * (4 * index.cols.size - 1):  # too short for its cells, each of 3 bytes
-        for _ in _blocks(index):  # or more: its bad line is named before a table sized by its windows is made
-            pass
-    return WindowedMatrix._of(index.rows, index.cols, file=index)
-
-
-def load_matrix(data: bytes | str) -> WindowedMatrix:
-    """Parse the matrix file format produced by dump_matrix, from its bytes or its text, to cells.
+    """The section of a matrix file, from its bytes or its text: the triplets of its cells other than `0.0:0.0`,
+    or its cells where a window end is past int64, which no triplet holds.
 
     Data lines are tokenized with numpy, about `_BLOCK` cells at a time, so the
     cost grows with the cells other than `0.0:0.0`; cells may be separated by
-    any whitespace str.split() accepts. Errors name the first bad line, and
-    within it the first malformed cell; non-finite entries are reported once
-    every line has parsed. A leading byte-order mark is dropped.
+    any whitespace str.split() accepts. Every error of the file is raised
+    here: errors name the first bad line, and within it the first malformed
+    cell; non-finite entries are reported once every line has parsed. A
+    leading byte-order mark is dropped.
     """
+    index = _indexed(data)
+    rows, cols, width = index.rows, index.cols, index.cols.size
+    step = max(1, _BLOCK // max(1, width))
+    if index.starts.size:  # the largest block row_blocks makes, before any cell is read
+        _check_size(IndexWindow(0, step - 1), cols)
+    pieces = [_read_block(index, slice(top, top + step), top) for top in range(0, index.starts.size, step)]
+    at, values = map(np.concatenate, zip((np.zeros(0, np.int64), np.zeros(0, complex)), *pieces))
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = divmod(int(at[np.argmin(finite)]), width)
+        raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
+    if not all(_INT64.min <= end <= _INT64.max for end in (*rows, *cols)):
+        cells = np.zeros(rows.size * cols.size, dtype=complex)
+        cells[at] = values
+        return WindowedMatrix._of(rows, cols, cells.reshape(rows.size, cols.size))
+    i, j = np.divmod(at, max(1, width))
+    return WindowedMatrix._of(rows, cols, triplets=(i + rows.lo, j + cols.lo, values))
+
+
+def load_matrix(data: bytes | str) -> WindowedMatrix:
+    """Parse the matrix file format produced by dump_matrix, from its bytes or its text, to cells: the section of
+    stream_matrix, whose cells are built at once."""
     m = stream_matrix(data)
     m.data  # its cells, built once
     return m

@@ -18,13 +18,15 @@ from slanth import (
     build_compositional,
     build_elementary,
     build_family,
+    check_pattern,
     compose,
     dump_matrix,
     eval_expr,
     extension,
+    extract_symbol,
     parse_symbol,
 )
-from slanth.windowed import Elementary, compose_chain
+from slanth.windowed import Elementary, _scaled, compose_chain
 from test_expr import ref_nodes, ref_symbols
 from test_family_table import scalar_section, symbols, windows
 from test_windowed import (
@@ -108,6 +110,22 @@ def test_products_keep_the_contract(left, right, swap, domain):
 
 
 @CONTRACT
+@given(symbols, symbols, windows, windows, st.sampled_from([-1.0, -2.5, -0.0]))
+def test_product_triplets_hold_the_bits_their_cells_read(phi, psi, row_span, col_span, factor):
+    # each value is v + 0.0: a -0.0 part, as a conjugate, a product or a negative factor makes, is stored as 0.0
+    cols = IndexWindow(col_span[0], col_span[0] + col_span[1])
+    sections = [build_elementary(Elementary("M", symbol=phi), cols)]
+    for kind in all_kinds:
+        lo = row_span[0] - kind.depth
+        sections.append(build_family(kind, phi, IndexWindow(lo, lo + row_span[1]), cols))
+    sections += [compose(build_elementary(Elementary("M", symbol=psi), m.rows), m) for m in sections]
+    sections += [_scaled(m, factor) for m in sections]
+    for m in sections:
+        v = m._triplets.v
+        assert np.array_equal(v.view(np.uint64), (v + 0.0).view(np.uint64))
+
+
+@CONTRACT
 @given(st.lists(index_maps, min_size=1, max_size=4), laurent, st.integers(0, 4), domains)
 def test_chains_keep_the_contract(maps, phi, at, domain):
     stages = [*maps[:at], Elementary("M", 0, phi), *maps[at:]]  # one M: a dense product sums as the kernel does
@@ -158,3 +176,17 @@ def test_a_closed_form_section_is_dumped_with_no_cells():
     assert held < cells // 16
     assert peak - len(text) < cells
     assert text == dump_matrix(WindowedMatrix(rows, cols, m.data))
+
+
+def test_a_closed_form_section_is_checked_and_extracted_with_no_cells():
+    # 513 x 2050 cells are 16.8 MB: the scan puts the section's triplets into one row block of zeros at a time
+    phi = parse_symbol("-1:2, 0:3, 1:5, 2:7")
+    m = build_family(SLANT_H_TOEPLITZ, phi, IndexWindow(0, 512), IndexWindow(0, 2049))
+    tracemalloc.start()
+    try:
+        report, symbol = check_pattern(SLANT_H_TOEPLITZ, m), extract_symbol(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and symbol == phi and m._cells is None
+    assert peak < m.rows.size * m.cols.size * 16 // 4

@@ -269,6 +269,11 @@ class TestDumpFormat:
         assert again.rows == sec.rows and again.cols == sec.cols
         assert again.data.tobytes() == sec.data.tobytes()
         assert dump_matrix(again) == text
+        # a file section holds the triplets of its cells other than 0.0:0.0, every +-0 part kept
+        streamed = windowed.stream_matrix(text)
+        assert dump_matrix(streamed) == text
+        assert b"".join(block.tobytes() for _, block in windowed.row_blocks(streamed)) == sec.data.tobytes()
+        assert streamed.data.tobytes() == sec.data.tobytes() and dump_matrix(streamed) == text
 
     @settings(deadline=None, max_examples=100)
     @given(st.data())
@@ -366,10 +371,21 @@ class TestDumpFormat:
             windowed.stream_matrix("rows 0 1\ncols 0 999\n" + " ".join(["0.0:0.0"] * 100) + "\n0.0:0.0\n")
         with pytest.raises(WindowError, match="past int64"):
             windowed.stream_matrix(f"rows 0 0\ncols 0 {2**63}\n0.0:0.0\n")
-        m = windowed.stream_matrix("rows 0 1\ncols 0 1\n1.0:0.0 1:2:3\n0.0:0.0 0.0:0.0\n")  # long enough
-        assert isinstance(m, WindowedMatrix) and (m.rows, m.cols) == (IndexWindow(0, 1), IndexWindow(0, 1))
+        # long enough: raised as it is read, too
         with pytest.raises(ValueError, match="^data line 1: entry 2: malformed matrix entry '1:2:3'$"):
-            m.data
+            windowed.stream_matrix("rows 0 1\ncols 0 1\n1.0:0.0 1:2:3\n0.0:0.0 0.0:0.0\n")
+
+    @pytest.mark.parametrize("last, error", [
+        ("1.0:0.0 1:2:3 0.0:0.0", "^data line 40: entry 2: malformed matrix entry '1:2:3'$"),
+        ("1.0:0.0 0.0:0.0", "^data line 40: expected 3 entries, found 2$"),
+        ("1.0:0.0 0.0:0.0 nan:0.0", "^data line 40: entry 3 is not finite$"),
+    ])
+    def test_a_file_is_refused_where_it_is_read(self, last, error):
+        # a full-length file whose last line is bad, in the last of several blocks: no scan or cell read is needed
+        text = "rows 0 39\ncols 0 2\n" + "1.0:0.0 0.0:0.0 2.5:-0.0\n" * 39 + last + "\n"
+        for data in (text, text.encode(), text.replace("\n", "\r\n")):
+            with mock.patch.object(windowed, "_BLOCK", 9), pytest.raises(ValueError, match=error):
+                windowed.stream_matrix(data)
 
     @pytest.mark.parametrize("cell", ["nan:0.0", "1.0:inf", "-inf:0.0"])
     def test_non_finite_rejected(self, cell):
