@@ -20,7 +20,8 @@ node, so evaluation recurses once per parenthesis level. Evaluation
 propagates windows from the user-supplied input window through the rightmost
 atom leftwards, refusing any composition that would lose exactness. Every
 operand has the input window as its columns and holds every nonzero row of
-them, so subtraction zero-embeds both operands on the hull of their row windows.
+them, so a difference subtracts the operands' triplets on the hull of their
+row windows.
 """
 
 import math
@@ -28,13 +29,12 @@ import re
 from collections import namedtuple
 from functools import partial
 
-import numpy as np
-
 from .families import COMPOSITIONAL_KINDS, build_compositional, extension
 from .windowed import (
     Elementary,
     IndexWindow,
     WindowedMatrix,
+    _difference,
     _scaled,
     build_elementary,
     compose_chain,
@@ -257,10 +257,7 @@ def eval_expr(node, window: IndexWindow, symbols: dict) -> WindowedMatrix:
         first, *rest = node.terms
         total = eval_expr(first, window, symbols)
         for term in rest:  # ((a - b) - c), each term evaluated when it is reached
-            part = eval_expr(term, window, symbols)
-            rows = total.rows.hull(part.rows)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is left to the checks, as in compose
-                total = WindowedMatrix._of(rows, window, total.embed(rows, window).data - part.embed(rows, window).data)
+            total = _difference(total, eval_expr(term, window, symbols))
         return total
     if isinstance(node, Compose):
         return compose_chain([partial(eval_expr, term, symbols=symbols) for term in node.terms], window)

@@ -4,12 +4,11 @@ A family's pattern, read from its record, is that entries of one degree
 `Family.degree(i, j)` are equal; the slant-h and slant step predicates are
 `check_pattern` of their family. The pattern checks and the readback read
 one scan (see _scan) of a section's row blocks (see windowed.row_blocks):
-slices of its cells, or blocks of zeros that the triplets of a file's or a
-product's section are put into, so no more of its cells are built. Its
-scratch is one block and a table of the degrees the windows hold. The shift
-identities are pairs of index maps (see _identities), each read from a
-section's cells in row blocks before the next; the cells are built before
-the windows are judged.
+blocks of zeros that its triplets are put into, so its cells are not built.
+Its scratch is one block and a table of the degrees the windows hold. The
+shift identities are pairs of index maps (see _identities), each read from a
+section's cells, which `data` builds, in row blocks before the next; the
+cells are built before the windows are judged.
 
 Predicates quantify only over index tuples that lie fully inside the supplied
 windows; a pass means "no in-window violation". A report whose windows were
@@ -191,9 +190,8 @@ def _scan(kind: Family, m: WindowedMatrix, tol: float | None) -> tuple:
 def check_pattern(kind: Family, m: WindowedMatrix, tol: float = 1e-12) -> CheckReport:
     """Verify `kind`'s pattern inside the windows: entries of one degree `kind.degree(i, j)` are equal.
 
-    m may hold triplets, as a file's section does (see windowed.stream_matrix):
-    its cells are not built. Each entry is compared with its degree's anchor
-    (see _scan), which a witness (i,j,p,q) names first.
+    The section's cells are not built. Each entry is compared with its
+    degree's anchor (see _scan), which a witness (i,j,p,q) names first.
     """
     return _collect(_scan(kind, m, tol)[0], tol)
 

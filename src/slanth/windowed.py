@@ -7,25 +7,24 @@ nonzero entry of its columns. Composition refuses to proceed (rather than
 silently truncate) whenever that guarantee would be lost, which is the classic
 finite-section failure mode.
 
-A section holds its cells or its triplets (its nonzero entries as (row,
-column, value) arrays); this module alone decides which, and reads them. A
-triplet section builds its cells only when `data` is read, and each value it
-holds is the bits its cell reads: a product's zero parts are +0.0, and a
-file's `0.0:-0.0` cell is kept. compose, dump_matrix and row_blocks read the
-triplets of a section that holds them (the dump only the cells other than
-0.0:0.0), and a section of cells inside a product becomes triplets. Every
-product sums each entry's products in ascending inner index, so an entry is
-the same on every window.
+A section is its triplets: its entries as (row, column, value) arrays,
+column-major with rows ascending. Its cells are only a cache, which `data`
+builds on its first read. Each value is the bits its cell reads: cells
+given to the constructor or read from a file keep every cell whose bits are
+not all zero, a `0.0:-0.0` one too, and a product's zero parts are +0.0.
+compose, the difference, dump_matrix and row_blocks read the triplets (the
+dump only the cells other than 0.0:0.0). Every product sums each entry's
+products in ascending inner index, so an entry is the same on every window.
 
 Empty windows are first class: a projection applied to a wholly anti-analytic
 window, or multiplication by the zero symbol, legitimately produces a section
 with no rows, and such sections compose to zero blocks.
 
 A matrix file is read from its bytes by one tokenizer, a block of whole rows
-at a time, into the triplets of its cells other than 0.0:0.0, and every error
-of its cells is raised as it is read. Bytes that are not canonical (see
-_index), and text that is not ASCII, are rewritten once as canonical bytes by
-str.splitlines() and str.split(), as text splits.
+at a time, into the triplets of its cells other than 0.0:0.0; every error of
+its cells, then a window end past int64, is raised as it is read. Bytes that
+are not canonical (see _index), and text that is not ASCII, are rewritten
+once as canonical bytes by str.splitlines() and str.split(), as text splits.
 
 All values are immutable after construction and all functions are pure.
 """
@@ -130,39 +129,34 @@ _Triplets = namedtuple("_Triplets", "i j v")
 
 
 class WindowedMatrix:
-    """Complex section addressed by absolute row/column indices: its cells or its triplets.
+    """Complex section addressed by absolute row/column indices, held as its triplets.
 
-    A triplet section builds its cells once, the first time `data` is read,
-    each the value of its triplet, or +0.0. Cells are read-only.
+    Its cells are built once, the first time `data` is read, each the value
+    of its triplet, or +0.0. Cells are read-only.
     """
 
     __slots__ = ("rows", "cols", "_cells", "_triplets")
 
     def __new__(cls, rows: IndexWindow, cols: IndexWindow, data):
-        data = np.array(data, dtype=complex)
+        data = np.asarray(data, dtype=complex)
         if data.shape != (rows.size, cols.size):
             raise WindowError(f"data shape {data.shape} does not match windows {rows} x {cols}")
-        return cls._of(rows, cols, data)
+        return _of_cells(rows, cols, None, data.reshape(-1))
 
     @classmethod
-    def _of(cls, rows: IndexWindow, cols: IndexWindow, data=None, triplets=None) -> "WindowedMatrix":
-        """Section on a complex array of the right shape that nothing else writes, frozen, not copied; or on
-        triplets (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending."""
-        if triplets is not None:
-            i, j, v = triplets
-            if not np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))):
-                order = np.lexsort((i, j))
-                i, j, v = i[order], j[order], v[order]
-            triplets = _Triplets(i, j, v)
-        elif data is not None:
-            data.setflags(write=False)
+    def _of(cls, rows: IndexWindow, cols: IndexWindow, triplets) -> "WindowedMatrix":
+        """Section on triplets (i, j, v) in the windows, no cell twice, put in column-major order, rows ascending."""
+        i, j, v = triplets
+        if not np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1]))):
+            order = np.lexsort((i, j))
+            i, j, v = i[order], j[order], v[order]
         m = object.__new__(cls)
-        m.rows, m.cols, m._cells, m._triplets = rows, cols, data, triplets
+        m.rows, m.cols, m._cells, m._triplets = rows, cols, None, _Triplets(i, j, v)
         return m
 
     @property
     def data(self) -> np.ndarray:
-        """The cells, read-only; a triplet section builds them on the first read and keeps them."""
+        """The cells, read-only, built on the first read and kept."""
         if self._cells is None:
             _check_size(self.rows, self.cols)
             cells = np.zeros((self.rows.size, self.cols.size), dtype=complex)
@@ -178,33 +172,40 @@ class WindowedMatrix:
         return complex(self.data[i - self.rows.lo, j - self.cols.lo])
 
     def restrict(self, rows: IndexWindow, cols: IndexWindow) -> "WindowedMatrix":
-        """Sub-block on windows contained in this section's windows."""
+        """Sub-block on windows contained in this section's windows: the triplets inside them."""
         if not (self.rows.covers(rows) and self.cols.covers(cols)):
             raise WindowError(
                 f"restriction {rows} x {cols} not contained in {self.rows} x {self.cols}"
             )
-        if rows.is_empty or cols.is_empty:
-            return WindowedMatrix._of(rows, cols, np.zeros((rows.size, cols.size), dtype=complex))
-        block = self.data[
-            rows.lo - self.rows.lo : rows.hi + 1 - self.rows.lo,
-            cols.lo - self.cols.lo : cols.hi + 1 - self.cols.lo,
-        ]
-        return WindowedMatrix._of(rows, cols, block)
+        i, j, v = self._triplets
+        inside = (rows.lo <= i) & (i <= rows.hi) & (cols.lo <= j) & (j <= cols.hi)
+        return WindowedMatrix._of(rows, cols, (i[inside], j[inside], v[inside]))
 
     def embed(self, rows: IndexWindow, cols: IndexWindow) -> "WindowedMatrix":
-        """Zero-padded copy on windows containing this section's windows."""
+        """The same triplets on windows containing this section's windows, whose cells must fit in memory."""
         if not (rows.covers(self.rows) and cols.covers(self.cols)):
             raise WindowError(
                 f"embedding {rows} x {cols} does not contain {self.rows} x {self.cols}"
             )
         _check_size(rows, cols)
-        data = np.zeros((rows.size, cols.size), dtype=complex)
-        if not (self.rows.is_empty or self.cols.is_empty):
-            data[
-                self.rows.lo - rows.lo : self.rows.hi + 1 - rows.lo,
-                self.cols.lo - cols.lo : self.cols.hi + 1 - cols.lo,
-            ] = self.data
-        return WindowedMatrix._of(rows, cols, data)
+        return WindowedMatrix._of(rows, cols, self._triplets)
+
+
+def _of_cells(rows: IndexWindow, cols: IndexWindow, at, values: np.ndarray) -> WindowedMatrix:
+    """The section of cells `values` at the flat positions `at` (every position, where None), in reading order:
+    the triplets of those whose bits are not all zero, so a ±0 part is kept, put column-major by one stable sort
+    by column. A WindowError where a window end is past int64, which no triplet holds."""
+    _check_int64((*rows, *cols), lambda: f"the windows {rows} x {cols} reach")
+    re, im = values.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
+    kept = np.flatnonzero(re | im)
+    i, j = np.divmod(kept if at is None else at[kept], max(1, cols.size))
+    order = np.argsort(j, kind="stable")  # rows stay ascending in each column
+    # each array is replaced as it is reordered, so a dense file's section holds few copies at once
+    kept, i, j = kept[order], i[order], j[order]
+    del order
+    i += rows.lo
+    j += cols.lo
+    return WindowedMatrix._of(rows, cols, (i, j, values[kept]))
 
 
 class Elementary(namedtuple("Elementary", "name power symbol", defaults=(0, None))):
@@ -282,17 +283,7 @@ def build_elementary(kind: Elementary, domain: IndexWindow) -> WindowedMatrix:
         raise ValueError(f"unknown elementary kind {kind.name!r}")
     _check_int64(np.ravel(ends), f"{kind.name} maps {domain}")
     rows = IndexWindow(int(i.min()), int(i.max())) if i.size else IndexWindow.empty()
-    return WindowedMatrix._of(rows, domain, triplets=(i, j, v))
-
-
-def _entries(m: WindowedMatrix) -> _Triplets:
-    """The triplets a section holds, else those of its nonzero cells."""
-    if m._triplets is not None:
-        return m._triplets
-    r, c = np.divmod(np.flatnonzero(m.data != 0), max(1, m.cols.size))  # in C order, which a stable sort
-    order = np.argsort(c, kind="stable")  # by column turns column-major: faster than nonzero of the transpose
-    r, c = r[order], c[order]
-    return _Triplets(r + m.rows.lo, c + m.cols.lo, m.data[r, c])
+    return WindowedMatrix._of(rows, domain, (i, j, v))
 
 
 # Products formed at once: the join's scratch, about 100 bytes a product,
@@ -322,7 +313,7 @@ def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
     if not a.cols.covers(b.rows):
         raise WindowError(f"composition loses exactness: left columns {a.cols} do not cover right rows {b.rows}")
     _check_int64([a.rows.size * b.cols.size], f"the keys of a product on {a.rows} x {b.cols} reach")
-    ta, tb = _entries(a), _entries(b)
+    ta, tb = a._triplets, b._triplets
     counts = np.bincount(ta.j - a.cols.lo, minlength=a.cols.size)
     k = tb.i - a.cols.lo  # the column of a each entry of b meets
     first, per = np.cumsum(counts) - counts, counts[k]  # a's first entry in each column; b's products
@@ -347,14 +338,14 @@ def compose(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
             i, j, v = i + a.rows.lo, j + b.cols.lo, total
         pieces.append((i, j, v))
     i, j, v = pieces[0] if len(pieces) == 1 else map(np.concatenate, zip(*pieces))
-    return WindowedMatrix._of(a.rows, b.cols, triplets=(i, j, v))
+    return WindowedMatrix._of(a.rows, b.cols, (i, j, v))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _scaled(m: WindowedMatrix, factor: float) -> WindowedMatrix:
     """factor * m, on its triplets: its zeros stay +0."""
-    i, j, v = _entries(m)
-    return WindowedMatrix._of(m.rows, m.cols, triplets=(i, j, factor * v + 0.0))
+    i, j, v = m._triplets
+    return WindowedMatrix._of(m.rows, m.cols, (i, j, factor * v + 0.0))
 
 
 def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
@@ -381,9 +372,25 @@ def compose_chain(stages: list, domain: IndexWindow) -> WindowedMatrix:
     return product
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf - inf is left to the checks, as in compose
+def _difference(a: WindowedMatrix, b: WindowedMatrix) -> WindowedMatrix:
+    """Section of a - b on the hulls of their windows, from their triplets: each cell that either holds is left
+    minus right, as their cells subtract, and is kept where its bits are not all zero. Only its keys are judged:
+    they must fit in int64."""
+    rows, cols = a.rows.hull(b.rows), a.cols.hull(b.cols)
+    _check_int64([rows.size * cols.size], f"the keys of a difference on {rows} x {cols} reach")
+    (ia, ja, va), (ib, jb, vb) = a._triplets, b._triplets
+    keys = np.concatenate([(ia - rows.lo) * cols.size + (ja - cols.lo), (ib - rows.lo) * cols.size + (jb - cols.lo)])
+    keys, where = np.unique(keys, return_inverse=True)  # not np.unique(keys) alone, which imports numpy.ma
+    left, right = np.zeros(keys.size, dtype=complex), np.zeros(keys.size, dtype=complex)
+    left[where[: va.size]], right[where[va.size :]] = va, vb
+    return _of_cells(rows, cols, keys, left - right)
+
+
 def adjoint(a: WindowedMatrix) -> WindowedMatrix:
-    """Conjugate transpose with rows and columns swapped."""
-    return WindowedMatrix._of(a.cols, a.rows, np.conj(a.data.T))
+    """Conjugate transpose with rows and columns swapped: the triplets swapped and conjugated."""
+    i, j, v = a._triplets
+    return WindowedMatrix._of(a.cols, a.rows, (j, i, np.conj(v)))
 
 
 def format_entry(c: complex) -> str:
@@ -401,7 +408,7 @@ def dump_matrix(m: WindowedMatrix) -> str:
     """Render the windowed matrix file format (bit-exact round trip) of a section; entries must be finite.
 
     Only the cells other than `0.0:0.0` are read, from the section's
-    triplets when it holds them: each run of `0.0:0.0` cells within a row is
+    triplets: each run of `0.0:0.0` cells within a row is
     written as one slice of a row of them, and each distinct other cell,
     told apart by its 128 bits (so `3.0:0.0` and `3.0:-0.0` are two), is
     formatted once.
@@ -413,19 +420,16 @@ def dump_matrix(m: WindowedMatrix) -> str:
 
 def _cells(m: WindowedMatrix) -> tuple:
     """The flat positions in reading order and the values of the cells of a section that are not `0.0:0.0`: those
-    whose bits are not all zero, found in one pass over the words of its cells or of its triplets' values."""
-    if m._triplets is None:
-        values = np.ascontiguousarray(m.data).reshape(-1)  # an adjoint's data is column-major
-    else:
-        _check_size(m.rows, m.cols)  # not once the lines have filled the memory
-        at, values = _reading_order(m)
+    whose bits are not all zero, found in one pass over the words of its triplets' values."""
+    _check_size(m.rows, m.cols)  # not once the lines have filled the memory
+    at, values = _reading_order(m)
     re, im = values.view(np.uint64).reshape(-1, 2).T  # the words of each cell's parts
     kept = np.flatnonzero(re | im)
-    return kept if m._triplets is None else at[kept], values[kept]
+    return at[kept], values[kept]
 
 
 def _reading_order(m: WindowedMatrix) -> tuple:
-    """The flat positions, ascending, and the values of a triplet section's entries."""
+    """The flat positions, ascending, and the values of a section's triplets."""
     i, j, v = m._triplets
     at = (i - m.rows.lo) * m.cols.size + (j - m.cols.lo)
     order = np.argsort(at)  # no position twice
@@ -495,14 +499,12 @@ _CHUNK = 1 << 20
 
 
 def row_blocks(m: WindowedMatrix):
-    """(top, block) in row order, block the section's rows top, top + 1, ... (about _BLOCK cells): slices of its
-    cells where it holds them; else fresh zeros, each with the triplets of its rows put in, so no more than a
-    block of cells is ever made. The section's size is judged at once, the blocks as they are read."""
+    """(top, block) in row order, block the section's rows top, top + 1, ... (about _BLOCK cells): fresh zeros,
+    each with the triplets of its rows put in, so no more than a block of cells is ever made. The section's size
+    is judged at once, the blocks as they are read."""
     width = m.cols.size
     step = max(1, _BLOCK // max(1, width))
     tops = range(0, m.rows.size if width else 0, step)
-    if m._cells is not None:
-        return ((top, m._cells[top : top + step]) for top in tops)
     _check_size(m.rows, m.cols, touch=False)
 
     def scattered(at, values):
@@ -665,8 +667,8 @@ def _indexed(data: bytes | str) -> _Index:
 
 
 def stream_matrix(data: bytes | str) -> WindowedMatrix:
-    """The section of a matrix file, from its bytes or its text: the triplets of its cells other than `0.0:0.0`,
-    or its cells where a window end is past int64, which no triplet holds.
+    """The section of a matrix file, from its bytes or its text: the triplets of its cells whose bits are not all
+    zero, and a WindowError where a window end is past int64, which no triplet holds.
 
     Data lines are tokenized with numpy, about `_BLOCK` cells at a time, so the
     cost grows with the cells other than `0.0:0.0`; cells may be separated by
@@ -682,16 +684,12 @@ def stream_matrix(data: bytes | str) -> WindowedMatrix:
         _check_size(IndexWindow(0, step - 1), cols)
     pieces = [_read_block(index, slice(top, top + step), top) for top in range(0, index.starts.size, step)]
     at, values = map(np.concatenate, zip((np.zeros(0, np.int64), np.zeros(0, complex)), *pieces))
+    del pieces  # not alive through the sort
     finite = np.isfinite(values)
     if not finite.all():
         r, c = divmod(int(at[np.argmin(finite)]), width)
         raise ValueError(f"data line {r + 1}: entry {c + 1} is not finite")
-    if not all(_INT64.min <= end <= _INT64.max for end in (*rows, *cols)):
-        cells = np.zeros(rows.size * cols.size, dtype=complex)
-        cells[at] = values
-        return WindowedMatrix._of(rows, cols, cells.reshape(rows.size, cols.size))
-    i, j = np.divmod(at, max(1, width))
-    return WindowedMatrix._of(rows, cols, triplets=(i + rows.lo, j + cols.lo, values))
+    return _of_cells(rows, cols, at, values)
 
 
 def load_matrix(data: bytes | str) -> WindowedMatrix:

@@ -376,6 +376,25 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("window error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("windows, cells", [
+        (f"rows {2**63} {2**63}\ncols 0 1", "1.0:0.0 0.0:0.0\n"),
+        (f"rows 0 0\ncols {2**63 - 2} {2**63}", "1.0:0.0 0.0:0.0 0.0:0.0\n"),
+        (f"rows {-(2**63) - 1} {-(2**63)}\ncols 0 1", "1.0:0.0 0.0:0.0\n0.0:0.0 0.0:0.0\n"),
+        # no rows, so no cells: the file's cells were built as an array of 0 x (10**20 + 1) and exited 2
+        (f"rows 0 -1\ncols 0 {10**20}", ""),
+    ])
+    @pytest.mark.parametrize("command", [["check", "slant-h"], ["check", "toeplitz"], ["check", "characterization"],
+                                         ["check", "extension", "--m", "1"], ["extract"]])
+    def test_a_file_past_int64_is_a_window_error_when_read(self, tmp_path, capsys, windows, cells, command):
+        # no triplet holds an index past int64: the file is refused as it is read, before any check judges its windows
+        path = tmp_path / "far.mat"
+        path.write_text(f"#fmt 1\n{windows}\n{cells}")
+        assert main([*command, "--matrix", str(path)]) == 3
+        captured = capsys.readouterr()
+        rows, cols = (windows.splitlines()[n].split()[1:] for n in (0, 1))
+        rows = "empty" if int(rows[1]) < int(rows[0]) else ":".join(rows)
+        assert (captured.out, captured.err) == ("", f"window error: the windows {rows} x {':'.join(cols)} reach past int64\n")
+
     def test_insufficient_window_exit_code(self, tmp_path, capsys):
         # the characterization needs columns 0..C with C >= 7, as (b) reads column 7
         path = tmp_path / "narrow.mat"

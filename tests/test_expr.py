@@ -243,8 +243,8 @@ class TestEval:
 def reference_eval(node, window, symbols):
     """The recursive evaluator the flat folds replaced: a chain or a difference is its head and its last term.
 
-    It keeps each operand as that evaluator did, triplets or cells, so the
-    products take the same paths; atoms are left to `eval_expr`.
+    Its difference subtracts the operands' cells, zero-embedded on the hull of
+    their rows, as that evaluator did; atoms are left to `eval_expr`.
     """
     if not isinstance(node, (Compose, Diff)):
         return eval_expr(node, window, symbols)
@@ -254,7 +254,7 @@ def reference_eval(node, window, symbols):
         left = reference_eval(head, window, symbols)
         right = reference_eval(last, window, symbols)
         rows = left.rows.hull(right.rows)
-        return WindowedMatrix._of(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
+        return WindowedMatrix(rows, window, left.embed(rows, window).data - right.embed(rows, window).data)
     right = reference_eval(last, window, symbols)
     return compose(reference_eval(head, right.rows, symbols), right)
 

@@ -215,7 +215,7 @@ def test_oracle_suite_compares_bits(monkeypatch):
 
     def conjugated_after(kind, phi, rows, cols):
         section = build(kind._replace(conj=False), phi, rows, cols)
-        return WindowedMatrix._of(rows, cols, np.conj(section.data)) if kind.conj else section
+        return WindowedMatrix(rows, cols, np.conj(section.data)) if kind.conj else section
 
     monkeypatch.setattr(verify, "build_family", conjugated_after)
     assert check_oracle() == (False, "max_dev=0.0 combos=80")

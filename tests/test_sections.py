@@ -1,8 +1,9 @@
-"""The section contract, for every builder. A section holds its triplets or its cells; its `data` is read-only,
-the same array on every read, and bit-identical to the scalar references; its dump reads the same before and
-after `data` is read, and the same as the dump of its cells; and the triplets it holds are column-major, rows
-ascending, with no cell twice."""
+"""The section contract, for every builder. A section is its triplets; its `data` is read-only, the same array
+on every read, and bit-identical to the scalar references; its dump reads the same before and after `data` is
+read, and the same as the dump of its cells; and its triplets are column-major, rows ascending, with no cell
+twice. The bodies on triplets (restrict, embed, adjoint, a difference) give the cells the dense bodies gave."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from slanth import (
     extract_symbol,
     parse_symbol,
 )
-from slanth.windowed import Elementary, _scaled, compose_chain
+from slanth.windowed import Elementary, _difference, _scaled, adjoint, compose_chain
 from test_expr import ref_nodes, ref_symbols
 from test_family_table import scalar_section, symbols, windows
 from test_windowed import (
@@ -60,11 +61,10 @@ def assert_section(m, want=None):
     assert dump_or_error(m) == text == dump_or_error(WindowedMatrix(m.rows, m.cols, data))
     if want is not None:
         assert np.array_equal(data.view(np.uint64), np.asarray(want).view(np.uint64))
-    if m._triplets is not None:
-        i, j, v = m._triplets
-        assert i.shape == j.shape == v.shape
-        assert np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1])))
-        assert np.all((m.rows.lo <= i) & (i <= m.rows.hi) & (m.cols.lo <= j) & (j <= m.cols.hi))
+    i, j, v = m._triplets
+    assert i.shape == j.shape == v.shape
+    assert np.all((j[1:] > j[:-1]) | ((j[1:] == j[:-1]) & (i[1:] > i[:-1])))
+    assert np.all((m.rows.lo <= i) & (i <= m.rows.hi) & (m.cols.lo <= j) & (j <= m.cols.hi))
 
 
 @CONTRACT
@@ -190,3 +190,93 @@ def test_a_closed_form_section_is_checked_and_extracted_with_no_cells():
         tracemalloc.stop()
     assert report.passed and symbol == phi and m._cells is None
     assert peak < m.rows.size * m.cols.size * 16 // 4
+
+
+# The dense bodies that the triplet bodies replaced, as references: each builds the cells of its result.
+def dense_restrict(m, rows, cols):
+    if rows.is_empty or cols.is_empty:
+        return np.zeros((rows.size, cols.size), dtype=complex)
+    return m.data[rows.lo - m.rows.lo : rows.hi + 1 - m.rows.lo, cols.lo - m.cols.lo : cols.hi + 1 - m.cols.lo]
+
+
+def dense_embed(m, rows, cols):
+    data = np.zeros((rows.size, cols.size), dtype=complex)
+    if not (m.rows.is_empty or m.cols.is_empty):
+        data[m.rows.lo - rows.lo : m.rows.hi + 1 - rows.lo, m.cols.lo - cols.lo : m.cols.hi + 1 - cols.lo] = m.data
+    return data
+
+
+def dense_adjoint(m):
+    return np.conj(m.data.T)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dense_difference(a, b):
+    """An expression's difference: both operands zero-embedded on the hull of their rows, then subtracted."""
+    rows = a.rows.hull(b.rows)
+    return dense_embed(a, rows, a.cols) - dense_embed(b, rows, a.cols)
+
+
+def bits(cells):
+    return np.ascontiguousarray(cells).view(np.uint64)
+
+
+cell_parts = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, math.inf, -math.inf, math.nan])
+section_windows = st.builds(lambda lo, size: IndexWindow(lo, lo + size - 1), st.integers(-3, 3), st.integers(0, 4))
+
+
+@st.composite
+def drawn_sections(draw, rows, cols):
+    """A section on the windows and its cells: the constructor's, of drawn cells with ±0, nan and inf parts; or,
+    with None, one on drawn triplets, whose values may be 0.0:0.0, as a product's are."""
+    places = [(i, j) for i in rows.indices() for j in cols.indices()]
+    if draw(st.booleans()):
+        parts = draw(st.lists(cell_parts, min_size=2 * len(places), max_size=2 * len(places)))
+        cells = np.array(parts, dtype=float).view(complex).reshape(rows.size, cols.size)
+        return WindowedMatrix(rows, cols, cells), cells
+    chosen = draw(st.lists(st.sampled_from(places), unique=True)) if places else []
+    values = np.array(draw(st.lists(cell_parts, min_size=2 * len(chosen), max_size=2 * len(chosen))), dtype=float)
+    i, j = (np.array([place[axis] for place in chosen], dtype=np.int64) for axis in (0, 1))
+    return WindowedMatrix._of(rows, cols, triplets=(i, j, values.view(complex))), None
+
+
+def inside(window):
+    """Windows that `window` covers, the empty one too."""
+    if window.is_empty:
+        return st.just(window)
+    return st.integers(window.lo, window.hi + 1).flatmap(lambda lo: st.builds(IndexWindow, st.just(lo),
+                                                                              st.integers(lo - 1, window.hi)))
+
+
+def around(window):
+    """Windows that cover `window`."""
+    return st.builds(lambda below, above: IndexWindow(window.lo - below, window.hi + above), st.integers(0, 2),
+                     st.integers(0, 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), section_windows, section_windows, section_windows)
+def test_the_triplet_bodies_give_the_dense_bodies_cells(data, rows, cols, other_rows):
+    m, cells = data.draw(drawn_sections(rows, cols))
+    if cells is not None:  # the constructor keeps every cell, ±0 parts, nan and inf included
+        assert np.array_equal(bits(m.data), bits(cells))
+    assert_section(m)
+    sub = data.draw(inside(rows)), data.draw(inside(cols))
+    got = m.restrict(*sub)
+    assert (got.rows, got.cols) == sub
+    assert_section(got, dense_restrict(m, *sub))
+    hull = data.draw(around(rows)), data.draw(around(cols))
+    got = m.embed(*hull)
+    assert (got.rows, got.cols) == hull
+    assert_section(got, dense_embed(m, *hull))
+    # the dense body wrote 0.0:-0.0 on each cell the section does not hold; the triplet body leaves it 0.0:0.0
+    held = np.zeros((cols.size, rows.size), dtype=bool)
+    i, j, _ = m._triplets
+    held[j - cols.lo, i - rows.lo] = True
+    got = adjoint(m)
+    assert (got.rows, got.cols) == (cols, rows)
+    assert_section(got, np.where(held, dense_adjoint(m), 0))
+    other, _ = data.draw(drawn_sections(other_rows, cols))
+    got = _difference(m, other)
+    assert (got.rows, got.cols) == (rows.hull(other_rows), cols)
+    assert_section(got, dense_difference(m, other))
